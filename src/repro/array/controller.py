@@ -316,20 +316,24 @@ class ArrayController:
     # Request decomposition
     # ------------------------------------------------------------------
     def _handle(self, request: UserRequest):
+        """The request's one process: run its sub-operations, then complete.
+
+        A request that plans to a single sub-operation (one unit read or
+        written, or one full-stripe write) runs it inline, so a
+        fault-free single-unit request costs exactly this one process.
+        Larger requests run one process per sub-operation and join them.
+        """
         if request.is_write:
             self.stats.user_writes += 1
             subops = self._plan_write(request)
         else:
             self.stats.user_reads += 1
             request.read_values = [0] * request.num_units
-            subops = [
-                self.env.process(self._read_unit(request, i), name="read-unit")
-                for i in range(request.num_units)
-            ]
+            subops = [self._read_unit(request, i) for i in range(request.num_units)]
         if len(subops) == 1:
-            yield subops[0]
+            yield from subops[0]
         else:
-            yield self.env.all_of(subops)
+            yield self.env.all_of([self.env.process(subop) for subop in subops])
         now = self.env.now
         request.complete_ms = now
         if self._read_latency is not None and now >= self.measure_since_ms:
@@ -339,7 +343,10 @@ class ArrayController:
         request.done.succeed(request)
 
     def _plan_write(self, request: UserRequest):
-        """Split a write into large-write groups and per-unit updates."""
+        """Split a write into large-write groups and per-unit updates.
+
+        Returns the sub-operations as generators, not yet started.
+        """
         g_data = self.layout.data_units_per_stripe
         subops = []
         index = 0
@@ -355,19 +362,11 @@ class ArrayController:
                 and self._stripe_is_healthy(stripe)
             ):
                 values = self._write_values(request, index, g_data)
-                subops.append(
-                    self.env.process(
-                        self._large_write(request, stripe, values), name="large-write"
-                    )
-                )
+                subops.append(self._large_write(request, stripe, values))
                 index += g_data
             else:
                 value = self._write_values(request, index, 1)[0]
-                subops.append(
-                    self.env.process(
-                        self._write_unit(request, logical, value), name="write-unit"
-                    )
-                )
+                subops.append(self._write_unit(request, logical, value))
                 index += 1
         return subops
 

@@ -88,15 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed throughput drop before --check fails (default: 0.25)",
     )
     parser.add_argument(
-        "--disk-kernel",
-        default=None,
-        choices=["auto", "scalar", "vectorized"],
-        help=(
-            "disk service-time kernel for this run (sets REPRO_DISK_KERNEL; "
-            "both paths are bit-identical, this only moves wall-clock)"
-        ),
-    )
-    parser.add_argument(
         "--write-baseline",
         metavar="PATH",
         default=None,
@@ -110,14 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.disk_kernel:
-        # Benchmarks read the switch through kernel_mode(); setting the
-        # environment variable scopes the choice to this process.
-        import os
-
-        from repro.disk.vectorized import ENV_VAR
-
-        os.environ[ENV_VAR] = args.disk_kernel
     only = tuple(args.only.split(",")) if args.only else None
     try:
         options = BenchOptions(scale=args.scale, repeat=args.repeat, only=only)

@@ -8,9 +8,8 @@ Three shapes, mirroring how the repository is actually exercised:
   wall-clock second* (and user requests/s), the number every figure
   reproduction is bound by.
 - ``macro.sptf``        — the same array under the SPTF scheduler,
-  which prices its whole queue through the batch service-time kernel
-  (:mod:`repro.disk.vectorized`) on every pop: the macro shape that
-  covers the vectorized disk path.
+  which prices every queued candidate with the drive's service-time
+  arithmetic on every pop: the macro shape that loads the scheduler.
 - ``macro.sweep``       — a small multi-point sweep through
   :func:`repro.sweep.run_sweep` with caching off: the figure-driver
   shape, wall-clock only.
@@ -79,11 +78,11 @@ def fault_free(scale: str = "tiny") -> typing.Dict[str, float]:
 
 
 def sptf(scale: str = "tiny") -> typing.Dict[str, float]:
-    """The standard scenario under SPTF: batch-kernel pricing, timed.
+    """The standard scenario under SPTF: per-pop queue pricing, timed.
 
     Driven harder than the cvscan standard so queues actually build —
-    SPTF prices every queued candidate per pop, and with deep queues
-    the ``auto`` kernel switch routes those batches through numpy.
+    SPTF prices every queued candidate per pop, so deeper queues mean
+    more pricing work per serviced request.
     """
     config = ScenarioConfig(
         stripe_size=STANDARD_STRIPE_SIZE,

@@ -45,12 +45,14 @@ def service_components(
 ) -> typing.Tuple[float, float, float, float, int, int]:
     """Pure scalar service-time math for one request's track runs.
 
-    This is the **reference implementation** of the disk service-time
-    kernel: the batch path in :mod:`repro.disk.vectorized` must
-    reproduce its results bit-for-bit (pinned by the property tests in
-    ``tests/disk/test_vectorized.py``), so any change to the arithmetic
-    here — including operation *order*, which decides float rounding —
-    must be mirrored there.
+    This is the disk's only service-time arithmetic on any scenario
+    path: the drive prices the request it services here, and the SPTF
+    scheduler prices each queued candidate here. The batch path in
+    :mod:`repro.disk.vectorized` (used only by the ``disk.service_batch``
+    microbenchmark) must reproduce its results bit-for-bit (pinned by
+    the property tests in ``tests/disk/test_vectorized.py``), so any
+    change to the arithmetic here — including operation *order*, which
+    decides float rounding — must be mirrored there.
 
     Returns ``(service_ms, seek_ms, rotation_ms, transfer_ms,
     head_cylinder, direction)`` where the last two are the head state
@@ -114,6 +116,8 @@ class DiskRequest:
         "start_service_ms",
         "complete_ms",
         "cylinder",
+        "runs",
+        "priced",
         "error",
     )
 
@@ -139,6 +143,14 @@ class DiskRequest:
         self.start_service_ms = start_service_ms
         self.complete_ms = complete_ms
         self.cylinder = cylinder  # cached for the scheduler
+        #: Per-track runs of the transfer, derived once at submit time
+        #: and shared by every pricing of this request.
+        self.runs: typing.Sequence = ()
+        #: ``service_components`` of this request as the scheduler
+        #: priced it when popping it: at the drive's head position,
+        #: direction and clock at the moment service starts. None when
+        #: the scheduler did not price it; the drive then prices it.
+        self.priced: typing.Optional[tuple] = None
         #: Error outcome: None on success, else ``"media"`` / ``"timeout"``
         #: (see :mod:`repro.faults.state`). Only ever set when the disk
         #: carries a fault state.
@@ -224,7 +236,7 @@ class Disk:
         self._sector_time_ms = spec.sector_time_ms
         self._sectors_per_track = spec.sectors_per_track
         self._head_switch_ms = spec.head_switch_ms
-        self._cylinder_of = self.geometry.cylinder_of  # bound once for submit()
+        self._split_by_track = self.geometry.split_by_track  # bound once for submit()
         self.scheduler = scheduler if scheduler is not None else make_scheduler(
             policy, spec.cylinders
         )
@@ -266,7 +278,10 @@ class Disk:
         env = self.env
         request.done = env.event()
         request.submit_ms = env.now
-        request.cylinder = self._cylinder_of(request.start_sector)
+        runs = self._split_by_track(request.start_sector, request.sector_count)
+        request.runs = runs
+        request.cylinder = runs[0].cylinder
+        request.priced = None
         self.scheduler.push(request)
         if self.queue_gauge is not None:
             self.queue_gauge.add(1, request.submit_ms)
@@ -330,8 +345,14 @@ class Disk:
         return (at_ms / self._sector_time_ms) % self._sectors_per_track
 
     def _service_time(self, request: DiskRequest) -> typing.Tuple[float, float, float, float]:
-        """Compute service time; updates head cylinder and direction."""
-        runs = self.geometry.split_by_track(request.start_sector, request.sector_count)
+        """Compute service time; updates head cylinder and direction.
+
+        A request the scheduler priced when popping it (SPTF prices
+        every candidate) keeps that price: the pop and this call see the
+        same head position, direction and clock, so pricing it again
+        would repeat the identical arithmetic.
+        """
+        runs = request.runs
         if self.track_buffer:
             tracks = {(run.cylinder, run.track) for run in runs}
             if (
@@ -346,8 +367,9 @@ class Disk:
                 self._buffered_track = None
             elif not request.is_write:
                 self._buffered_track = (runs[-1].cylinder, runs[-1].track)
-        service_ms, seek_ms, rotation_ms, transfer_ms, cylinder, direction = (
-            service_components(
+        priced = request.priced
+        if priced is None:
+            priced = service_components(
                 runs,
                 self.head_cylinder,
                 self.direction,
@@ -357,7 +379,7 @@ class Disk:
                 self._sectors_per_track,
                 self._head_switch_ms,
             )
-        )
+        service_ms, seek_ms, rotation_ms, transfer_ms, cylinder, direction = priced
         self.head_cylinder = cylinder
         self.direction = direction
         return service_ms, seek_ms, rotation_ms, transfer_ms

@@ -8,42 +8,48 @@ the same order of magnitude as a short seek on the paper's drives, so
 SPTF finds wins SSTF cannot see (a slightly farther cylinder whose
 target sector is about to rotate under the head).
 
-Pricing the whole queue per pop is exactly the batch shape the
-vectorized service-time kernel (:mod:`repro.disk.vectorized`) exists
-for: every queued candidate is one lane of a single evaluation. The
-scalar/vectorized switch (``REPRO_DISK_KERNEL``) changes wall-clock
-only — both paths return bit-identical times, hence identical pops,
-hence identical simulations.
+Each pop prices every queued candidate once with the drive's own
+service-time arithmetic (:func:`repro.disk.drive.service_components`),
+on the track runs :meth:`Disk.submit <repro.disk.drive.Disk.submit>`
+derived for the request. Queues on the paper's workloads stay short
+(a few dozen candidates at most), so a plain loop is the cheapest way
+to do it. The winner carries its price to the drive
+(``DiskRequest.priced``), which services it at that same head position
+and instant and so does not price it again.
 """
 
 from __future__ import annotations
 
 import typing
 
+from repro.disk.drive import service_components
 from repro.disk.scheduling.base import Scheduler
-from repro.disk.vectorized import model_for, service_times
 
 
 class SptfScheduler(Scheduler):
     """Service the queued request with the smallest physical service time.
 
     Ties break toward the earlier arrival: the queue is kept in arrival
-    order and the scan below takes the first strict minimum — the same
-    request either kernel path selects, since their times agree
-    bit-for-bit. Requires :meth:`bind_disk` (the drive's spec, clock,
-    and head state price the candidates); :class:`~repro.disk.drive.Disk`
-    binds any scheduler that asks during construction.
+    order and the scan below takes the first strict minimum. Requires
+    :meth:`bind_disk` (the drive's spec, clock, and head state price
+    the candidates); :class:`~repro.disk.drive.Disk` binds any
+    scheduler that asks during construction.
     """
 
     def __init__(self):
         self._queue: typing.List = []
         self._disk = None
-        self._model = None
 
     def bind_disk(self, disk) -> None:
         """Attach the drive whose physical state prices candidates."""
+        spec = disk.spec
         self._disk = disk
-        self._model = model_for(disk.spec)
+        # The spec derives these on every property read and is frozen,
+        # so snapshot them once, as the drive does.
+        self._seek_time = disk.seek_model.seek_time
+        self._sector_time_ms = spec.sector_time_ms
+        self._sectors_per_track = spec.sectors_per_track
+        self._head_switch_ms = spec.head_switch_ms
 
     def push(self, request) -> None:
         self._queue.append(request)
@@ -58,15 +64,30 @@ class SptfScheduler(Scheduler):
                 "SptfScheduler needs bind_disk() before pop() — construct it "
                 "through make_scheduler()/Disk, which bind automatically"
             )
-        times = service_times(self._model, head_cylinder, disk.env.now, queue)
+        now = disk.env.now
+        seek_time = self._seek_time
+        sector_time_ms = self._sector_time_ms
+        sectors_per_track = self._sectors_per_track
+        head_switch_ms = self._head_switch_ms
         best = 0
-        best_time = times[0]
-        for index in range(1, len(queue)):
-            candidate = times[index]
-            if candidate < best_time:
+        best_priced = None
+        for index, request in enumerate(queue):
+            priced = service_components(
+                request.runs,
+                head_cylinder,
+                direction,
+                now,
+                seek_time,
+                sector_time_ms,
+                sectors_per_track,
+                head_switch_ms,
+            )
+            if best_priced is None or priced[0] < best_priced[0]:
                 best = index
-                best_time = candidate
-        return queue.pop(best)
+                best_priced = priced
+        request = queue.pop(best)
+        request.priced = best_priced
+        return request
 
     def __len__(self) -> int:
         return len(self._queue)

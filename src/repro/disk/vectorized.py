@@ -19,18 +19,18 @@ the formulas but the floating-point *operation order*:
   (fmod plus sign-of-divisor adjustment) bit-for-bit for the
   non-negative divisors used here.
 
-Consumers: the SPTF scheduler
-(:class:`repro.disk.scheduling.sptf.SptfScheduler`) prices its whole
-queue per pop, and the ``disk.service_batch`` microbenchmark.
+Consumer: the ``disk.service_batch`` microbenchmark, which times both
+paths. No scenario path uses this module: the SPTF scheduler prices
+its short queues with :func:`~repro.disk.drive.service_components`
+directly.
 
 The kernel switch
 -----------------
-The active path is selected by the ``REPRO_DISK_KERNEL`` environment
-variable (or an explicit ``mode=`` argument, which the bench CLI's
-``--disk-kernel`` flag feeds through) — deliberately **not** part of
-``ScenarioConfig``: both paths return bit-identical times, so the
-switch cannot change any simulation result and therefore must not
-fragment the sweep-cache key space.
+:func:`service_times` selects the active path from the
+``REPRO_DISK_KERNEL`` environment variable (or an explicit ``mode=``
+argument) — deliberately **not** part of ``ScenarioConfig``: both paths
+return bit-identical times, so the switch cannot change any simulation
+result and therefore must not fragment the sweep-cache key space.
 
 - ``scalar``     — always the reference loop;
 - ``vectorized`` — always the numpy batch;
@@ -78,7 +78,7 @@ def kernel_mode(override: typing.Optional[str] = None) -> str:
     if mode not in MODES:
         raise ValueError(
             f"unknown disk kernel mode {mode!r} "
-            f"(from ${ENV_VAR} or --disk-kernel); choose from {MODES}"
+            f"(from ${ENV_VAR}); choose from {MODES}"
         )
     return mode
 

@@ -85,13 +85,11 @@ class WorkloadBase:
             values=values,
         )
         self.submitted += 1
-        done = self.controller.submit(request)
-        self.controller.env.process(
-            self._await_completion(request, done), name="workload-complete"
-        )
+        self.controller.submit(request).callbacks.append(self._on_complete)
 
-    def _await_completion(self, request: UserRequest, done):
-        yield done
+    def _on_complete(self, done) -> None:
+        """Record a finished request; runs when its ``done`` event fires."""
+        request = done.value
         self.completed += 1
         self.recorder.record(
             complete_ms=request.complete_ms,

@@ -8,6 +8,8 @@ and G writes with no pre-reads for full-stripe aligned writes.
 import pytest
 
 from repro.array.datastore import initial_data_pattern
+from repro.sim.process import Process
+from repro.workload import SyntheticWorkload, WorkloadConfig
 from tests.conftest import build_array, total_disk_accesses
 
 
@@ -135,3 +137,68 @@ class TestAccounting:
         request = small_array.run_op(controller.read(0))
         assert request.response_ms > 0
         assert request.complete_ms == small_array.env.now
+
+
+@pytest.fixture
+def created_processes(monkeypatch):
+    """Every :class:`Process` constructed while the test runs, in order."""
+    created = []
+    original_init = Process.__init__
+
+    def counting_init(process, *args, **kwargs):
+        original_init(process, *args, **kwargs)
+        created.append(process)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    return created
+
+
+class TestProcessesPerRequest:
+    """A fault-free single-unit request runs in exactly one process."""
+
+    def _names_for(self, created, array, submit):
+        before = len(created)
+        array.run_op(submit())
+        return [process.name for process in created[before:]]
+
+    def test_read_is_one_process(self, created_processes):
+        array = build_array(num_disks=21, stripe_size=5)
+        controller = array.controller
+        names = self._names_for(created_processes, array, lambda: controller.read(3))
+        assert names == ["user-request"]
+        assert controller.stats.by_path == {"read": 1}
+
+    def test_read_modify_write_is_one_process(self, created_processes):
+        array = build_array(num_disks=21, stripe_size=5)
+        controller = array.controller
+        names = self._names_for(
+            created_processes, array, lambda: controller.write(3, values=[0xBEEF])
+        )
+        assert names == ["user-request"]
+        assert controller.stats.by_path == {"rmw-write": 1}
+        assert total_disk_accesses(controller) == 4
+
+    def test_two_unit_read_adds_one_process_per_unit(self, created_processes):
+        array = build_array(num_disks=21, stripe_size=5)
+        controller = array.controller
+        names = self._names_for(
+            created_processes, array, lambda: controller.read(3, num_units=2)
+        )
+        assert names == ["user-request", "_read_unit", "_read_unit"]
+
+    def test_workload_counts_completions_and_drains(self, created_processes):
+        array = build_array(num_disks=21, stripe_size=5)
+        workload = SyntheticWorkload(
+            array.controller,
+            WorkloadConfig(access_rate_per_s=210.0, read_fraction=0.5, seed=3),
+        )
+        before = len(created_processes)
+        workload.run(max_requests=40)
+        drained = workload.drained()
+        array.env.run(until=drained)
+        assert drained.processed
+        assert workload.submitted == workload.completed == 40
+        assert len(workload.recorder) == 40
+        assert workload.integrity_errors == []
+        # The generator plus one process per request.
+        assert len(created_processes) - before == 1 + 40

@@ -1,5 +1,5 @@
 """The vectorized service-time kernel: exact equality with the scalar
-reference path, the kernel switch, and the SPTF consumer."""
+reference path, and the kernel switch."""
 
 import typing
 
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.disk import IBM_0661
-from repro.disk.scheduling.sptf import SptfScheduler
 from repro.disk.vectorized import (
     AUTO_THRESHOLD,
     ENV_VAR,
@@ -122,53 +121,3 @@ class TestKernelSwitch:
         assert isinstance(forced_vec, np.ndarray)
         assert isinstance(forced_scalar, list)
         assert list(forced_vec) == forced_scalar
-
-
-class _FakeEnv:
-    now = 12.5
-
-
-class _FakeDisk:
-    spec = IBM_0661
-    env = _FakeEnv()
-
-
-class TestSptfConsumer:
-    def _queue(self):
-        return [
-            Candidate((i * 7919 * SPT + i * 13) % (TOTAL - 4 * SPT), 1 + i % 7)
-            for i in range(12)
-        ]
-
-    def _pop_order(self, monkeypatch, mode):
-        monkeypatch.setenv(ENV_VAR, mode)
-        scheduler = SptfScheduler()
-        scheduler.bind_disk(_FakeDisk())
-        for request in self._queue():
-            scheduler.push(request)
-        order = []
-        head = 0
-        while scheduler:
-            popped = scheduler.pop(head, 1)
-            order.append(popped)
-            head = popped.start_sector // IBM_0661.sectors_per_cylinder
-        return order
-
-    def test_pop_order_identical_under_both_kernels(self, monkeypatch):
-        assert self._pop_order(monkeypatch, "scalar") == self._pop_order(
-            monkeypatch, "vectorized"
-        )
-
-    def test_pop_without_bind_disk_raises(self):
-        scheduler = SptfScheduler()
-        scheduler.push(Candidate(0, 1))
-        scheduler.push(Candidate(100, 1))
-        with pytest.raises(RuntimeError, match="bind_disk"):
-            scheduler.pop(0, 1)
-
-    def test_singleton_queue_skips_pricing(self):
-        # One queued request needs no pricing, hence no bound disk.
-        scheduler = SptfScheduler()
-        only = Candidate(7, 2)
-        scheduler.push(only)
-        assert scheduler.pop(0, 1) is only

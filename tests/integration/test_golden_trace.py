@@ -13,6 +13,13 @@ ordering — never to make an optimization pass):
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/integration/test_golden_trace.py -q
+
+A change that alters kernel dispatch but claims bit-identical simulated
+results (for example, one that removes processes from a request's path)
+may re-record these fixtures only if the disk-I/O golden traces in
+``tests/integration/test_golden_io.py`` pass unchanged on it: those pin
+every completed disk request of the same scenarios. Name the re-recorded
+fixtures and the reason in CHANGES.md.
 """
 
 import os
