@@ -3,7 +3,7 @@
 Each benchmark builds a fresh :class:`~repro.sim.Environment`, runs a
 fixed deterministic event workload to completion, and reports how many
 events the kernel dispatched and how long that took. The workloads are
-chosen to isolate the three hot paths of the kernel:
+chosen to isolate the hot paths of the kernel:
 
 - ``kernel.timeout_churn``   — ``Timeout`` scheduling + process resume
   (the shape of every disk service and arrival delay);
@@ -11,9 +11,10 @@ chosen to isolate the three hot paths of the kernel:
   dispatch (the shape of request completion hand-offs);
 - ``kernel.condition_fanin`` — ``AllOf``/``AnyOf`` fan-in (the shape of
   parallel stripe-unit accesses joining);
-- ``kernel.cohort_dispatch`` — wide same-instant cohorts on both lanes
-  (the shape of batch completions landing on one tick, and the workload
-  the cohort-batched dispatch loop exists to amortize).
+- ``kernel.cohort_dispatch`` — wide same-instant bursts on both lanes
+  (the shape of batch completions landing on one tick). The name
+  predates the one-event-at-a-time run loop; it stays because the
+  committed bench baseline is keyed on it.
 
 No random numbers are drawn and no tracer is attached: the simulated
 event sequence is bit-identical on every run, so wall-clock is the
@@ -125,18 +126,16 @@ def condition_fanin(iterations: int = 6000, fan: int = 8) -> typing.Dict[str, fl
 def cohort_dispatch(
     width: int = 512, heap_width: int = 64, rounds: int = 80
 ) -> typing.Dict[str, float]:
-    """Wide same-instant cohorts on both scheduler lanes.
+    """Wide same-instant bursts on both scheduler lanes.
 
-    Each round a driver fires ``width`` zero-delay timeouts (one
-    immediate-lane cohort at the current instant) and ``heap_width``
-    unit-delay timeouts (one heap cohort at the next instant), then
-    advances. Every dispatched event shares its instant with dozens to
-    hundreds of peers, so the run measures the amortized per-event cost
-    of the cohort loop rather than the singleton fast path. The mix is
-    immediate-heavy on purpose: zero-delay schedules (completions,
-    hand-offs, kickoffs) are the majority of all schedules in an array
-    simulation (see :mod:`repro.sim.environment`), and the heap cohort
-    each round keeps the heap-drain path covered.
+    Each round a driver fires ``width`` zero-delay timeouts (all in the
+    immediate lane at the current instant) and ``heap_width`` unit-delay
+    timeouts (all on the heap at the next instant), then advances.
+    Every dispatched event shares its instant with dozens to hundreds of
+    peers. The mix is immediate-heavy on purpose: zero-delay schedules
+    (completions, hand-offs, kickoffs) are the majority of all
+    schedules in an array simulation (see :mod:`repro.sim.environment`),
+    and the heap burst each round keeps the heap lane covered.
     """
 
     def driver(env: Environment):

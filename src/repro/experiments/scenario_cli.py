@@ -23,6 +23,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import typing
 
@@ -107,11 +108,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject scale values no simulation can run, as usage errors (exit 2).
+
+    An infinite or NaN duration would never end the workload, and a
+    negative one fails only after the sweep's retries.
+    """
+    if not (math.isfinite(args.duration_ms) and args.duration_ms > 0):
+        parser.error(f"--duration-ms must be finite and positive, got {args.duration_ms!r}")
+    if not (math.isfinite(args.warmup_ms) and args.warmup_ms >= 0):
+        parser.error(f"--warmup-ms must be finite and non-negative, got {args.warmup_ms!r}")
+    if args.cylinders is not None and args.cylinders < 2:
+        parser.error(f"--cylinders must be >= 2, got {args.cylinders}")
+
+
 def _scale_from_args(args: argparse.Namespace) -> typing.Union[str, ScalePreset]:
     if args.cylinders is None:
         return get_scale(args.scale).name
-    if args.cylinders < 2:
-        raise SystemExit("repro scenario: --cylinders must be >= 2")
     return ScalePreset(
         name=f"custom-{args.cylinders}cyl",
         cylinders=args.cylinders,
@@ -155,7 +168,9 @@ def _format_result(result) -> typing.List[str]:
 
 
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_args(parser, args)
     try:
         config = config_from_args(args)
     except ValueError as error:

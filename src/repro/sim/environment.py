@@ -13,23 +13,8 @@ its head is its minimum; dispatch takes whichever lane holds the
 smaller ``(time, seq)`` key. Because every immediate entry's time is
 ``now`` and its seq is implied by append order, the lane stores **bare
 event objects** — no key tuples at all — and the lane comparison
-"``heap[0] < imm[0]``" reduces to ``heap[0][0] <= now`` (a heap entry
-at ``now`` always carries a smaller seq; see invariant 2 below). That
-makes the common zero-delay schedule an O(1) allocation-free append and
-its dispatch an O(1) popleft — instead of two O(log n) sift passes
-through the heap — while dispatch order stays exactly what a single
-heap would produce.
-
-Cohort-batched dispatch
------------------------
-:meth:`Environment.run` drains every event sharing the next time
-instant into one *cohort* and dispatches it through a single loop,
-amortizing the per-event lane bookkeeping (lane choice, heap/deque
-pops, clock writes) that otherwise dominates bursty workloads —
-parallel stripe-unit accesses completing together, fan-out process
-kickoffs, zero-delay hand-off storms.
-
-Why the cohort order equals the one-at-a-time order, exactly:
+"``heap[0] < imm[0]``" reduces to ``heap[0][0] <= now``. Two invariants
+make that reduction exact:
 
 1. While the immediate deque is non-empty, every entry in it carries
    ``time == now`` (entries are appended at the then-current time, and
@@ -40,34 +25,20 @@ Why the cohort order equals the one-at-a-time order, exactly:
    delay and therefore lands strictly later), so its ``seq`` is smaller
    than that of every immediate entry, all of which were appended *at*
    ``now``.
-3. Events created by cohort callbacks enter the immediate lane with
-   ``seq`` values larger than every cohort member's, or enter the heap
-   strictly later than ``now`` — nothing that appears mid-dispatch can
-   sort before a not-yet-dispatched cohort member.
 
-(1) and (2) make "pop every heap entry at ``now``, then extend with the
-immediate deque" an ascending-``seq`` sequence without sorting; (3)
-makes eager collection safe. Bit-identical ordering is pinned by
+That makes the common zero-delay schedule an O(1) allocation-free
+append and its dispatch an O(1) popleft — instead of two O(log n) sift
+passes through the heap — while dispatch order stays exactly what a
+single heap would produce. Bit-identical ordering is pinned by
 ``tests/integration/test_golden_trace.py``.
 
-Mid-cohort control flow keeps the one-at-a-time semantics: an escaping
-exception (or an ``until=event`` stop) requeues the undispatched
-remainder at the *front* of the immediate lane — where those entries
-would still have been had they never been collected — and ``close()``
-drops the remainder, exactly as it clears the lanes.
-
-Hot-path notes: the dispatch loops are the most executed code in the
-project, so they read event state through the ``_state``/``_exception``
-slots directly and inline singleton dispatch (a cohort of one — the
-common case for heap-paced workloads) without building a list.
-Observation hooks: :meth:`Environment.add_observer` registers a
-per-dispatch callback used by the tracing subsystem
-(:class:`~repro.sim.tracing.EnvironmentTracer`); observed runs go
-through the same cohort collection, so traces record the exact
-production dispatch order. The class deliberately has **no**
-``__slots__`` and still honors a legacy ``step`` instance-attribute
-override (external instrumentation) by falling back to a
-``self.step()`` loop.
+:meth:`Environment.run` and :meth:`Environment.step` both take one
+event at a time by that rule and call every attached observer
+(:meth:`Environment.add_observer`, used by
+:class:`~repro.sim.tracing.EnvironmentTracer`) after each dispatch.
+``run`` is the most executed code in the project, so it inlines the
+body of ``Event._run_callbacks`` and reads event state through the
+``_state``/``_exception`` slots directly.
 """
 
 from __future__ import annotations
@@ -103,9 +74,7 @@ class Environment:
         self._imm_append = self._imm.append
         self._seq = 0  # tie-breaker keeps FIFO order among same-time events
         self._closed = False
-        #: Per-dispatch observers (see :meth:`add_observer`). Kept out
-        #: of the uninstrumented hot loops entirely: ``run()`` switches
-        #: to the observed cohort loop only while this list is non-empty.
+        #: Per-dispatch observers (see :meth:`add_observer`).
         self._observers: list = []
 
     @property
@@ -149,8 +118,8 @@ class Environment:
         if self._closed:
             raise SimulationError("cannot schedule on a closed environment")
         if delay:
-            if delay < 0:
-                raise SimulationError(f"cannot schedule into the past (delay={delay})")
+            if not delay > 0:  # negative, or NaN
+                raise SimulationError(f"cannot schedule with delay={delay!r}")
             heappush(self._heap, (self._now + delay, self._seq, event))
         else:
             # The immediate lane stores bare events: every entry is at
@@ -167,8 +136,8 @@ class Environment:
         :class:`~repro.sim.events.Timeout` fast path — raises
         :class:`SimulationError`. Used when a scenario ends mid-flight
         (e.g. a mission deadline) and stray completions must not fire.
-        Closing from inside a callback also drops the undispatched
-        remainder of the current same-instant cohort.
+        Closing from inside a callback also drops the events still due
+        at the current instant.
         """
         self._closed = True
         self._heap.clear()
@@ -185,13 +154,12 @@ class Environment:
     def add_observer(self, observer: typing.Callable[[Event], None]) -> None:
         """Register a per-dispatch hook, called as ``observer(event)``.
 
-        The hook runs after the event's callbacks have completed and
-        only when dispatch did not raise — the same visibility a
-        wrapper around :meth:`step` used to have. Observers stack;
-        remove them in reverse attach order via :meth:`remove_observer`.
-        While any observer is attached, :meth:`run` dispatches through
-        the observed cohort loop instead of the inlined fast loops, so
-        observers add zero cost to unobserved runs.
+        :meth:`run` and :meth:`step` call the hook after the event's
+        callbacks have completed, and only when dispatch did not raise.
+        An observer attached from inside a callback sees that event and
+        every later one, including the rest of the current ``run()``.
+        Observers stack; remove them in reverse attach order via
+        :meth:`remove_observer`.
         """
         self._observers.append(observer)
 
@@ -217,17 +185,14 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none.
 
-        A non-empty immediate lane always means "an event at ``now``"
-        unless the heap holds an even-earlier entry (only possible
-        after external interleaving — see :meth:`_merge_instant`).
+        A non-empty immediate lane means "an event at ``now``": the heap
+        never holds an entry earlier than ``now``, because every push
+        lands a positive delay after the then-current time and the clock
+        only advances to the heap's head or to a deadline before it.
         """
-        heap = self._heap
         if self._imm:
-            now = self._now
-            if heap and heap[0][0] < now:
-                return heap[0][0]
-            return now
-        return heap[0][0] if heap else float("inf")
+            return self._now
+        return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
         """Advance to the next event and run its callbacks."""
@@ -254,125 +219,6 @@ class Environment:
         for observe in self._observers:
             observe(event)
 
-    # ------------------------------------------------------------------
-    # Cohort collection and dispatch
-    # ------------------------------------------------------------------
-    def _merge_instant(self) -> list:
-        """Collect the cohort when the heap holds entries at ``now``.
-
-        Only reachable when the immediate deque is non-empty *and* the
-        heap head shares its time — which, per the ordering proof in
-        the module docstring, means the heap entries carry smaller
-        ``seq`` values than every immediate entry. Normal ``run()``
-        loops drain heap-at-now entries into the cohort before any
-        immediate entry can exist at that instant, so this path only
-        fires when dispatch was interleaved externally (a manual
-        ``step()`` between ``run()`` calls, a requeue after an
-        exception).
-        """
-        heap = self._heap
-        imm = self._imm
-        now = self._now
-        cohort = []
-        # Exact float equality is the contract here: cohort membership
-        # means *the same* (bit-identical) time key, never "close to".
-        # Heap pops come out in ascending (time, seq); all their seqs
-        # precede every immediate entry's (module docstring, invariant
-        # 2), so appending the lanes in this order is already the exact
-        # dispatch order.
-        while heap and heap[0][0] == now:  # simlint: disable=TIME001 (cohort = identical time key, not a tolerance comparison)
-            cohort.append(heappop(heap)[2])
-        cohort.extend(imm)
-        imm.clear()
-        return cohort
-
-    def _requeue_after(self, cohort: list, event) -> None:
-        """Return cohort members after ``event`` to the schedule.
-
-        Used when dispatch stops mid-cohort (escaping exception,
-        ``until=event`` satisfied). The remainder goes to the *front*
-        of the immediate lane: every member is at ``time == now`` and
-        precedes anything callbacks appended during the cohort, so the
-        deque stays in dispatch order. No-op on a closed environment —
-        ``close()`` drops pending events.
-        """
-        if self._closed:
-            return
-        index = cohort.index(event)
-        rest = cohort[index + 1:]
-        if rest:
-            self._imm.extendleft(reversed(rest))
-
-    def _dispatch_cohort(self, cohort: list) -> None:
-        """Dispatch a same-instant cohort in ascending ``seq`` order.
-
-        The per-event body must stay semantically identical to
-        ``Event._run_callbacks`` plus the exception check in
-        :meth:`step` — keep them in sync.
-        """
-        processed = PROCESSED
-        event = None
-        try:
-            for event in cohort:
-                event._state = processed
-                callbacks = event._callbacks
-                if callbacks:
-                    event._callbacks = None
-                    if len(callbacks) == 1:  # one waiter is the common case
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-                    # `close()` can only be reached from inside a
-                    # callback, so the flag needs checking only here —
-                    # waiterless events skip the load entirely.
-                    if self._closed:
-                        return
-                elif event._exception is not None and not event.defused:
-                    raise event._exception
-        except BaseException:
-            self._requeue_after(cohort, event)
-            raise
-
-    def _dispatch_cohort_until(self, cohort: list, stop_on: Event) -> None:
-        """:meth:`_dispatch_cohort`, stopping after ``stop_on`` fires.
-
-        The undispatched remainder is requeued so a later ``run()``
-        resumes exactly where this one stopped.
-        """
-        processed = PROCESSED
-        event = None
-        try:
-            for event in cohort:
-                event._state = processed
-                callbacks = event._callbacks
-                if callbacks:
-                    event._callbacks = None
-                    if len(callbacks) == 1:  # one waiter is the common case
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-                    if event is stop_on:
-                        self._requeue_after(cohort, event)
-                        return
-                    # `close()` is only reachable from inside a callback
-                    # (see _dispatch_cohort) — checked here only.
-                    if self._closed:
-                        return
-                elif event._exception is not None and not event.defused:
-                    raise event._exception
-                elif event is stop_on:
-                    self._requeue_after(cohort, event)
-                    return
-        except BaseException:
-            self._requeue_after(cohort, event)
-            raise
-
     def run(self, until: typing.Union[None, float, Event] = None) -> object:
         """Run until the schedule drains, a deadline, or an event fires.
 
@@ -380,270 +226,72 @@ class Environment:
         ----------
         until:
             ``None`` runs until no events remain. A number runs until the
-            clock reaches that time. An :class:`Event` runs until that
-            event has fired, returning its value.
+            clock reaches that time, which must be ``>= now``. An
+            :class:`Event` runs until that event has fired, returning its
+            value.
 
-        When nothing has instrumented the environment, the loops below
-        inline singleton dispatch (the body of :meth:`step`) and batch
-        same-instant events into cohorts (see the module docstring) —
-        one method call per event is the dominant fixed cost of the
-        kernel. The inlined bodies must stay semantically identical to
-        ``step()``; instrumentation attached *mid-run* (no current
-        caller does this) only takes effect on the next ``run()`` call.
+        Every mode runs the same loop: it dispatches events one at a
+        time, in the order :meth:`step` would, until the next event lies
+        beyond the deadline (``inf`` unless ``until`` is a number) or the
+        ``until`` event has been dispatched.
+
+        Raises
+        ------
+        SimulationError
+            If the deadline is not ``>= now`` (NaN included), or the
+            schedule drains before the ``until`` event fires.
         """
-        if "step" in self.__dict__:
-            return self._run_instrumented(until)
-        if self._observers:
-            return self._run_observed(until)
-        heap = self._heap
-        imm = self._imm
-        pop = heappop
-        popleft = imm.popleft
-        processed = PROCESSED
-        if until is None:
-            while True:
-                # Immediate entries carry when == self._now (they drain
-                # before time can advance — see the module docstring),
-                # so the deque branches skip the clock write.
-                if imm:
-                    if heap and heap[0][0] <= self._now:
-                        cohort = self._merge_instant()
-                    elif len(imm) == 1:
-                        event = popleft()
-                        event._state = processed
-                        callbacks = event._callbacks
-                        if callbacks:
-                            event._callbacks = None
-                            if len(callbacks) == 1:  # one waiter is the common case
-                                callbacks[0](event)
-                            else:
-                                for callback in callbacks:
-                                    callback(event)
-                        if event._exception is not None and not event.defused:
-                            raise event._exception
-                        continue
-                    else:
-                        cohort = list(imm)
-                        imm.clear()
-                elif heap:
-                    when, _seq, event = pop(heap)
-                    self._now = when
-                    if heap and heap[0][0] == when:
-                        cohort = [event]
-                        while heap and heap[0][0] == when:
-                            cohort.append(pop(heap)[2])
-                    else:
-                        event._state = processed
-                        callbacks = event._callbacks
-                        if callbacks:
-                            event._callbacks = None
-                            if len(callbacks) == 1:  # one waiter is the common case
-                                callbacks[0](event)
-                            else:
-                                for callback in callbacks:
-                                    callback(event)
-                        if event._exception is not None and not event.defused:
-                            raise event._exception
-                        continue
-                else:
-                    break
-                self._dispatch_cohort(cohort)
-            return None
+        stop_on = None
+        deadline = float("inf")
         if isinstance(until, Event):
-            stop_on = until
-            while stop_on._state != processed:
-                if imm:
-                    if heap and heap[0][0] <= self._now:
-                        cohort = self._merge_instant()
-                    elif len(imm) == 1:
-                        event = popleft()
-                        event._state = processed
-                        callbacks = event._callbacks
-                        if callbacks:
-                            event._callbacks = None
-                            if len(callbacks) == 1:  # one waiter is the common case
-                                callbacks[0](event)
-                            else:
-                                for callback in callbacks:
-                                    callback(event)
-                        if event._exception is not None and not event.defused:
-                            raise event._exception
-                        continue
-                    else:
-                        cohort = list(imm)
-                        imm.clear()
-                elif heap:
-                    when, _seq, event = pop(heap)
-                    self._now = when
-                    if heap and heap[0][0] == when:
-                        cohort = [event]
-                        while heap and heap[0][0] == when:
-                            cohort.append(pop(heap)[2])
-                    else:
-                        event._state = processed
-                        callbacks = event._callbacks
-                        if callbacks:
-                            event._callbacks = None
-                            if len(callbacks) == 1:  # one waiter is the common case
-                                callbacks[0](event)
-                            else:
-                                for callback in callbacks:
-                                    callback(event)
-                        if event._exception is not None and not event.defused:
-                            raise event._exception
-                        continue
-                else:
-                    raise SimulationError("schedule drained before `until` event fired")
-                self._dispatch_cohort_until(cohort, stop_on)
-            return stop_on.value
-        deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
-        while True:
-            if imm:
-                # Immediate entries were appended at times <= now <=
-                # deadline, so this lane can never overshoot; and when
-                # the heap head wins the comparison it is smaller still.
-                if heap and heap[0][0] <= self._now:
-                    cohort = self._merge_instant()
-                elif len(imm) == 1:
-                    event = popleft()
-                    event._state = processed
-                    callbacks = event._callbacks
-                    if callbacks:
-                        event._callbacks = None
-                        if len(callbacks) == 1:  # one waiter is the common case
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-                    continue
-                else:
-                    cohort = list(imm)
-                    imm.clear()
-            elif heap:
-                if heap[0][0] > deadline:
-                    break
-                when, _seq, event = pop(heap)
-                self._now = when
-                if heap and heap[0][0] == when:
-                    # Cohort members share `when`, so the deadline check
-                    # on the first entry covers them all.
-                    cohort = [event]
-                    while heap and heap[0][0] == when:
-                        cohort.append(pop(heap)[2])
-                else:
-                    event._state = processed
-                    callbacks = event._callbacks
-                    if callbacks:
-                        event._callbacks = None
-                        if len(callbacks) == 1:  # one waiter is the common case
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-                    continue
-            else:
-                break
-            self._dispatch_cohort(cohort)
-        self._now = deadline
-        return None
-
-    def _next_cohort(self, deadline: typing.Optional[float]) -> typing.Optional[list]:
-        """Pop every event at the next instant, in dispatch order.
-
-        Returns ``None`` when the schedule is empty or the next instant
-        lies beyond ``deadline``. Advances the clock when the cohort
-        comes off the heap.
-        """
-        imm = self._imm
-        heap = self._heap
-        if imm:
-            if heap and heap[0][0] <= self._now:
-                return self._merge_instant()
-            cohort = list(imm)
-            imm.clear()
-            return cohort
-        if heap:
-            when = heap[0][0]
-            if deadline is not None and when > deadline:
-                return None
-            cohort = [heappop(heap)[2]]
-            while heap and heap[0][0] == when:
-                cohort.append(heappop(heap)[2])
-            self._now = when
-            return cohort
-        return None
-
-    def _run_observed(self, until: typing.Union[None, float, Event]) -> object:
-        """The :meth:`run` modes with per-event observer notification.
-
-        Uses the same cohort collection as the inlined fast loops, so
-        observers (tracers) record the exact production dispatch order.
-        """
-        stop_on: typing.Optional[Event] = None
-        deadline: typing.Optional[float] = None
-        if isinstance(until, Event):
+            if until._state == PROCESSED:
+                return until.value
             stop_on = until
         elif until is not None:
             deadline = float(until)
-            if deadline < self._now:
+            if not deadline >= self._now:  # NaN compares false both ways
                 raise SimulationError(
-                    f"run(until={deadline}) is in the past (now={self._now})"
+                    f"run(until={deadline!r}) needs a deadline >= now "
+                    f"(now={self._now!r})"
                 )
-        while True:
-            if stop_on is not None and stop_on._state == PROCESSED:
-                return stop_on.value
-            cohort = self._next_cohort(deadline)
-            if cohort is None:
-                if stop_on is not None:
-                    raise SimulationError("schedule drained before `until` event fired")
-                break
-            event = None
-            try:
-                for event in cohort:
-                    event._run_callbacks()
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-                    for observe in self._observers:
-                        observe(event)
-                    if event is stop_on:
-                        self._requeue_after(cohort, event)
-                        return stop_on.value
-                    if self._closed:
-                        break
-            except BaseException:
-                self._requeue_after(cohort, event)
-                raise
-        if deadline is not None:
-            self._now = deadline
-        return None
-
-    def _run_instrumented(self, until: typing.Union[None, float, Event]) -> object:
-        """The :meth:`run` loops, dispatching through ``self.step()`` so
-        that a legacy ``step``-wrapping instrument observes every event."""
-        if until is None:
-            while self._heap or self._imm:
-                self.step()
-            return None
-        if isinstance(until, Event):
-            stop_on = until
-            while stop_on._state != PROCESSED:
-                if not self._heap and not self._imm:
-                    raise SimulationError("schedule drained before `until` event fired")
-                self.step()
-            return stop_on.value
-        deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
         heap = self._heap
-        # The immediate lane never holds entries beyond `now`, hence
-        # never beyond the deadline (see the inlined loop above).
-        while self._imm or (heap and heap[0][0] <= deadline):
-            self.step()
-        self._now = deadline
+        imm = self._imm
+        popleft = imm.popleft
+        observers = self._observers
+        processed = PROCESSED
+        while True:
+            if imm:
+                # Invariant 2: a heap entry at `now` precedes every
+                # immediate entry. None is ever earlier than `now` (see
+                # peek), so this pop leaves the clock where it is.
+                if heap and heap[0][0] <= self._now:
+                    event = heappop(heap)[2]
+                else:
+                    event = popleft()
+            elif heap and heap[0][0] <= deadline:
+                when, _seq, event = heappop(heap)
+                self._now = when
+            else:
+                break
+            # Event._run_callbacks, inlined; keep the two in sync.
+            event._state = processed
+            callbacks = event._callbacks
+            if callbacks:
+                event._callbacks = None
+                if len(callbacks) == 1:  # one waiter is the common case
+                    callbacks[0](event)
+                else:
+                    for callback in callbacks:
+                        callback(event)
+            if event._exception is not None and not event.defused:
+                raise event._exception
+            if observers:
+                for observe in observers:
+                    observe(event)
+            if event is stop_on:
+                return event.value
+        if stop_on is not None:
+            raise SimulationError("schedule drained before `until` event fired")
+        if until is not None:
+            self._now = deadline
         return None

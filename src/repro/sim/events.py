@@ -174,11 +174,9 @@ class Event:
         return self
 
     def _run_callbacks(self) -> None:
-        """Invoked by the environment when the event comes off the heap.
+        """Invoked by ``Environment.step`` when the event is dispatched.
 
-        ``Environment.run`` inlines this body in its uninstrumented
-        singleton fast paths and in ``Environment._dispatch_cohort`` —
-        keep all of them in sync.
+        ``Environment.run`` inlines this body — keep the two in sync.
         """
         self._state = PROCESSED
         callbacks = self._callbacks
@@ -221,10 +219,12 @@ class Timeout(Event):
         self._exception = None
         self.delay = delay
         if delay:
-            # The negative check rides inside the truthy branch: a
-            # zero delay (the hot case) needs neither comparison.
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay!r}")
+            # The range check rides inside the truthy branch: a zero
+            # delay (the hot case) needs no comparison. `not > 0` also
+            # refuses NaN, which would otherwise become a heap key that
+            # compares false with every deadline.
+            if not delay > 0:
+                raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
             heappush(env._heap, (env._now + delay, env._seq, self))
         else:
             env._imm_append(self)
@@ -237,18 +237,22 @@ class Timeout(Event):
 class Condition(Event):
     """Base for composite events over a fixed list of child events.
 
-    Subclasses define :meth:`_satisfied`. The condition fires as soon as
-    the predicate holds (checked whenever a child fires). A failing
-    child fails the whole condition immediately.
+    The condition fires once ``_target`` children have fired — every
+    child for :class:`AllOf`, one for :class:`AnyOf` — and at once when
+    there are no children. A failing child fails the whole condition
+    immediately.
     """
 
     __slots__ = ("events", "_fired_count", "_target")
+
+    #: Children that must fire; ``None`` means all of them.
+    _needed: typing.ClassVar[typing.Optional[int]] = None
 
     def __init__(self, env: "Environment", events: typing.Sequence[Event]):
         super().__init__(env)
         self.events = list(events)
         self._fired_count = 0
-        self._target = len(self.events)
+        self._target = self._needed or len(self.events)
         if not self.events:
             self.succeed(self._collect())
             return
@@ -266,9 +270,6 @@ class Condition(Event):
                 else:
                     cbs.append(on_child)
 
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
     def _collect(self) -> dict:
         """Values of all successfully fired children, keyed by event."""
         return {
@@ -285,7 +286,7 @@ class Condition(Event):
             self.fail(event._exception)
             return
         self._fired_count += 1
-        if self._satisfied():
+        if self._fired_count == self._target:
             self.succeed(self._collect())
 
 
@@ -294,40 +295,9 @@ class AllOf(Condition):
 
     __slots__ = ()
 
-    def _satisfied(self) -> bool:
-        return self._fired_count == self._target
-
-    def _on_child(self, event: Event) -> None:
-        # Specialized copy of Condition._on_child with the predicate
-        # inlined: one method call per child firing adds up when every
-        # striped write joins G events. Semantics must stay identical.
-        if self._state != PENDING:
-            return
-        if event._exception is not None:
-            event.defused = True
-            self.fail(event._exception)
-            return
-        self._fired_count += 1
-        if self._fired_count == self._target:
-            self.succeed(self._collect())
-
 
 class AnyOf(Condition):
     """Fires as soon as any single child event fires."""
 
     __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._fired_count >= 1
-
-    def _on_child(self, event: Event) -> None:
-        # Specialized like AllOf._on_child: the first successful child
-        # always satisfies, so no predicate call at all.
-        if self._state != PENDING:
-            return
-        if event._exception is not None:
-            event.defused = True
-            self.fail(event._exception)
-            return
-        self._fired_count += 1
-        self.succeed(self._collect())
+    _needed = 1

@@ -6,11 +6,11 @@ Traces answer the questions that arise when a simulation misbehaves —
 what fired at t, in what order, which processes were alive — without
 sprinkling prints through model code.
 
-Observed runs dispatch through the environment's cohort loop (the same
-collection order as production runs — see the ordering proof in
-:mod:`repro.sim.environment`), so a trace is a faithful record of the
-untraced dispatch sequence. Tracing costs a callback per event; enable
-it for diagnosis, not for benchmark runs.
+The environment calls the observer after each dispatch of its one run
+loop (and of ``step()``), so a trace is a faithful record of the
+untraced dispatch sequence, and a tracer attached mid-run records the
+rest of that run. Tracing costs a callback per event; enable it for
+diagnosis, not for benchmark runs.
 """
 
 from __future__ import annotations

@@ -38,6 +38,34 @@ BAD_USAGE_CASES = [
         ["job", "submit", "/no/such/spec.json"], id="job-missing-spec-file"
     ),
     pytest.param(["lint", "--baseline", "/no/such/baseline"], id="lint-missing-baseline"),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--cylinders", "1"],
+        id="scenario-one-cylinder",
+    ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--duration-ms", "inf"],
+        id="scenario-infinite-duration",
+    ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--duration-ms", "nan"],
+        id="scenario-nan-duration",
+    ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--duration-ms", "-1"],
+        id="scenario-negative-duration",
+    ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--duration-ms", "0"],
+        id="scenario-zero-duration",
+    ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--warmup-ms", "nan"],
+        id="scenario-nan-warmup",
+    ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--warmup-ms", "-1"],
+        id="scenario-negative-warmup",
+    ),
 ]
 
 

@@ -44,6 +44,26 @@ class TestRunModes:
         with pytest.raises(SimulationError):
             env.run(until=1.0)
 
+    def test_run_until_nan_rejected(self):
+        # NaN compares false with every time: only a `>= now` test
+        # catches it, before the run drains the whole schedule.
+        env = Environment()
+        env.timeout(5.0)
+        with pytest.raises(SimulationError, match="until=nan"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0
+        assert env.peek() == 5.0  # nothing was dispatched
+
+    def test_nan_delay_rejected(self):
+        env = Environment()
+        with pytest.raises(SimulationError, match="nan"):
+            env.timeout(float("nan"))
+        event = env.event()
+        event._state = 1  # pretend triggered; schedule directly
+        with pytest.raises(SimulationError, match="nan"):
+            env.schedule(event, delay=float("nan"))
+        assert env.peek() == float("inf")
+
     def test_run_until_unreachable_event_raises(self):
         env = Environment()
         orphan = env.event()  # never succeeded
@@ -120,6 +140,16 @@ class TestConditions:
 
         process = env.process(body(env))
         assert env.run(until=process) == 0.0
+
+    def test_any_of_empty_fires_immediately(self):
+        env = Environment()
+
+        def body(env):
+            value = yield env.any_of([])
+            return env.now, value
+
+        process = env.process(body(env))
+        assert env.run(until=process) == (0.0, {})
 
     def test_all_of_collects_values(self):
         env = Environment()

@@ -258,12 +258,12 @@ class TestSameInstantTimeoutFIFO:
 
     def test_fifo_across_100_seeded_shuffles_mixed_lanes(self):
         # Both lanes meeting at one instant, plus events created
-        # mid-cohort: a driver timeout at t=1 (heap, earliest seq) fires
+        # mid-instant: a driver timeout at t=1 (heap, earliest seq) fires
         # zero-delay timeouts (immediate lane, created AT t=1) while the
         # heap still holds the shuffled t=1 timeouts created up front.
-        # The cohort order must be: driver, then the heap members in
+        # The dispatch order must be: driver, then the heap entries in
         # creation order (their seqs predate reaching t=1), then the
-        # zero-delay members in creation order (invariants 1-3 in
+        # zero-delay entries in creation order (invariants 1-2 in
         # repro.sim.environment).
         import random
 
@@ -297,8 +297,8 @@ class TestSameInstantTimeoutFIFO:
 
     def test_merge_path_after_external_step_interleave(self):
         # A manual step() can leave the immediate lane non-empty while
-        # the heap still holds entries at `now` — the _merge_instant
-        # path. The heap entry (smaller seq) must dispatch first.
+        # the heap still holds entries at `now`. The heap entry (smaller
+        # seq) must dispatch first, in run() as in step().
         env = Environment()
         order = []
         a = env.timeout(1.0)
@@ -314,6 +314,9 @@ class TestSameInstantTimeoutFIFO:
 
 
 class TestMidCohortControlFlow:
+    """``close()``, an exception, or an ``until`` stop partway through
+    the events of one instant (a "cohort")."""
+
     def _tagged_timeout(self, env, order, tag):
         t = env.timeout(0.0)
         t.callbacks.append(lambda e: order.append(tag))

@@ -126,6 +126,35 @@ class TestTracer:
         with pytest.raises(RuntimeError, match="exactly once"):
             tracer.detach()
 
+    def test_tracer_attached_mid_run_records_the_rest_of_the_run(self):
+        # The tracer attaches from inside the t=1 timeout's callback,
+        # so it sees that event and everything after it, within the
+        # same run() call and exactly as a step() loop would.
+        def trace(drive):
+            env = Environment()
+            tracers = []
+
+            def attacher(env):
+                yield env.timeout(1.0)
+                tracers.append(EnvironmentTracer(env))
+                yield env.timeout(2.0)
+
+            env.process(attacher(env), name="attacher")
+            drive(env)
+            return [(e.at_ms, e.kind, e.name) for e in tracers[0].entries]
+
+        def step_until_empty(env):
+            while env.peek() != float("inf"):
+                env.step()
+
+        expected = [
+            (1.0, "timeout", "delay=1.0"),
+            (3.0, "timeout", "delay=2.0"),
+            (3.0, "process", "attacher"),
+        ]
+        assert trace(step_until_empty) == expected
+        assert trace(Environment.run) == expected
+
     def test_tracing_does_not_change_simulation_results(self):
         def simulate(traced):
             env = Environment()
