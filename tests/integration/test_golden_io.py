@@ -3,14 +3,21 @@
 Each line is one request as the drive completed it: disk id; submit,
 start-of-service and completion times (``repr``, so every float bit
 shows); start sector; sector count; write flag; kind; and the seek,
-rotation and transfer times ``DiskStats.record`` received. Three
+rotation and transfer times ``DiskStats.record`` received. Five
 deterministic scenarios are pinned:
 
 - the two scenarios of ``test_golden_trace.py`` (fault-free service at
   C=21 G=5, and a failure, replacement and 2-way rebuild at C=5 G=4);
 - one simulated second of 100% writes under SPTF at C=21 G=5, where
   queues build, so the fixture pins every SPTF pick (a different pick
-  moves the start times and service components of what follows).
+  moves the start times and service components of what follows);
+- a P+Q array with two failed disks: double-degraded reads and writes,
+  and a rebuild that continues through the second failure;
+- one fault-profile trial with transient timeouts, retries and latent
+  sector errors.
+
+Lines of the last two also end with the request's ``error`` (``None``,
+``media`` or ``timeout``), which decides the controller's next step.
 
 These fixtures are the simulated-result contract for refactors of the
 controller, workload and process structure. The kernel traces in
@@ -32,8 +39,11 @@ import pathlib
 import pytest
 
 from repro.disk.drive import Disk
+from repro.faults.injector import FaultInjector
+from repro.faults.profile import FaultProfile
+from repro.recon import Reconstructor
 from repro.workload import SyntheticWorkload, WorkloadConfig
-from tests.conftest import build_array
+from tests.conftest import build_array, build_dual_array
 from tests.integration.test_golden_trace import (
     _first_divergence,
     trace_fault_free,
@@ -54,18 +64,73 @@ def writes_sptf() -> None:
     array.env.run(until=1_000.0)
 
 
+def pq_double_failure() -> None:
+    """Two failed disks on a P+Q array (SQS(8), G=4, 3 cylinders).
+
+    Disk 1 fails at 200 ms and a 2-way rebuild onto its replacement
+    starts at once; disk 5 fails at 400 ms, mid-sweep, and the run stops
+    at 1,200 ms with the rebuild still going. User reads and writes run
+    throughout, so stripes that lost both disks take double-degraded
+    reads and writes.
+    """
+    array = build_dual_array(cylinders=3, with_datastore=False)
+    controller = array.controller
+    workload = SyntheticWorkload(
+        controller,
+        WorkloadConfig(access_rate_per_s=150.0, read_fraction=0.5, seed=7),
+    )
+    workload.run(duration_ms=float("inf"))
+    array.env.run(until=200.0)
+    controller.fail_disk(1)
+    controller.install_replacement(1)
+    Reconstructor(controller, workers=2, disk=1).start()
+    array.env.run(until=400.0)
+    controller.fail_disk(5)
+    array.env.run(until=1_200.0)
+    workload.stop()
+
+
+def fault_trial() -> None:
+    """One simulated second of a fault-profile trial at C=5 G=4.
+
+    Every access times out with probability 0.05 (retried with backoff),
+    and the injector plants latent sector errors at 50 per disk per
+    simulated second, which reads then hit as media errors.
+    """
+    profile = FaultProfile(
+        transient_error_prob=0.05, latent_errors_per_hour=180_000.0, seed=11
+    )
+    array = build_array(
+        num_disks=5, stripe_size=4, cylinders=3, with_datastore=False,
+        fault_profile=profile,
+    )
+    FaultInjector(array.controller).start()
+    workload = SyntheticWorkload(
+        array.controller,
+        WorkloadConfig(access_rate_per_s=200.0, read_fraction=0.5, seed=7),
+    )
+    workload.run(duration_ms=1_000.0)
+    array.env.run(until=1_000.0)
+
+
 SCENARIOS = {
     "io_fault_free.txt": trace_fault_free,
     "io_reconstruction.txt": trace_reconstruction,
     "io_writes_sptf.txt": writes_sptf,
+    "io_pq_double_failure.txt": pq_double_failure,
+    "io_fault_trial.txt": fault_trial,
 }
 
+#: Fixtures whose lines also carry each request's ``error``.
+WITH_ERRORS = frozenset({"io_pq_double_failure.txt", "io_fault_trial.txt"})
 
-def record_io(monkeypatch) -> list:
+
+def record_io(monkeypatch, with_errors: bool = False) -> list:
     """Collect one line per completed request of every disk built from now on.
 
     Wraps each new drive's ``stats.record``, so replacement disks
-    installed mid-run are traced too.
+    installed mid-run are traced too. ``with_errors`` appends the
+    request's ``error`` to each line.
     """
     lines = []
     original_init = Disk.__init__
@@ -81,6 +146,7 @@ def record_io(monkeypatch) -> list:
                 f"{request.start_sector} {request.sector_count} "
                 f"{int(request.is_write)} {request.kind} "
                 f"{seek_ms!r} {rotation_ms!r} {transfer_ms!r}"
+                + (f" {request.error}" if with_errors else "")
             )
             record(request, seek_ms, rotation_ms, transfer_ms)
 
@@ -92,7 +158,7 @@ def record_io(monkeypatch) -> list:
 
 @pytest.mark.parametrize("fixture_name", sorted(SCENARIOS))
 def test_io_matches_golden(fixture_name, monkeypatch):
-    lines = record_io(monkeypatch)
+    lines = record_io(monkeypatch, with_errors=fixture_name in WITH_ERRORS)
     SCENARIOS[fixture_name]()
     assert lines, "the scenario completed no disk requests"
     actual = "\n".join(lines) + "\n"
