@@ -39,7 +39,7 @@ from repro.array.datastore import DataStore
 from repro.array.faults import ArrayFaults
 from repro.array.locks import StripeLockTable
 from repro.array.requests import UserRequest
-from repro.disk.drive import KIND_USER, Disk
+from repro.disk.drive import KIND_USER, Disk, DiskRequest
 from repro.faults.log import (
     DATA_LOSS,
     DATA_LOSS_ACCESS,
@@ -491,8 +491,8 @@ class ArrayController:
                 self._resilient_access(address, sector, is_write, kind),
                 name="resilient-access",
             )
-        return self.disks[address.disk].access(
-            sector, self.addressing.sectors_per_unit, is_write=is_write, kind=kind
+        return self.disks[address.disk].submit(
+            DiskRequest(sector, self.addressing.sectors_per_unit, is_write, kind)
         )
 
     def _resilient_access(self, address: UnitAddress, sector: int,
@@ -511,9 +511,8 @@ class ArrayController:
         while True:
             # Re-fetch the disk each attempt: a replacement may have
             # been installed in this slot while we were backing off.
-            disk_request = yield self.disks[address.disk].access(
-                sector, self.addressing.sectors_per_unit, is_write=is_write,
-                kind=kind,
+            disk_request = yield self.disks[address.disk].submit(
+                DiskRequest(sector, self.addressing.sectors_per_unit, is_write, kind)
             )
             error = disk_request.error
             if error is None:

@@ -23,6 +23,7 @@ from repro.disk.scheduling.base import Scheduler, make_scheduler
 from repro.disk.seek import SeekModel
 from repro.disk.specs import DiskSpec
 from repro.metrics.accumulators import WindowedDuration
+from repro.sim.events import Event, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim import Environment
@@ -54,10 +55,34 @@ def service_components(
     change to the arithmetic here — including operation *order*, which
     decides float rounding — must be mirrored there.
 
+    A one-run transfer (every stripe-unit access) takes a straight-line
+    copy of the loop's first iteration. It performs the same float
+    operations in the same order, minus the loop's ``0.0 +`` seeds,
+    which are exact, so both spellings return the same bits
+    (``tests/disk/test_fast_paths.py`` pins this against the loop).
+
     Returns ``(service_ms, seek_ms, rotation_ms, transfer_ms,
     head_cylinder, direction)`` where the last two are the head state
     after the transfer.
     """
+    if len(runs) == 1:
+        cylinder, _track, rotational_start, count = runs[0]
+        if cylinder != head_cylinder:
+            seek_ms = seek_time(abs(cylinder - head_cylinder))
+            direction = 1 if cylinder > head_cylinder else -1
+            clock = start_ms + seek_ms
+        else:
+            seek_ms = 0.0
+            clock = start_ms
+        position = (clock / sector_time_ms) % sectors_per_track
+        slots_to_wait = (rotational_start - position) % sectors_per_track
+        if slots_to_wait > sectors_per_track - 1e-6:
+            slots_to_wait = 0.0
+        rotation_ms = slots_to_wait * sector_time_ms
+        clock += rotation_ms
+        transfer_ms = count * sector_time_ms
+        clock += transfer_ms
+        return clock - start_ms, seek_ms, rotation_ms, transfer_ms, cylinder, direction
     clock = start_ms
     seek_ms = rotation_ms = transfer_ms = 0.0
     current_cylinder = head_cylinder
@@ -236,6 +261,7 @@ class Disk:
         self._sector_time_ms = spec.sector_time_ms
         self._sectors_per_track = spec.sectors_per_track
         self._head_switch_ms = spec.head_switch_ms
+        self._seek_time = self.seek_model.seek_time
         self._split_by_track = self.geometry.split_by_track  # bound once for submit()
         self.scheduler = scheduler if scheduler is not None else make_scheduler(
             policy, spec.cylinders
@@ -272,22 +298,30 @@ class Disk:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, request: DiskRequest):
-        """Queue a request; returns the request's completion event."""
-        if request.sector_count < 1:
-            raise ValueError("requests must transfer at least one sector")
-        env = self.env
-        request.done = env.event()
-        request.submit_ms = env.now
-        runs = self._split_by_track(request.start_sector, request.sector_count)
-        request.runs = runs
+        """Queue a request; returns the request's completion event.
+
+        Every disk request of a simulation enters here, so counting
+        calls to this method counts the run's disk I/Os. The track runs
+        (which also validate the transfer) are derived once, here, and
+        shared by every pricing of the request.
+        """
+        runs = request.runs = self._split_by_track(
+            request.start_sector, request.sector_count
+        )
         request.cylinder = runs[0].cylinder
         request.priced = None
+        env = self.env
+        done = request.done = Event(env)
+        request.submit_ms = env.now
         self.scheduler.push(request)
         if self.queue_gauge is not None:
             self.queue_gauge.add(1, request.submit_ms)
-        if self._idle_wakeup is not None and not self._idle_wakeup.triggered:
-            self._idle_wakeup.succeed()
-        return request.done
+        wakeup = self._idle_wakeup
+        if wakeup is not None:
+            # The drive is parked on an empty queue: wake it once.
+            self._idle_wakeup = None
+            wakeup.succeed()
+        return done
 
     def access(self, start_sector: int, sector_count: int, is_write: bool,
                kind: str = KIND_USER):
@@ -314,24 +348,23 @@ class Disk:
         scheduler = self.scheduler
         stats = self.stats
         service_time = self._service_time
-        timeout = env.timeout
         while True:
             while not scheduler:
-                self._idle_wakeup = env.event()
-                yield self._idle_wakeup
-            self._idle_wakeup = None
+                # submit() succeeds this event and clears the slot.
+                self._idle_wakeup = wakeup = Event(env)
+                yield wakeup
             request = scheduler.pop(self.head_cylinder, self.direction)
             request.start_service_ms = env.now
             if self.queue_gauge is not None:
                 self.queue_gauge.add(-1, request.start_service_ms)
             service_ms, seek_ms, rotation_ms, transfer_ms = service_time(request)
-            yield timeout(service_ms)
+            yield Timeout(env, service_ms)
             if self.fault_state is not None:
                 error, penalty_ms = self.fault_state.outcome_for(
                     request.start_sector, request.sector_count, request.is_write
                 )
                 if penalty_ms > 0:
-                    yield env.timeout(penalty_ms)
+                    yield Timeout(env, penalty_ms)
                 request.error = error
             request.complete_ms = env.now
             stats.record(request, seek_ms, rotation_ms, transfer_ms)
@@ -374,7 +407,7 @@ class Disk:
                 self.head_cylinder,
                 self.direction,
                 self.env.now,
-                self.seek_model.seek_time,
+                self._seek_time,
                 self._sector_time_ms,
                 self._sectors_per_track,
                 self._head_switch_ms,

@@ -11,13 +11,11 @@ head switch completes.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass
 
 from repro.disk.specs import DiskSpec
 
 
-@dataclass(frozen=True)
-class SectorRange:
+class SectorRange(typing.NamedTuple):
     """A contiguous run of sectors on a single track.
 
     ``rotational_start`` is the angular position (in sector slots,
@@ -34,12 +32,9 @@ class SectorRange:
 class DiskGeometry:
     """Address arithmetic for one disk spec.
 
-    Stripe-unit-aligned workloads revisit the same few thousand
-    ``(start_sector, count)`` transfer shapes constantly, so
-    :meth:`split_by_track` memoizes its (immutable) decompositions; the
-    spec-derived divisors are likewise snapshotted once because
+    The spec-derived divisors are snapshotted once, because
     :class:`~repro.disk.specs.DiskSpec` recomputes them on every
-    property read. Both are safe: the spec is frozen.
+    property read; the spec is frozen, so the snapshot cannot go stale.
     """
 
     def __init__(self, spec: DiskSpec):
@@ -49,9 +44,6 @@ class DiskGeometry:
         self._tracks_per_cylinder = spec.tracks_per_cylinder
         self._track_skew_sectors = spec.track_skew_sectors
         self._total_sectors = spec.total_sectors
-        self._split_cache: typing.Dict[
-            typing.Tuple[int, int], typing.Tuple[SectorRange, ...]
-        ] = {}
 
     def locate(self, sector: int) -> typing.Tuple[int, int, int]:
         """``(cylinder, track, sector_in_track)`` of a logical sector."""
@@ -79,23 +71,32 @@ class DiskGeometry:
 
     def split_by_track(
         self, start_sector: int, count: int
-    ) -> typing.Sequence[SectorRange]:
+    ) -> typing.Tuple[SectorRange, ...]:
         """Decompose a transfer into per-track contiguous runs, in order.
 
-        The result is cached and shared between calls — treat it as
-        immutable (it is a tuple of frozen dataclasses).
+        A transfer that fits in one track (every stripe-unit access on
+        the shipped specs) gets its single run from two ``divmod``
+        calls; a longer one walks the tracks it crosses. Nothing is
+        cached: each call builds a fresh tuple.
         """
-        cached = self._split_cache.get((start_sector, count))
-        if cached is not None:
-            return cached
         if count < 1:
             raise ValueError(f"transfer needs at least one sector, got {count}")
-        if start_sector + count > self._total_sectors:
+        if start_sector < 0 or start_sector + count > self._total_sectors:
             raise ValueError(
-                f"transfer [{start_sector}, {start_sector + count}) exceeds disk "
-                f"of {self._total_sectors} sectors"
+                f"transfer [{start_sector}, {start_sector + count}) lies outside "
+                f"the disk of {self._total_sectors} sectors"
             )
         sectors_per_track = self._sectors_per_track
+        cylinder, rest = divmod(start_sector, self._sectors_per_cylinder)
+        track, within = divmod(rest, sectors_per_track)
+        if within + count <= sectors_per_track:
+            # rotational_position(cylinder, track, within), inlined.
+            skew = (
+                (cylinder * self._tracks_per_cylinder + track) * self._track_skew_sectors
+            ) % sectors_per_track
+            return (
+                SectorRange(cylinder, track, (within + skew) % sectors_per_track, count),
+            )
         runs = []
         sector = start_sector
         remaining = count
@@ -112,6 +113,4 @@ class DiskGeometry:
             )
             sector += on_this_track
             remaining -= on_this_track
-        result = tuple(runs)
-        self._split_cache[(start_sector, count)] = result
-        return result
+        return tuple(runs)

@@ -11,6 +11,8 @@ default the bias to 20 % of the cylinder count.
 
 from __future__ import annotations
 
+import math
+
 from repro.disk.scheduling.base import Scheduler
 
 
@@ -32,31 +34,32 @@ class CvscanScheduler(Scheduler):
             raise ValueError(f"bias fraction must be >= 0, got {bias_fraction}")
         self.bias = bias_fraction * cylinders
         self._queue: list = []
-        self._arrival = 0
 
     def push(self, request) -> None:
-        self._queue.append((self._arrival, request))
-        self._arrival += 1
+        self._queue.append(request)
 
     def pop(self, head_cylinder: int, direction: int):
-        # An open-coded argmin over (biased distance, arrival): this runs
-        # once per serviced request over an O(queue) scan, and the
-        # closure-based min(key=...) spelling showed up in profiles.
+        # An open-coded argmin of the biased distance: this runs once per
+        # serviced request over an O(queue) scan, and the closure-based
+        # min(key=...) spelling showed up in profiles. The queue is in
+        # arrival order, so keeping the first strict minimum breaks ties
+        # toward the earlier arrival.
+        queue = self._queue
+        if len(queue) == 1:
+            return queue.pop()
         direction = 1 if direction >= 0 else -1
         bias = self.bias
-        queue = self._queue
         best_index = 0
-        best_cost = None
-        for index, (arrival, request) in enumerate(queue):
+        best_cost = math.inf
+        for index, request in enumerate(queue):
             delta = request.cylinder - head_cylinder
-            distance = float(abs(delta))
+            cost = abs(delta)
             if delta * direction < 0:
-                distance += bias
-            cost = (distance, arrival)
-            if best_cost is None or cost < best_cost:
+                cost += bias
+            if cost < best_cost:
                 best_cost = cost
                 best_index = index
-        return queue.pop(best_index)[1]
+        return queue.pop(best_index)
 
     def __len__(self) -> int:
         return len(self._queue)

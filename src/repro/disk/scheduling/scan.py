@@ -11,30 +11,31 @@ from repro.disk.scheduling.base import Scheduler
 
 
 class LookScheduler(Scheduler):
-    """Elevator scheduling with reversal at the last pending request."""
+    """Elevator scheduling with reversal at the last pending request.
+
+    Ties break toward the earlier arrival: the queue is kept in arrival
+    order and ``min`` returns the first minimum.
+    """
 
     def __init__(self):
         self._queue: list = []
-        self._arrival = 0
 
     def push(self, request) -> None:
-        self._queue.append((self._arrival, request))
-        self._arrival += 1
+        self._queue.append(request)
 
     def pop(self, head_cylinder: int, direction: int):
         direction = 1 if direction >= 0 else -1
+        queue = self._queue
         ahead = [
-            (i, arrival, req)
-            for i, (arrival, req) in enumerate(self._queue)
-            if (req.cylinder - head_cylinder) * direction >= 0
+            index
+            for index, request in enumerate(queue)
+            if (request.cylinder - head_cylinder) * direction >= 0
         ]
         if not ahead:
             # Reverse the sweep: everything is behind the head.
-            ahead = [(i, arrival, req) for i, (arrival, req) in enumerate(self._queue)]
-        index, _arrival, _req = min(
-            ahead, key=lambda item: (abs(item[2].cylinder - head_cylinder), item[1])
-        )
-        return self._queue.pop(index)[1]
+            ahead = range(len(queue))
+        best_index = min(ahead, key=lambda i: abs(queue[i].cylinder - head_cylinder))
+        return queue.pop(best_index)
 
     def __len__(self) -> int:
         return len(self._queue)

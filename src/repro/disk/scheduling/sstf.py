@@ -8,25 +8,23 @@ from repro.disk.scheduling.base import Scheduler
 class SstfScheduler(Scheduler):
     """Service the queued request closest to the head.
 
-    Ties break toward the earlier arrival (stable by insertion index),
-    which avoids pathological starvation between two equidistant hot
-    cylinders.
+    Ties break toward the earlier arrival: the queue is kept in arrival
+    order and ``min`` returns the first minimum, which avoids
+    pathological starvation between two equidistant hot cylinders.
     """
 
     def __init__(self):
         self._queue: list = []
-        self._arrival = 0
 
     def push(self, request) -> None:
-        self._queue.append((self._arrival, request))
-        self._arrival += 1
+        self._queue.append(request)
 
     def pop(self, head_cylinder: int, direction: int):
+        queue = self._queue
         best_index = min(
-            range(len(self._queue)),
-            key=lambda i: (abs(self._queue[i][1].cylinder - head_cylinder), self._queue[i][0]),
+            range(len(queue)), key=lambda i: abs(queue[i].cylinder - head_cylinder)
         )
-        return self._queue.pop(best_index)[1]
+        return queue.pop(best_index)
 
     def __len__(self) -> int:
         return len(self._queue)

@@ -109,11 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject scale values no simulation can run, as usage errors (exit 2).
+    """Reject values no simulation can run, as usage errors (exit 2).
 
     An infinite or NaN duration would never end the workload, and a
-    negative one fails only after the sweep's retries.
+    negative one fails only after the sweep's retries. So would a rate
+    that is not finite and positive, or a read fraction outside [0, 1]:
+    the workload rejects them only inside the sweep.
     """
+    if not (math.isfinite(args.rate) and args.rate > 0):
+        parser.error(f"--rate must be finite and positive, got {args.rate!r}")
+    if not 0.0 <= args.read_fraction <= 1.0:
+        parser.error(f"--read-fraction must be in [0, 1], got {args.read_fraction!r}")
     if not (math.isfinite(args.duration_ms) and args.duration_ms > 0):
         parser.error(f"--duration-ms must be finite and positive, got {args.duration_ms!r}")
     if not (math.isfinite(args.warmup_ms) and args.warmup_ms >= 0):

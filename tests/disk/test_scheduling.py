@@ -70,6 +70,19 @@ class TestLook:
         fill(scheduler, [50])
         assert scheduler.pop(50, 1).cylinder == 50
 
+    def test_tie_breaks_by_arrival(self):
+        scheduler = LookScheduler()
+        fill(scheduler, [70, 60, 60, 60])
+        # Three equal-cost candidates ahead: they go in arrival order.
+        assert [scheduler.pop(50, 1).tag for _ in range(4)] == [1, 2, 3, 0]
+
+    def test_tie_after_reversal_breaks_by_arrival(self):
+        scheduler = LookScheduler()
+        fill(scheduler, [30, 40, 40])
+        # Nothing ahead of 50 going up: reverse, and take the two equal
+        # nearest candidates in arrival order.
+        assert [scheduler.pop(50, 1).tag for _ in range(3)] == [1, 2, 0]
+
 
 class TestCvscan:
     def test_zero_bias_degenerates_to_sstf(self):
@@ -89,6 +102,20 @@ class TestCvscan:
         fill(scheduler, [45, 95])
         # Behind cost 5 + 20 = 25, ahead cost 45: the near request wins.
         assert scheduler.pop(50, 1).cylinder == 45
+
+    @pytest.mark.parametrize("cylinders", [[45, 55], [55, 45]])
+    def test_tie_breaks_by_arrival(self, cylinders):
+        scheduler = CvscanScheduler(cylinders=100, bias_fraction=0.0)
+        fill(scheduler, cylinders)
+        # Both 5 cylinders away: the earlier push wins, whichever side.
+        assert scheduler.pop(50, 1).tag == 0
+
+    def test_biased_tie_breaks_by_arrival(self):
+        scheduler = CvscanScheduler(cylinders=100, bias_fraction=0.2)
+        fill(scheduler, [80, 40, 80])
+        # Ahead 80 costs 30; behind 40 costs 10 + 20 = 30: a three-way
+        # tie, popped in arrival order.
+        assert [scheduler.pop(50, 1).tag for _ in range(3)] == [0, 1, 2]
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):

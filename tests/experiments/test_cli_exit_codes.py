@@ -66,6 +66,26 @@ BAD_USAGE_CASES = [
         ["scenario", "--stripe-size", "5", "--warmup-ms", "-1"],
         id="scenario-negative-warmup",
     ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--rate", "nan"], id="scenario-nan-rate"
+    ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--rate", "inf"], id="scenario-infinite-rate"
+    ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--rate", "0"], id="scenario-zero-rate"
+    ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--rate", "-5"], id="scenario-negative-rate"
+    ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--read-fraction", "1.5"],
+        id="scenario-read-fraction-above-one",
+    ),
+    pytest.param(
+        ["scenario", "--stripe-size", "5", "--read-fraction", "nan"],
+        id="scenario-nan-read-fraction",
+    ),
 ]
 
 
