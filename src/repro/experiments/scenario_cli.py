@@ -112,9 +112,9 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     """Reject values no simulation can run, as usage errors (exit 2).
 
     An infinite or NaN duration would never end the workload, and a
-    negative one fails only after the sweep's retries. So would a rate
-    that is not finite and positive, or a read fraction outside [0, 1]:
-    the workload rejects them only inside the sweep.
+    negative one fails only after the sweep's retries. A rate that is
+    not finite and positive, or a read fraction outside [0, 1], likewise
+    fails only inside the sweep, after its retries.
     """
     if not (math.isfinite(args.rate) and args.rate > 0):
         parser.error(f"--rate must be finite and positive, got {args.rate!r}")

@@ -134,12 +134,6 @@ class TestOneTrackSplit:
             geometry, start, count
         )
 
-    def test_each_call_builds_its_own_runs(self):
-        geometry = DiskGeometry(IBM_0661)
-        first = geometry.split_by_track(800, 8)
-        assert geometry.split_by_track(800, 8) == first
-        assert geometry.split_by_track(800, 8) is not first
-
 
 class TestOneRunPricing:
     @given(
