@@ -3,7 +3,7 @@
 Each line is one request as the drive completed it: disk id; submit,
 start-of-service and completion times (``repr``, so every float bit
 shows); start sector; sector count; write flag; kind; and the seek,
-rotation and transfer times ``DiskStats.record`` received. Five
+rotation and transfer times ``DiskStats.record`` received. Six
 deterministic scenarios are pinned:
 
 - the two scenarios of ``test_golden_trace.py`` (fault-free service at
@@ -14,10 +14,17 @@ deterministic scenarios are pinned:
 - a P+Q array with two failed disks: double-degraded reads and writes,
   and a rebuild that continues through the second failure;
 - one fault-profile trial with transient timeouts, retries and latent
-  sector errors.
+  sector errors;
+- the same trial with frequent timeouts and a low escalation threshold,
+  so retries run out, sick disks are declared failed and a second
+  failure loses data gracefully.
 
-Lines of the last two also end with the request's ``error`` (``None``,
+Lines of the last three also end with the request's ``error`` (``None``,
 ``media`` or ``timeout``), which decides the controller's next step.
+The escalation trial's fault log is pinned too, one line per event
+(``faultlog_fault_escalation.txt``: time, kind, disk, stripe, offset
+and detail): the disk lines do not show the retry, escalation and
+data-loss records the controller writes.
 
 These fixtures are the simulated-result contract for refactors of the
 controller, workload and process structure. The kernel traces in
@@ -40,6 +47,13 @@ import pytest
 
 from repro.disk.drive import Disk
 from repro.faults.injector import FaultInjector
+from repro.faults.log import (
+    DATA_LOSS,
+    DATA_LOSS_ACCESS,
+    ESCALATION,
+    RETRY_EXHAUSTED,
+    FaultLog,
+)
 from repro.faults.profile import FaultProfile
 from repro.recon import Reconstructor
 from repro.workload import SyntheticWorkload, WorkloadConfig
@@ -90,16 +104,8 @@ def pq_double_failure() -> None:
     workload.stop()
 
 
-def fault_trial() -> None:
-    """One simulated second of a fault-profile trial at C=5 G=4.
-
-    Every access times out with probability 0.05 (retried with backoff),
-    and the injector plants latent sector errors at 50 per disk per
-    simulated second, which reads then hit as media errors.
-    """
-    profile = FaultProfile(
-        transient_error_prob=0.05, latent_errors_per_hour=180_000.0, seed=11
-    )
+def _fault_profile_trial(profile: FaultProfile) -> FaultLog:
+    """One simulated second of ``profile`` at C=5 G=4; returns the fault log."""
     array = build_array(
         num_disks=5, stripe_size=4, cylinders=3, with_datastore=False,
         fault_profile=profile,
@@ -111,6 +117,33 @@ def fault_trial() -> None:
     )
     workload.run(duration_ms=1_000.0)
     array.env.run(until=1_000.0)
+    return array.controller.fault_log
+
+
+def fault_trial() -> None:
+    """One simulated second of a fault-profile trial at C=5 G=4.
+
+    Every access times out with probability 0.05 (retried with backoff),
+    and the injector plants latent sector errors at 50 per disk per
+    simulated second, which reads then hit as media errors.
+    """
+    _fault_profile_trial(FaultProfile(
+        transient_error_prob=0.05, latent_errors_per_hour=180_000.0, seed=11
+    ))
+
+
+def fault_escalation() -> FaultLog:
+    """``fault_trial`` with timeouts at 0.4 and an escalation threshold of 2.
+
+    Five accesses exhaust their retries, four disks cross the threshold
+    and are declared failed, and the failures beyond the first lose
+    data gracefully: 84 user accesses then take the ``data-loss`` path.
+    Returns the run's fault log.
+    """
+    return _fault_profile_trial(FaultProfile(
+        transient_error_prob=0.4, latent_errors_per_hour=180_000.0, seed=11,
+        escalation_threshold=2,
+    ))
 
 
 SCENARIOS = {
@@ -119,10 +152,13 @@ SCENARIOS = {
     "io_writes_sptf.txt": writes_sptf,
     "io_pq_double_failure.txt": pq_double_failure,
     "io_fault_trial.txt": fault_trial,
+    "io_fault_escalation.txt": fault_escalation,
 }
 
 #: Fixtures whose lines also carry each request's ``error``.
-WITH_ERRORS = frozenset({"io_pq_double_failure.txt", "io_fault_trial.txt"})
+WITH_ERRORS = frozenset(
+    {"io_pq_double_failure.txt", "io_fault_trial.txt", "io_fault_escalation.txt"}
+)
 
 
 def record_io(monkeypatch, with_errors: bool = False) -> list:
@@ -161,7 +197,21 @@ def test_io_matches_golden(fixture_name, monkeypatch):
     lines = record_io(monkeypatch, with_errors=fixture_name in WITH_ERRORS)
     SCENARIOS[fixture_name]()
     assert lines, "the scenario completed no disk requests"
-    actual = "\n".join(lines) + "\n"
+    _assert_golden(fixture_name, "\n".join(lines) + "\n")
+
+
+def test_fault_log_matches_golden():
+    log = fault_escalation()
+    for kind in (RETRY_EXHAUSTED, ESCALATION, DATA_LOSS, DATA_LOSS_ACCESS):
+        assert log.count(kind), f"the escalation trial logged no {kind!r}"
+    _assert_golden("faultlog_fault_escalation.txt", "".join(
+        f"{event.at_ms!r} {event.kind} {event.disk} {event.stripe} "
+        f"{event.offset} {event.detail!r}\n"
+        for event in log.events
+    ))
+
+
+def _assert_golden(fixture_name: str, actual: str) -> None:
     path = GOLDEN_DIR / fixture_name
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         path.write_text(actual, encoding="utf-8")
