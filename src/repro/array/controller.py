@@ -59,6 +59,7 @@ from repro.layout.base import PARITY_ROLE, UnitAddress
 from repro.metrics.registry import MetricsRegistry
 from repro.recon.algorithms import BASELINE, ReconAlgorithm
 from repro.recon.status import ReconStatus
+from repro.sim.events import Event
 from repro.sim.rng import RandomStreams
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -144,7 +145,7 @@ class ArrayController:
         self.stats = ControllerStats()
         # Fault injection is strictly opt-in: with no profile, every
         # access takes the exact legacy path (no extra RNG draws, no
-        # wrapper processes, no timing or event-ordering changes).
+        # retry wrapper, no timing or event-ordering changes).
         self.fault_profile = fault_profile
         self.retry_policy = retry_policy if retry_policy is not None else (
             RetryPolicy() if fault_profile is not None else None
@@ -292,10 +293,10 @@ class ArrayController:
                 f"request [{request.logical_unit}, +{request.num_units}) exceeds "
                 f"data space of {self.addressing.num_data_units} units"
             )
-        request.done = self.env.event()
+        done = self.env.event()
         request.submit_ms = self.env.now
-        self.env.process(self._handle(request), name="user-request")
-        return request.done
+        self.env.process(self._handle(request, done), name="user-request")
+        return done
 
     def read(self, logical_unit: int, num_units: int = 1):
         """Convenience: submit a read, returning its completion event."""
@@ -315,13 +316,19 @@ class ArrayController:
     # ------------------------------------------------------------------
     # Request decomposition
     # ------------------------------------------------------------------
-    def _handle(self, request: UserRequest):
-        """The request's one process: run its sub-operations, then complete.
+    def _handle(self, request: UserRequest, done: Event):
+        """The request's one process: run its sub-operations, then
+        succeed ``done`` with the request.
 
         A request that plans to a single sub-operation (one unit read or
         written, or one full-stripe write) runs it inline, so a
-        fault-free single-unit request costs exactly this one process.
-        Larger requests run one process per sub-operation and join them.
+        single-unit request costs exactly this one process, with or
+        without a fault profile. Larger requests run one process per
+        sub-operation and join them.
+
+        The request holds no reference to ``done``: the event's value is
+        the request, so a link back would make every finished request a
+        reference cycle.
         """
         if request.is_write:
             self.stats.user_writes += 1
@@ -340,7 +347,7 @@ class ArrayController:
             (self._write_latency if request.is_write else self._read_latency).record(
                 now - request.submit_ms
             )
-        request.done.succeed(request)
+        done.succeed(request)
 
     def _plan_write(self, request: UserRequest):
         """Split a write into large-write groups and per-unit updates.
@@ -478,6 +485,11 @@ class ArrayController:
         ``stats.straddled_accesses``; its data is lost, which is safe
         because parity arithmetic uses values sampled before the
         failure.
+
+        Under a fault profile the access runs under the retry policy
+        (:class:`_RetryingAccess`); its event's value is the final
+        :class:`~repro.disk.drive.DiskRequest`, as is the plain disk
+        event's.
         """
         faults = self.faults
         if address.disk in faults.lost_disks or (
@@ -487,64 +499,10 @@ class ArrayController:
             self.stats.straddled_accesses += 1
         sector = self.addressing.unit_to_sector(address)
         if self._fault_enabled:
-            return self.env.process(
-                self._resilient_access(address, sector, is_write, kind),
-                name="resilient-access",
-            )
+            return _RetryingAccess(self, address, sector, is_write, kind)
         return self.disks[address.disk].submit(
             DiskRequest(sector, self.addressing.sectors_per_unit, is_write, kind)
         )
-
-    def _resilient_access(self, address: UnitAddress, sector: int,
-                          is_write: bool, kind: str):
-        """One access under the retry policy; the process's value is the
-        final (possibly still failed) :class:`~repro.disk.drive.DiskRequest`.
-
-        Transient timeouts are retried with exponential backoff in
-        simulated time up to the policy's bound; media errors are
-        deterministic and not retried by default. An access that ends
-        in a hard error counts toward the disk's escalation threshold,
-        past which the whole disk is declared failed.
-        """
-        policy = self.retry_policy
-        attempt = 0
-        while True:
-            # Re-fetch the disk each attempt: a replacement may have
-            # been installed in this slot while we were backing off.
-            disk_request = yield self.disks[address.disk].submit(
-                DiskRequest(sector, self.addressing.sectors_per_unit, is_write, kind)
-            )
-            error = disk_request.error
-            if error is None:
-                return disk_request
-            self.fault_log.record(
-                TRANSIENT_FAULT if error == ERROR_TIMEOUT else MEDIA_ERROR,
-                self.env.now,
-                disk=address.disk,
-                offset=address.offset,
-            )
-            if policy.should_retry(error, attempt):
-                delay = policy.delay_ms(attempt)
-                self.fault_log.record(
-                    RETRY,
-                    self.env.now,
-                    disk=address.disk,
-                    offset=address.offset,
-                    detail=f"attempt {attempt + 1}, backoff {delay:.2f} ms",
-                )
-                yield self.env.timeout(delay)
-                attempt += 1
-                continue
-            if error == ERROR_TIMEOUT:
-                self.fault_log.record(
-                    RETRY_EXHAUSTED,
-                    self.env.now,
-                    disk=address.disk,
-                    offset=address.offset,
-                    detail=f"gave up after {attempt} retries",
-                )
-            self._count_hard_error(address.disk)
-            return disk_request
 
     def _count_hard_error(self, disk_id: int) -> None:
         """Accumulate a hard error; escalate a sick disk to failed."""
@@ -970,42 +928,42 @@ class ArrayController:
         failure landing mid-decode cannot leak poison into the
         arithmetic.
         """
-        layout = self.layout
-        data_addrs = [
-            layout.data_unit(stripe, j)
-            for j in range(layout.data_units_per_stripe)
-        ]
-        p_addr = layout.parity_unit(stripe)
-        q_addr = layout.q_unit(stripe)
-        all_addrs = data_addrs + [p_addr, q_addr]
-        dead = set(treat_dead)
-        readable = [
-            a for a in all_addrs if a not in dead and not self._address_dead(a)
-        ]
-        values = {a: self._ds_read(a) for a in readable}
+        faults = self.faults
+        lost = faults.lost_disks
+        failed = faults.failed_disks
+        units = self.layout.stripe_units(stripe)
+        # One entry per unit in stripe order (data, P, Q): the value
+        # sampled now, or None for an erasure.
+        values: typing.List[typing.Optional[int]] = []
+        readable: typing.List[int] = []
+        for index, address in enumerate(units):
+            if (
+                address in treat_dead
+                or address.disk in lost
+                or (
+                    address.disk in failed
+                    and not self._unit_live_on(address.disk, address.offset)
+                )
+            ):
+                values.append(None)
+            else:
+                values.append(self._ds_read(address))
+                readable.append(index)
         events = [
-            self._disk_access(a, is_write=False, kind=kind) for a in readable
+            self._disk_access(units[index], is_write=False, kind=kind)
+            for index in readable
         ]
         if events:
             yield self.env.all_of(events)
         errored: typing.List[UnitAddress] = []
         if self._fault_enabled:
-            for a, event in zip(readable, events):
+            for index, event in zip(readable, events):
                 if event.value.error is not None:
-                    dead.add(a)
-                    errored.append(a)
-
-        def value_of(a: UnitAddress) -> typing.Optional[int]:
-            if a in dead or a not in values:
-                return None
-            return values[a]
-
-        data = [value_of(a) for a in data_addrs]
-        p = value_of(p_addr)
-        q = value_of(q_addr)
-        erasures = sum(v is None for v in data) + (p is None) + (q is None)
+                    values[index] = None
+                    errored.append(units[index])
+        erasures = values.count(None)
         try:
-            decoded = gf.recover_stripe_data(data, p, q)
+            decoded = gf.recover_stripe_data(values[:-2], values[-2], values[-1])
         except ValueError:
             return [], erasures, False
         if repair_errored and errored:
@@ -1241,3 +1199,92 @@ class ArrayController:
         if built_target:
             self.recon_statuses[address.disk].mark_built(address.offset)
         return path
+
+
+class _RetryingAccess(Event):
+    """One disk access under the retry policy, driven by callbacks.
+
+    The event succeeds with the final (possibly still failed)
+    :class:`~repro.disk.drive.DiskRequest`. Transient timeouts are
+    retried with exponential backoff in simulated time up to the
+    policy's bound; media errors are deterministic and not retried by
+    default. An access that ends in a hard error counts toward the
+    disk's escalation threshold, past which the whole disk is declared
+    failed.
+
+    No process runs the access, yet it dispatches the events a process
+    would, in the same slots: the request is submitted from an
+    immediate event scheduled at construction (where a process's
+    kick-off would sit), so same-instant queue entries keep their
+    order, and the event succeeds in the dispatch of the disk
+    completion that ends it.
+    """
+
+    __slots__ = ("_controller", "_address", "_sector", "_is_write", "_kind", "_attempt")
+
+    def __init__(self, controller: ArrayController, address: UnitAddress,
+                 sector: int, is_write: bool, kind: str):
+        env = controller.env
+        super().__init__(env)
+        self._controller = controller
+        self._address = address
+        self._sector = sector
+        self._is_write = is_write
+        self._kind = kind
+        self._attempt = 0
+        start = Event(env)
+        start.callbacks.append(self._submit)
+        start.succeed()
+
+    def _submit(self, _event: Event) -> None:
+        controller = self._controller
+        # Re-fetch the disk each attempt: a replacement may have been
+        # installed in this slot while the access was backing off.
+        done = controller.disks[self._address.disk].submit(
+            DiskRequest(
+                self._sector, controller.addressing.sectors_per_unit,
+                self._is_write, self._kind,
+            )
+        )
+        done.callbacks.append(self._on_done)
+
+    def _on_done(self, event: Event) -> None:
+        disk_request = event.value
+        error = disk_request.error
+        if error is None:
+            self.succeed(disk_request)
+            return
+        controller = self._controller
+        address = self._address
+        attempt = self._attempt
+        log = controller.fault_log
+        now = controller.env.now
+        log.record(
+            TRANSIENT_FAULT if error == ERROR_TIMEOUT else MEDIA_ERROR,
+            now,
+            disk=address.disk,
+            offset=address.offset,
+        )
+        policy = controller.retry_policy
+        if policy.should_retry(error, attempt):
+            delay = policy.delay_ms(attempt)
+            log.record(
+                RETRY,
+                now,
+                disk=address.disk,
+                offset=address.offset,
+                detail=f"attempt {attempt + 1}, backoff {delay:.2f} ms",
+            )
+            self._attempt = attempt + 1
+            controller.env.timeout(delay).callbacks.append(self._submit)
+            return
+        if error == ERROR_TIMEOUT:
+            log.record(
+                RETRY_EXHAUSTED,
+                now,
+                disk=address.disk,
+                offset=address.offset,
+                detail=f"gave up after {attempt} retries",
+            )
+        controller._count_hard_error(address.disk)
+        self.succeed(disk_request)

@@ -22,7 +22,6 @@ class UserRequest:
     values: typing.Optional[typing.List[int]] = None
     submit_ms: float = 0.0
     complete_ms: float = 0.0
-    done: object = None            # Event, attached by the controller
     read_values: typing.List[int] = field(default_factory=list)
     paths: typing.List[str] = field(default_factory=list)  # access paths taken
     #: Logical units this request touched whose data was destroyed by a

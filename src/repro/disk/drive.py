@@ -123,7 +123,9 @@ def service_components(
 class DiskRequest:
     """One physical disk access.
 
-    ``done`` fires with the completion time when the transfer finishes.
+    ``done`` is the completion event while the request is in flight;
+    the drive clears it and succeeds the event with the request when
+    the transfer finishes.
 
     A plain ``__slots__`` class rather than a dataclass: hundreds of
     thousands are allocated per scenario, and the per-instance dict is
@@ -368,7 +370,11 @@ class Disk:
                 request.error = error
             request.complete_ms = env.now
             stats.record(request, seek_ms, rotation_ms, transfer_ms)
-            request.done.succeed(request)
+            # The event's value is the request: clear the request's
+            # link back first, so neither keeps the other alive.
+            done = request.done
+            request.done = None
+            done.succeed(request)
 
     # ------------------------------------------------------------------
     # Physical timing

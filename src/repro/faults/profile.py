@@ -59,6 +59,19 @@ class FaultProfile:
     seed: int = 1992
 
     def __post_init__(self):
+        # NaN slips through every range check below (it compares false
+        # both ways); job specs parsed from JSON can carry NaN and
+        # Infinity.
+        for name in (
+            "disk_mttf_hours",
+            "lifetime_shape",
+            "latent_errors_per_hour",
+            "transient_error_prob",
+            "transient_penalty_ms",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.disk_mttf_hours < 0:
             raise ValueError("disk MTTF cannot be negative")
         if self.lifetime_shape <= 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -23,6 +24,13 @@ class RetryPolicy:
     retry_media: bool = False
 
     def __post_init__(self):
+        # NaN slips through every range check below (it compares false
+        # both ways); job specs parsed from JSON can carry NaN and
+        # Infinity.
+        for name in ("base_delay_ms", "backoff_factor", "max_delay_ms"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
         if self.base_delay_ms < 0:

@@ -22,7 +22,6 @@ is what makes C=1000+ arrays practical.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass
 
 #: Role index used for the parity unit of a stripe. Data units use their
 #: position 0..G-2 within the stripe.
@@ -37,9 +36,13 @@ class LayoutError(ValueError):
     """Raised for malformed layout tables or out-of-range addresses."""
 
 
-@dataclass(frozen=True, order=True)
-class UnitAddress:
-    """A physical stripe-unit slot: ``offset``-th unit of ``disk``."""
+class UnitAddress(typing.NamedTuple):
+    """A physical stripe-unit slot: ``offset``-th unit of ``disk``.
+
+    A named tuple, ordered and hashed as ``(disk, offset)``: address
+    translation builds one per unit access, so construction, hashing
+    and comparison run at tuple cost.
+    """
 
     disk: int
     offset: int

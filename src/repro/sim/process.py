@@ -46,7 +46,10 @@ class Process(Event):
         self._waiting_on: typing.Optional[Event] = None
         # One bound method for the process's whole life: registering
         # ``self._resume`` directly would allocate a fresh bound-method
-        # object on every yield.
+        # object on every yield. It refers back to the process, so
+        # ``_resume`` drops it when the generator finishes, leaving a
+        # finished process to reference counting, not the cyclic
+        # collector.
         self._resume_cb = self._resume
         # Kick the process off via an immediately-scheduled event so that
         # creation order does not matter within a time step. Inline of
@@ -90,10 +93,12 @@ class Process(Event):
                 event.defused = True
                 next_event = self._throw(event._exception)
         except StopIteration as stop:
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         # simlint: disable=ERR001 (kernel trampoline: the caught exception is forwarded verbatim into the process event via self.fail, so DataLossError propagates to whoever joins the process; nothing is swallowed)
         except BaseException as exc:
+            self._resume_cb = None
             self.fail(exc)
             return
         # Duck-typed validity check: reading `_state` replaces an
@@ -106,6 +111,7 @@ class Process(Event):
                 f"process {self.name!r} yielded {next_event!r}, which is not an Event"
             )
             self._generator.close()
+            self._resume_cb = None
             self.fail(error)
             return
         self._waiting_on = next_event

@@ -5,12 +5,16 @@ per user write (two pre-reads, two writes), three for G=3 stripes,
 and G writes with no pre-reads for full-stripe aligned writes.
 """
 
+import gc
+
 import pytest
 
 from repro.array.datastore import initial_data_pattern
+from repro.faults.profile import FaultProfile
+from repro.recon import Reconstructor
 from repro.sim.process import Process
 from repro.workload import SyntheticWorkload, WorkloadConfig
-from tests.conftest import build_array, total_disk_accesses
+from tests.conftest import build_array, build_dual_array, total_disk_accesses
 
 
 class TestReads:
@@ -153,25 +157,27 @@ def created_processes(monkeypatch):
     return created
 
 
+def _process_names(created, array, submit):
+    """Names of the processes started while ``submit()``'s request runs."""
+    before = len(created)
+    array.run_op(submit())
+    return [process.name for process in created[before:]]
+
+
 class TestProcessesPerRequest:
     """A fault-free single-unit request runs in exactly one process."""
-
-    def _names_for(self, created, array, submit):
-        before = len(created)
-        array.run_op(submit())
-        return [process.name for process in created[before:]]
 
     def test_read_is_one_process(self, created_processes):
         array = build_array(num_disks=21, stripe_size=5)
         controller = array.controller
-        names = self._names_for(created_processes, array, lambda: controller.read(3))
+        names = _process_names(created_processes, array, lambda: controller.read(3))
         assert names == ["user-request"]
         assert controller.stats.by_path == {"read": 1}
 
     def test_read_modify_write_is_one_process(self, created_processes):
         array = build_array(num_disks=21, stripe_size=5)
         controller = array.controller
-        names = self._names_for(
+        names = _process_names(
             created_processes, array, lambda: controller.write(3, values=[0xBEEF])
         )
         assert names == ["user-request"]
@@ -181,7 +187,7 @@ class TestProcessesPerRequest:
     def test_two_unit_read_adds_one_process_per_unit(self, created_processes):
         array = build_array(num_disks=21, stripe_size=5)
         controller = array.controller
-        names = self._names_for(
+        names = _process_names(
             created_processes, array, lambda: controller.read(3, num_units=2)
         )
         assert names == ["user-request", "_read_unit", "_read_unit"]
@@ -202,3 +208,65 @@ class TestProcessesPerRequest:
         assert workload.integrity_errors == []
         # The generator plus one process per request.
         assert len(created_processes) - before == 1 + 40
+
+
+class TestProcessesUnderFaultProfile:
+    """A fault profile adds no process per disk access.
+
+    Retries run as callbacks on the access's own events, so even a
+    quiet profile (no fault source enabled) must leave the process
+    count of every operation as it is without one.
+    """
+
+    def _array(self):
+        return build_array(num_disks=21, stripe_size=5, fault_profile=FaultProfile())
+
+    def test_read_is_one_process(self, created_processes):
+        array = self._array()
+        controller = array.controller
+        names = _process_names(created_processes, array, lambda: controller.read(3))
+        assert names == ["user-request"]
+        assert controller.stats.by_path == {"read": 1}
+
+    def test_read_modify_write_is_one_process(self, created_processes):
+        array = self._array()
+        controller = array.controller
+        names = _process_names(
+            created_processes, array, lambda: controller.write(3, values=[0xBEEF])
+        )
+        assert names == ["user-request"]
+        assert controller.stats.by_path == {"rmw-write": 1}
+        assert total_disk_accesses(controller) == 4
+
+    def test_pq_rebuild_starts_only_its_workers(self, created_processes):
+        array = build_dual_array(cylinders=2, fault_profile=FaultProfile())
+        controller = array.controller
+        controller.fail_disk(1)
+        controller.install_replacement(1)
+        before = len(created_processes)
+        done = Reconstructor(controller, workers=2, disk=1).start()
+        array.env.run(until=done)
+        assert [p.name for p in created_processes[before:]] == [
+            "recon-worker-0", "recon-worker-1", "recon-finisher",
+        ]
+        assert total_disk_accesses(controller) > 0
+
+
+class TestNoReferenceCycles:
+    def test_finished_requests_need_no_cyclic_collector(self):
+        """Finished requests, their events and processes are freed by
+        reference counting alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            array = build_array(num_disks=21, stripe_size=5)
+            workload = SyntheticWorkload(
+                array.controller,
+                WorkloadConfig(access_rate_per_s=210.0, read_fraction=0.5, seed=3),
+            )
+            workload.run(max_requests=100)
+            array.env.run(until=workload.drained())
+            assert workload.completed == 100
+            assert gc.collect() < 1_000
+        finally:
+            gc.enable()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -35,6 +36,21 @@ class TestValidation:
     def test_escalation_threshold_floor(self):
         with pytest.raises(ValueError, match="escalation threshold"):
             FaultProfile(escalation_threshold=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "disk_mttf_hours",
+            "lifetime_shape",
+            "latent_errors_per_hour",
+            "transient_error_prob",
+            "transient_penalty_ms",
+        ],
+    )
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FaultProfile(**{name: value})
 
 
 class TestEnablement:

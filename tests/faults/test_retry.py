@@ -1,5 +1,7 @@
 """Unit tests for the retry/backoff policy."""
 
+import math
+
 import pytest
 
 from repro.faults.retry import RetryPolicy
@@ -26,6 +28,12 @@ class TestValidation:
     def test_negative_attempt_rejected(self):
         with pytest.raises(ValueError):
             RetryPolicy().delay_ms(-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["base_delay_ms", "backoff_factor", "max_delay_ms"])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RetryPolicy(**{name: value})
 
 
 class TestBackoff:

@@ -1,6 +1,7 @@
 """Tests for job-spec validation, normalization, and content addressing."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -32,6 +33,13 @@ class TestScenario:
         assert rebuilt.kind == spec.kind
         assert rebuilt.configs == spec.configs
         assert rebuilt.job_id() == spec.job_id()
+
+    def test_nan_fault_profile_rejected(self):
+        raw = micro_scenario_spec()
+        # The service parses bodies with json.loads, which accepts NaN.
+        raw["config"]["fault_profile"] = json.loads('{"disk_mttf_hours": NaN}')
+        with pytest.raises(SpecError, match="disk_mttf_hours must be finite"):
+            parse_spec(raw)
 
 
 class TestSweep:
