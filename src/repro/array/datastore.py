@@ -11,19 +11,21 @@ Large performance runs disable it.
 A failed disk's contents are overwritten with a poison pattern the
 moment it fails: any code path that wrongly reads a failed disk
 surfaces immediately as a poisoned value propagating into a checksum.
+
+Each disk's words live in one ``array('Q')``: eight bytes a unit, like
+a ``uint64`` matrix row, without importing numpy.
 """
 
 from __future__ import annotations
 
 import typing
-
-import numpy as np
+from array import array
 
 from repro.array import syndromes as gf
 from repro.array.addressing import ArrayAddressing
 
 #: Value planted on failed disks to catch reads-after-failure.
-POISON = np.uint64(0xDEADBEEFDEADBEEF)
+POISON = 0xDEADBEEFDEADBEEF
 
 
 def initial_data_pattern(disk: int, offset: int) -> int:
@@ -36,21 +38,21 @@ class DataStore:
 
     def __init__(self, addressing: ArrayAddressing):
         self.addressing = addressing
-        layout = addressing.layout
-        self._units = np.zeros(
-            (layout.num_disks, addressing.mapped_units_per_disk), dtype=np.uint64
-        )
+        self._units = [
+            self._filled(0) for _disk in range(addressing.layout.num_disks)
+        ]
         self._fill_initial()
+
+    def _filled(self, value: int) -> array:
+        return array("Q", [value]) * self.addressing.mapped_units_per_disk
 
     def _fill_initial(self) -> None:
         layout = self.addressing.layout
-        for disk in range(layout.num_disks):
-            for offset in range(self.addressing.mapped_units_per_disk):
+        for disk, units in enumerate(self._units):
+            for offset in range(len(units)):
                 _stripe, role = layout.stripe_of(disk, offset)
                 if role >= 0:
-                    self._units[disk, offset] = np.uint64(
-                        initial_data_pattern(disk, offset)
-                    )
+                    units[offset] = initial_data_pattern(disk, offset)
         # Syndrome pass: fill each stripe's check slot(s) from its data.
         for stripe in range(self.addressing.num_stripes):
             self.recompute_syndromes(stripe)
@@ -59,18 +61,18 @@ class DataStore:
     # Unit access
     # ------------------------------------------------------------------
     def read_unit(self, disk: int, offset: int) -> int:
-        return int(self._units[disk, offset])
+        return self._units[disk][offset]
 
     def write_unit(self, disk: int, offset: int, value: int) -> None:
-        self._units[disk, offset] = np.uint64(value % (1 << 64))
+        self._units[disk][offset] = value % (1 << 64)
 
     def poison_disk(self, disk: int) -> None:
         """Destroy a failed disk's contents (see module docstring)."""
-        self._units[disk, :] = POISON
+        self._units[disk] = self._filled(POISON)
 
     def clear_disk(self, disk: int) -> None:
         """Blank a freshly-installed replacement disk."""
-        self._units[disk, :] = np.uint64(0)
+        self._units[disk] = self._filled(0)
 
     # ------------------------------------------------------------------
     # Stripe helpers

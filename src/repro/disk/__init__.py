@@ -11,6 +11,9 @@ paper's surprising reconstruction-algorithm results.
 The reference drive is the IBM 0661 Model 370 "Lightning" from
 Table 5-1(b); scaled-down variants with fewer cylinders (same track
 geometry) keep tests and benchmarks fast.
+
+Nothing here imports numpy. The batch service-time kernel that does,
+:mod:`repro.disk.vectorized`, is imported directly by its only users.
 """
 
 from repro.disk.specs import IBM_0661, DiskSpec, scaled_spec
@@ -18,7 +21,6 @@ from repro.disk.geometry import DiskGeometry, SectorRange
 from repro.disk.seek import SeekModel
 from repro.disk.drive import Disk, DiskRequest, DiskStats, service_components
 from repro.disk.constant import ConstantRateDisk
-from repro.disk.vectorized import kernel_mode, service_times
 
 __all__ = [
     "ConstantRateDisk",
@@ -30,8 +32,6 @@ __all__ = [
     "IBM_0661",
     "SectorRange",
     "SeekModel",
-    "kernel_mode",
     "scaled_spec",
     "service_components",
-    "service_times",
 ]

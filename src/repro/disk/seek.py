@@ -15,16 +15,81 @@ three coefficients are solved from three constraints:
 
 This matches how drive vendors quote "average seek" and gives a smooth,
 monotonic curve hitting all three published numbers exactly.
+
+The fit is plain Python that performs, operation for operation, the
+float arithmetic the original ``numpy`` fit performed on an x86-64
+host with OpenBLAS: numpy's pairwise summation for the means, then
+OpenBLAS ``dgesv``'s elimination order, fused multiply-adds included.
+Every recorded result was computed from that fit's bits, so copying its
+rounding keeps them; doing it by hand also makes the table independent
+of whichever BLAS the host happens to have (a solver that does not fuse
+changes most table entries in their last bit).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
+import typing
 
 from repro.disk.specs import DiskSpec
+
+
+def _fma(x: float, y: float, z: float) -> float:
+    """``x * y + z`` rounded once, as a fused multiply-add rounds it.
+
+    ``math.fma`` needs Python 3.13. Here the sum is formed exactly from
+    the operands' integer ratios; ``int / int`` is correctly rounded.
+    """
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    return (xn * yn * zd + zn * xd * yd) / (xd * yd * zd)
+
+
+def _pairwise_sum(values: typing.Sequence[float], start: int, count: int) -> float:
+    """``numpy.add.reduce`` of ``values[start:start + count]``, bit for bit.
+
+    numpy adds short runs left to right, blocks of at most 128 through
+    eight interleaved running sums, and splits longer runs in halves at
+    a multiple of 8. The builtin ``sum`` is no substitute: from Python
+    3.12 it compensates rounding error, so its float result differs.
+    """
+    stop = start + count
+    if count < 8:
+        total = 0.0
+        for index in range(start, stop):
+            total += values[index]
+        return total
+    if count <= 128:
+        lanes = list(values[start:start + 8])
+        blocks_end = stop - count % 8
+        for base in range(start + 8, blocks_end, 8):
+            for lane in range(8):
+                lanes[lane] += values[base + lane]
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        )
+        for index in range(blocks_end, stop):
+            total += values[index]
+        return total
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(
+        values, start + half, count - half
+    )
+
+
+def _random_seek_weights(cylinders: int) -> typing.List[float]:
+    """``P(d)`` for ``d = 1 .. cylinders - 1``, normalised as numpy did."""
+    raw = [2.0 * (cylinders - distance) for distance in range(1, cylinders)]
+    total = _pairwise_sum(raw, 0, len(raw))
+    return [weight / total for weight in raw]
+
+
+def _weighted_mean(weights: typing.Sequence[float], values: typing.Sequence[float]) -> float:
+    products = [weight * value for weight, value in zip(weights, values)]
+    return _pairwise_sum(products, 0, len(products))
 
 
 class SeekModel:
@@ -47,28 +112,27 @@ class SeekModel:
             self._coefficients = (spec.seek_min_ms, 0.0, 0.0)
             self._table = [0.0, spec.seek_min_ms]
             return
-        distances = np.arange(1, n, dtype=float)
-        weights = 2.0 * (n - distances)
-        weights /= weights.sum()
-        mean_sqrt = float((weights * np.sqrt(distances)).sum())
-        mean_linear = float((weights * distances).sum())
-        matrix = np.array(
-            [
-                [1.0, 1.0, 1.0],
-                [1.0, math.sqrt(max_distance), float(max_distance)],
-                [1.0, mean_sqrt, mean_linear],
-            ]
-        )
-        targets = np.array([spec.seek_min_ms, spec.seek_max_ms, spec.seek_avg_ms])
-        a, b, c = np.linalg.solve(matrix, targets)
-        self._coefficients = (float(a), float(b), float(c))
-        # math.sqrt per element (not np.sqrt over the arange) so table
-        # entries are bit-identical to what the formula previously
-        # returned per call.
-        self._table = [0.0] + [
-            float(a) + float(b) * math.sqrt(d) + float(c) * d
-            for d in range(1, n)
-        ]
+        weights = _random_seek_weights(n)
+        distances = range(1, n)
+        mean_sqrt = _weighted_mean(weights, [math.sqrt(d) for d in distances])
+        mean_linear = _weighted_mean(weights, [float(d) for d in distances])
+        # Solve [1 1 1; 1 sqrt(D) D; 1 mean_sqrt mean_linear] (a b c)^T =
+        # (min max avg)^T by LU without pivoting (column 0 is all ones
+        # and mean_sqrt < sqrt(D), so partial pivoting never swaps).
+        # At 3 cylinders the third row is a mix of the first two: u22 is
+        # rounding residue, and the fitted table is [0, 4, 24] ms for the
+        # 0661's (2, 12.5, 25). It is kept as fitted, not corrected.
+        seek_min, seek_max = spec.seek_min_ms, spec.seek_max_ms
+        u11 = math.sqrt(max_distance) - 1.0
+        u12 = max_distance - 1.0
+        l21 = (mean_sqrt - 1.0) * (1.0 / u11)
+        u22 = mean_linear - _fma(l21, u12, 1.0)
+        stroke = seek_max - seek_min
+        c = _fma(-stroke, l21, spec.seek_avg_ms - seek_min) / u22
+        b = _fma(-c, u12, stroke) / u11
+        a = (seek_min - c) - b
+        self._coefficients = (a, b, c)
+        self._table = [0.0] + [a + b * math.sqrt(d) + c * d for d in distances]
 
     @classmethod
     @functools.lru_cache(maxsize=None)
@@ -85,8 +149,9 @@ class SeekModel:
     def table(self) -> tuple:
         """The distance-indexed lookup table (``table[d]`` = seek ms).
 
-        Exposed for the vectorized service-time kernel, which loads it
-        into a numpy array once per spec — same floats, same bits.
+        Exposed for the vectorized service-time kernel
+        (:mod:`repro.disk.vectorized`), which loads it into a numpy array
+        once per spec — same floats, same bits.
         """
         return tuple(self._table)
 
@@ -102,9 +167,5 @@ class SeekModel:
         Should reproduce ``spec.seek_avg_ms`` up to float error; exposed
         for calibration tests.
         """
-        n = self.spec.cylinders
-        distances = np.arange(1, n, dtype=float)
-        weights = 2.0 * (n - distances)
-        weights /= weights.sum()
-        times = np.array([self.seek_time(int(d)) for d in distances])
-        return float((weights * times).sum())
+        weights = _random_seek_weights(self.spec.cylinders)
+        return _weighted_mean(weights, self._table[1:])

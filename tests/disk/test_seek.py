@@ -18,8 +18,9 @@ class TestCalibration:
         assert model.average_over_random_seeks() == pytest.approx(12.5, abs=1e-6)
 
     def test_scaled_spec_recalibrates(self):
-        # Smaller disks keep the published (min, avg, max), so seek
-        # behaviour is preserved at every scale.
+        # Smaller disks keep the published (min, avg, max), so the fit
+        # hits all three at every size except 3 cylinders, where the
+        # constraints are dependent (TestPinnedBits pins that curve).
         model = SeekModel(scaled_spec(13))
         assert model.seek_time(1) == pytest.approx(2.0)
         assert model.seek_time(12) == pytest.approx(25.0)
@@ -47,6 +48,14 @@ class TestShape:
     def test_two_cylinder_degenerate_disk(self):
         model = SeekModel(scaled_spec(2))
         assert model.seek_time(1) == pytest.approx(2.0)
+
+    def test_three_cylinder_fit_misses_the_spec(self):
+        # With D = 2 the mean row is 2/3 of the first plus 1/3 of the
+        # second, so the system is singular. The curve every recorded
+        # 3-cylinder result used is kept: 4 and 24 ms, not 2 and 25.
+        model = SeekModel(scaled_spec(3))
+        assert model.table == (0.0, 4.0, 24.0)
+        assert model.average_over_random_seeks() == pytest.approx(32 / 3)
 
 
 #: tests/disk/test_specs.py's hand-made spec (1.0 / 3.0 / 6.0 ms, 10 cylinders).
