@@ -7,6 +7,7 @@ the IBM 0661 Model 370 (Lightning) 320 MB 3.5-inch drive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -28,9 +29,17 @@ class DiskSpec:
     def __post_init__(self):
         if min(self.cylinders, self.tracks_per_cylinder, self.sectors_per_track) < 1:
             raise ValueError(f"degenerate geometry in {self.name!r}")
-        if not 0 < self.seek_min_ms <= self.seek_avg_ms <= self.seek_max_ms:
+        if self.cylinders < 2:
+            # The seek curve needs a move to fit: one cylinder has none.
+            raise ValueError(f"need at least 2 cylinders in {self.name!r}")
+        # Chained comparisons are False for NaN, so NaN fails these too.
+        if not 0 < self.revolution_ms < math.inf:
             raise ValueError(
-                f"seek times must satisfy 0 < min <= avg <= max in {self.name!r}"
+                f"revolution time must be finite and positive in {self.name!r}"
+            )
+        if not 0 < self.seek_min_ms <= self.seek_avg_ms <= self.seek_max_ms < math.inf:
+            raise ValueError(
+                f"seek times must satisfy 0 < min <= avg <= max < inf in {self.name!r}"
             )
         if not 0 <= self.track_skew_sectors < self.sectors_per_track:
             raise ValueError(f"track skew must be < sectors per track in {self.name!r}")
@@ -100,7 +109,8 @@ def scaled_spec(cylinders: int, base: DiskSpec = IBM_0661) -> DiskSpec:
     time scales roughly linearly with units per disk, while per-access
     timing behaviour (the thing response-time results depend on) is
     preserved because track geometry and the seek curve's endpoints are
-    unchanged.
+    unchanged. (At 3 cylinders the fitted curve cannot meet all three
+    seek times; see :class:`repro.disk.seek.SeekModel`.)
     """
     if cylinders < 2:
         raise ValueError(f"need at least 2 cylinders, got {cylinders}")

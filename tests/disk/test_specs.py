@@ -80,6 +80,43 @@ class TestValidation:
         with pytest.raises(ValueError):
             self.make(cylinders=0)
 
+    def test_single_cylinder_rejected(self):
+        # One cylinder leaves the seek curve nothing to fit.
+        with pytest.raises(ValueError, match="at least 2 cylinders"):
+            self.make(cylinders=1)
+
+    def test_two_cylinders_accepted(self):
+        assert self.make(cylinders=2).cylinders == 2
+
+    @pytest.mark.parametrize(
+        "revolution_ms", [0.0, -13.9, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_unrunnable_revolution_rejected(self, revolution_ms):
+        with pytest.raises(ValueError, match="revolution time"):
+            self.make(revolution_ms=revolution_ms)
+
+    @pytest.mark.parametrize(
+        "seeks",
+        [
+            dict(seek_max_ms=float("inf")),
+            dict(seek_avg_ms=float("inf"), seek_max_ms=float("inf")),
+            dict(
+                seek_min_ms=float("inf"),
+                seek_avg_ms=float("inf"),
+                seek_max_ms=float("inf"),
+            ),
+            dict(seek_min_ms=float("nan")),
+            dict(seek_avg_ms=float("nan")),
+            dict(seek_max_ms=float("nan")),
+            dict(seek_min_ms=0.0),
+            dict(seek_min_ms=-1.0),
+        ],
+        ids=lambda seeks: ",".join(f"{k}={v}" for k, v in seeks.items()),
+    )
+    def test_unrunnable_seek_times_rejected(self, seeks):
+        with pytest.raises(ValueError, match="seek times"):
+            self.make(**seeks)
+
     def test_excessive_skew_rejected(self):
         with pytest.raises(ValueError):
             self.make(track_skew_sectors=8)
