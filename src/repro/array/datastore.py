@@ -12,8 +12,8 @@ A failed disk's contents are overwritten with a poison pattern the
 moment it fails: any code path that wrongly reads a failed disk
 surfaces immediately as a poisoned value propagating into a checksum.
 
-Each disk's words live in one ``array('Q')``: eight bytes a unit, like
-a ``uint64`` matrix row, without importing numpy.
+Each disk's words live in one ``array('Q')`` of unsigned 64-bit
+integers, so the store needs no numpy.
 """
 
 from __future__ import annotations

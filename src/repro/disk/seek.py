@@ -47,49 +47,45 @@ def _fma(x: float, y: float, z: float) -> float:
     return (xn * yn * zd + zn * xd * yd) / (xd * yd * zd)
 
 
-def _pairwise_sum(values: typing.Sequence[float], start: int, count: int) -> float:
-    """``numpy.add.reduce`` of ``values[start:start + count]``, bit for bit.
+def _pairwise_sum(values: typing.Sequence[float]) -> float:
+    """``numpy.add.reduce`` of a float64 vector, bit for bit.
 
     numpy adds short runs left to right, blocks of at most 128 through
     eight interleaved running sums, and splits longer runs in halves at
     a multiple of 8. The builtin ``sum`` is no substitute: from Python
     3.12 it compensates rounding error, so its float result differs.
     """
-    stop = start + count
+    count = len(values)
     if count < 8:
         total = 0.0
-        for index in range(start, stop):
-            total += values[index]
+        for value in values:
+            total += value
         return total
     if count <= 128:
-        lanes = list(values[start:start + 8])
-        blocks_end = stop - count % 8
-        for base in range(start + 8, blocks_end, 8):
-            for lane in range(8):
-                lanes[lane] += values[base + lane]
+        lanes = values[:8]
+        blocks_end = count - count % 8
+        for base in range(8, blocks_end, 8):
+            lanes = [lane + value for lane, value in zip(lanes, values[base:base + 8])]
         total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
             (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
         )
-        for index in range(blocks_end, stop):
-            total += values[index]
+        for value in values[blocks_end:]:
+            total += value
         return total
     half = count // 2
     half -= half % 8
-    return _pairwise_sum(values, start, half) + _pairwise_sum(
-        values, start + half, count - half
-    )
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def _random_seek_weights(cylinders: int) -> typing.List[float]:
     """``P(d)`` for ``d = 1 .. cylinders - 1``, normalised as numpy did."""
     raw = [2.0 * (cylinders - distance) for distance in range(1, cylinders)]
-    total = _pairwise_sum(raw, 0, len(raw))
+    total = _pairwise_sum(raw)
     return [weight / total for weight in raw]
 
 
 def _weighted_mean(weights: typing.Sequence[float], values: typing.Sequence[float]) -> float:
-    products = [weight * value for weight, value in zip(weights, values)]
-    return _pairwise_sum(products, 0, len(products))
+    return _pairwise_sum([weight * value for weight, value in zip(weights, values)])
 
 
 class SeekModel:
@@ -149,9 +145,8 @@ class SeekModel:
     def table(self) -> tuple:
         """The distance-indexed lookup table (``table[d]`` = seek ms).
 
-        Exposed for the vectorized service-time kernel
-        (:mod:`repro.disk.vectorized`), which loads it into a numpy array
-        once per spec — same floats, same bits.
+        Exposed for the vectorized service-time kernel, which loads it
+        into a numpy array once per spec — same floats, same bits.
         """
         return tuple(self._table)
 
