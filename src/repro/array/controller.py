@@ -5,17 +5,40 @@ fault state and reconstruction algorithm, maintaining parity
 consistency through per-stripe locks. See the package docstring for the
 full access-sequence table.
 
+There is one path per access type: a read, a repair read, a unit write
+(a read-modify-write over the stripe's check units, or a degraded
+write) and a large write. The layout's syndrome count is data: its
+``syndrome_roles`` give a stripe's check units, and
+:mod:`repro.array.syndromes` computes, updates and decodes one (P, the
+paper's parity) or two (P+Q) of them. Where the two families issue
+different I/O, the one path chooses by the count:
+
+- an on-the-fly read with one syndrome XORs the target back from every
+  other unit; with two it reads every live unit and decodes;
+- a degraded write with one syndrome reads only the data peers the new
+  parity needs (none when parity is dead) and dirties the stale unit
+  before them; with two it decodes from every readable unit and dirties
+  after the decode;
+- a lone degraded write waits on its own disk event with one syndrome,
+  and on ``all_of`` with two;
+- a repair read with one syndrome gives up without reading when a peer
+  is lost; with two it reads the readable units first;
+- G=3 small-stripe writes and G=2 mirrored-read balancing exist only
+  with one syndrome.
+
 Access paths are labeled so tests and experiments can account for every
 disk access the paper's driver would issue:
 
-- ``read`` / ``redirected-read`` / ``on-the-fly-read``
+- ``read`` / ``redirected-read`` / ``on-the-fly-read`` /
+  ``repaired-read`` / ``data-loss``
 - ``rmw-write`` / ``small-stripe-write`` / ``large-write``
 - ``fold-write`` (data lost, parity absorbs the new value)
 - ``reconstruct-write`` (user-writes algorithms: data sent to the
   replacement, parity rebuilt from surviving peers)
 - ``data-only-write`` (parity lost and not yet rebuilt)
 
-Dual-syndrome (P+Q) layouts add their own labels:
+Dual-syndrome (P+Q) layouts label their unit writes apart and add one
+read label:
 
 - ``double-degraded-read`` (two stripe units dead; GF(2^64) decode)
 - ``pq-rmw-write`` (6-access healthy update: pre-read and rewrite
@@ -23,9 +46,6 @@ Dual-syndrome (P+Q) layouts add their own labels:
 - ``pq-degraded-write`` / ``pq-fold-write`` / ``pq-reconstruct-write``
   (a check or the target is dead: decode survivors, rewrite what
   lives)
-
-Single-syndrome arrays run the exact historical code paths — the dual
-dispatch is a single branch on ``layout.num_syndromes``.
 """
 
 from __future__ import annotations
@@ -55,7 +75,7 @@ from repro.faults.log import (
 from repro.faults.profile import FaultProfile
 from repro.faults.retry import RetryPolicy
 from repro.faults.state import ERROR_TIMEOUT, DiskFaultState
-from repro.layout.base import PARITY_ROLE, UnitAddress
+from repro.layout.base import UnitAddress
 from repro.metrics.registry import MetricsRegistry
 from repro.recon.algorithms import BASELINE, ReconAlgorithm
 from repro.recon.status import ReconStatus
@@ -78,6 +98,24 @@ class ControllerStats:
 
     def record_path(self, path: str) -> None:
         self.by_path[path] = self.by_path.get(path, 0) + 1
+
+
+class _WritePaths(typing.NamedTuple):
+    """One family's unit-write labels."""
+
+    rmw: str
+    fold: str
+    reconstruct: str
+    check_dead: str
+
+
+#: Unit-write labels by syndrome count.
+_WRITE_PATHS = {
+    1: _WritePaths("rmw-write", "fold-write", "reconstruct-write", "data-only-write"),
+    2: _WritePaths(
+        "pq-rmw-write", "pq-fold-write", "pq-reconstruct-write", "pq-degraded-write"
+    ),
+}
 
 
 class ArrayController:
@@ -143,6 +181,10 @@ class ArrayController:
         self.recon_status: typing.Optional[ReconStatus] = None
         self.recon_statuses: typing.Dict[int, ReconStatus] = {}
         self.stats = ControllerStats()
+        self._write_paths = _WRITE_PATHS[self.layout.num_syndromes]
+        self._small_stripes = (
+            self.layout.num_syndromes == 1 and self.layout.stripe_size == 3
+        )
         # Fault injection is strictly opt-in: with no profile, every
         # access takes the exact legacy path (no extra RNG draws, no
         # retry wrapper, no timing or event-ordering changes).
@@ -386,16 +428,7 @@ class ArrayController:
         """True if no unit of the stripe lives on a failed, unbuilt slot."""
         if self.faults.fault_free:
             return True
-        failed = self.faults.failed_disks
-        lost = self.faults.lost_disks
-        for address in self.layout.stripe_units(stripe):
-            if address.disk in lost:
-                return False
-            if address.disk in failed and not self._unit_built_on(
-                address.disk, address.offset
-            ):
-                return False
-        return True
+        return not any(map(self._unit_lost, self.layout.stripe_units(stripe)))
 
     def _stripe_data_lost(self, stripe: int) -> bool:
         """True if more units are unreadable than the layout has syndromes.
@@ -405,19 +438,19 @@ class ArrayController:
         data is gone. Only possible once a multi-failure has populated
         ``faults.lost_disks``.
         """
-        lost = self.faults.lost_disks
-        if not lost:
+        if not self.faults.lost_disks:
             return False
-        failed = self.faults.failed_disks
-        unreadable = 0
-        for address in self.layout.stripe_units(stripe):
-            if address.disk in lost:
-                unreadable += 1
-            elif address.disk in failed and not self._unit_built_on(
-                address.disk, address.offset
-            ):
-                unreadable += 1
-        return unreadable > self.layout.num_syndromes
+        lost = sum(map(self._unit_lost, self.layout.stripe_units(stripe)))
+        return lost > self.layout.num_syndromes
+
+    def _unit_lost(self, address: UnitAddress) -> bool:
+        """True if the unit's slot is lost, or failed and not rebuilt."""
+        faults = self.faults
+        if address.disk in faults.lost_disks:
+            return True
+        return address.disk in faults.failed_disks and not self._unit_built_on(
+            address.disk, address.offset
+        )
 
     def _record_data_loss_access(self, request: UserRequest, logical: int,
                                  stripe: int) -> None:
@@ -433,28 +466,17 @@ class ArrayController:
                 detail=f"logical unit {logical}",
             )
 
-    def _unit_built(self, offset: int) -> bool:
-        return self.recon_status is not None and self.recon_status.is_built(offset)
+    def _unit_built_on(self, disk: int, offset: int) -> bool:
+        """True if ``disk`` is being rebuilt and ``offset`` is done."""
+        status = self.recon_statuses.get(disk)
+        return status is not None and status.is_built(offset)
 
-    def _unit_live(self, offset: int) -> bool:
+    def _unit_live_on(self, disk: int, offset: int) -> bool:
         """A failed-slot unit counts as live once rebuilt.
 
         Under strict replacement isolation, rebuilt units stay off-limits
         to user work until the whole repair is done.
         """
-        if not self._unit_built(offset):
-            return False
-        if not self.algorithm.isolate_replacement:
-            return True
-        return self.recon_status.all_built
-
-    def _unit_built_on(self, disk: int, offset: int) -> bool:
-        """Per-disk :meth:`_unit_built` for multi-failure layouts."""
-        status = self.recon_statuses.get(disk)
-        return status is not None and status.is_built(offset)
-
-    def _unit_live_on(self, disk: int, offset: int) -> bool:
-        """Per-disk :meth:`_unit_live` for multi-failure layouts."""
         status = self.recon_statuses.get(disk)
         if status is None or not status.is_built(offset):
             return False
@@ -470,7 +492,6 @@ class ArrayController:
         if address.disk in faults.failed_disks:
             return not self._unit_live_on(address.disk, address.offset)
         return False
-
 
     # ------------------------------------------------------------------
     # Disk access helpers
@@ -526,17 +547,9 @@ class ArrayController:
         else:
             self.fail_disk(disk_id)
 
-    def _surviving_peers(self, stripe: int, exclude: UnitAddress) -> typing.List[UnitAddress]:
-        """All stripe units except ``exclude`` (data peers and parity)."""
-        return [u for u in self.layout.stripe_units(stripe) if u != exclude]
-
-    def _data_peers(self, stripe: int, exclude: UnitAddress) -> typing.List[UnitAddress]:
-        """Data units of the stripe other than ``exclude``."""
-        return [
-            self.layout.data_unit(stripe, j)
-            for j in range(self.layout.data_units_per_stripe)
-            if self.layout.data_unit(stripe, j) != exclude
-        ]
+    def _join(self, events: typing.List[Event]) -> Event:
+        """The event to wait on: a lone event itself, several joined."""
+        return events[0] if len(events) == 1 else self.env.all_of(events)
 
     def _ds_read(self, address: UnitAddress) -> int:
         if self.datastore is None:
@@ -547,40 +560,106 @@ class ArrayController:
         if self.datastore is not None:
             self.datastore.write_unit(address.disk, address.offset, value)
 
-    @staticmethod
-    def _xor(values: typing.Iterable[int]) -> int:
-        result = 0
-        for value in values:
-            result ^= value
-        return result
+    def _mark_stale(self, units: typing.Iterable[UnitAddress]) -> None:
+        """Dirty rebuilt copies of ``units`` that a write left behind."""
+        for unit in units:
+            status = self.recon_statuses.get(unit.disk)
+            if status is not None:
+                status.mark_dirty(unit.offset)
+
+    def _decode(self, stripe: int, erase: typing.Tuple[UnitAddress, ...] = (),
+                kind: str = KIND_USER, repair_errored: bool = False):
+        """Read a stripe's units and decode its contents.
+
+        Generator run under the stripe lock. The units in ``erase`` are
+        not read. With one syndrome every other unit is read; with two,
+        units on dead slots are skipped too. Reads that end in an error
+        join the erasures. Returns ``(contents, erasures)``:
+        ``contents`` maps every unit of the stripe to its value, or is
+        None once the erasures outnumber the syndromes.
+
+        With ``repair_errored`` (the rebuild sweep), units whose reads
+        errored — latent sectors, not dead slots — are rewritten in
+        place from the decode before returning: a stale latent sector
+        would otherwise be re-hit by every later sweep, each hit
+        counting toward the disk's escalation threshold until a healthy
+        disk is declared failed mid-repair.
+
+        Values are sampled from the datastore *before* the disk accesses
+        are issued, so a failure landing mid-decode cannot leak poison
+        into the arithmetic.
+        """
+        layout = self.layout
+        units = layout.stripe_units(stripe)
+        skip_dead = layout.num_syndromes == 2
+        values: typing.List[typing.Optional[int]] = [
+            None if unit in erase or (skip_dead and self._address_dead(unit))
+            else self._ds_read(unit)
+            for unit in units
+        ]
+        readable = [index for index, value in enumerate(values) if value is not None]
+        events = [
+            self._disk_access(units[index], is_write=False, kind=kind)
+            for index in readable
+        ]
+        if events:
+            yield self.env.all_of(events)
+        errored: typing.List[UnitAddress] = []
+        if self._fault_enabled:
+            for index, event in zip(readable, events):
+                if event.value.error is not None:
+                    values[index] = None
+                    errored.append(units[index])
+        erasures = values.count(None)
+        decoded = gf.decode(values, layout.num_syndromes)
+        if decoded is None:
+            return None, erasures
+        contents = dict(zip(units, decoded))
+        if repair_errored and errored:
+            # Rewriting remaps the latent sector; skip any slot a
+            # mid-decode failure just killed.
+            targets = [a for a in errored if not self._address_dead(a)]
+            if targets:
+                yield self.env.all_of(
+                    [self._disk_access(a, is_write=True, kind=kind)
+                     for a in targets]
+                )
+                for a in targets:
+                    self._ds_write(a, contents[a])
+                    if self.fault_log is not None:
+                        self.fault_log.record(
+                            FOREGROUND_REPAIR, self.env.now,
+                            disk=a.disk, offset=a.offset,
+                            detail="rebuilt by recon sweep decode",
+                        )
+        return contents, erasures
 
     # ------------------------------------------------------------------
     # Read paths
     # ------------------------------------------------------------------
     def _read_unit(self, request: UserRequest, unit_index: int):
-        if self.layout.num_syndromes == 2:
-            yield from self._read_unit_dual(request, unit_index)
-            return
         logical = request.logical_unit + unit_index
         address = self.addressing.logical_unit_address(logical)
-        failed = self.faults.failed_disk
-        lost = self.faults.lost_disks
+        faults = self.faults
+        lost = faults.lost_disks
         if lost and self._stripe_data_lost(self.layout.stripe_of_logical(logical)):
-            # Two units of this stripe are gone: the read cannot be
-            # served. Account it rather than fabricate data.
+            # More units of this stripe are gone than the syndromes
+            # recover: the read cannot be served. Account it rather than
+            # fabricate data.
             self._record_data_loss_access(
                 request, logical, self.layout.stripe_of_logical(logical)
             )
             return
-        if address.disk != failed and address.disk not in lost:
+        failed = faults.failed_disks
+        if address.disk not in failed and address.disk not in lost:
             target = address
             if self.layout.stripe_size == 2:
                 # Mirrored reads balance across the two copies: take the
-                # replica whose disk has the shorter queue (never the
+                # replica whose disk has the shorter queue (never a
                 # failed slot — its copy may not be rebuilt yet).
                 mirror = self.layout.parity_unit(self.layout.stripe_of_logical(logical))
                 if (
-                    mirror.disk != failed
+                    mirror.disk not in failed
                     and mirror.disk not in lost
                     and self.disks[mirror.disk].queue_length
                     < self.disks[target.disk].queue_length
@@ -589,17 +668,15 @@ class ArrayController:
             outcome = yield self._disk_access(target, is_write=False)
             if self._fault_enabled and outcome.error is not None:
                 # Media error (or exhausted retries) on a live disk:
-                # rebuild the unit from its stripe peers in-line.
+                # rebuild the unit from its stripe in-line.
                 yield from self._repair_read(request, unit_index, logical, target)
                 return
             request.read_values[unit_index] = self._ds_read(target)
             request.paths.append("read")
             self.stats.record_path("read")
             return
-        if (
-            address.disk == failed
-            and self.algorithm.redirect_reads
-            and self._unit_built(address.offset)
+        if self.algorithm.redirect_reads and self._unit_built_on(
+            address.disk, address.offset
         ):
             # Redirection of reads: the rebuilt unit lives on the replacement.
             yield self._disk_access(address, is_write=False)
@@ -607,31 +684,32 @@ class ArrayController:
             request.paths.append("redirected-read")
             self.stats.record_path("redirected-read")
             return
-        # On-the-fly reconstruction: XOR of all surviving stripe units.
+        # On-the-fly reconstruction. One syndrome XORs the target back
+        # from all other units, even when a rebuilt copy exists; two
+        # read every live unit, the target included, and decode through
+        # up to two dead ones.
         stripe = self.layout.stripe_of_logical(logical)
+        erase = (address,) if self.layout.num_syndromes == 1 else ()
         handoff = False
         yield self.locks.acquire(stripe)
         try:
-            peers = self._surviving_peers(stripe, address)
-            value = self._xor(self._ds_read(peer) for peer in peers)
-            peer_events = [self._disk_access(peer, is_write=False) for peer in peers]
-            yield self.env.all_of(peer_events)
-            if self._fault_enabled and any(
-                event.value.error is not None for event in peer_events
-            ):
-                # A surviving peer was unreadable too: with the target
-                # already lost, this stripe is doubly exposed right now.
+            decoded, erasures = yield from self._decode(stripe, erase)
+            if decoded is None:
+                # Another unit was unreadable too: the stripe is exposed
+                # beyond its syndromes right now.
                 self._record_data_loss_access(request, logical, stripe)
                 return
+            value = decoded[address]
             request.read_values[unit_index] = value
-            request.paths.append("on-the-fly-read")
-            self.stats.record_path("on-the-fly-read")
+            path = "double-degraded-read" if erasures >= 2 else "on-the-fly-read"
+            request.paths.append(path)
+            self.stats.record_path(path)
+            status = self.recon_statuses.get(address.disk)
             if (
-                address.disk == failed
-                and self.algorithm.piggyback
-                and self.faults.replacement_installed
-                and not self.recon_status.is_built(address.offset)
-                and not self.recon_status.is_claimed(address.offset)
+                self.algorithm.piggyback
+                and status is not None
+                and not status.is_built(address.offset)
+                and not status.is_claimed(address.offset)
             ):
                 # Piggybacking of writes: store the recovered unit on the
                 # replacement while still holding the stripe lock. The user
@@ -639,7 +717,8 @@ class ArrayController:
                 # stripe stays locked for the piggyback write's duration.
                 self.stats.piggyback_writes += 1
                 self.env.process(
-                    self._piggyback_write(stripe, address, value), name="piggyback"
+                    self._piggyback_write(stripe, address, value, status),
+                    name="piggyback",
                 )
                 handoff = True
         finally:
@@ -650,9 +729,7 @@ class ArrayController:
                 self.locks.release(stripe)
 
     def _piggyback_write(self, stripe: int, address: UnitAddress, value: int,
-                         status: typing.Optional[ReconStatus] = None):
-        if status is None:
-            status = self.recon_status
+                         status: ReconStatus):
         try:
             yield self._disk_access(address, is_write=True)
             self._ds_write(address, value)
@@ -662,38 +739,31 @@ class ArrayController:
 
     def _repair_read(self, request: UserRequest, unit_index: int, logical: int,
                      target: UnitAddress):
-        """Foreground repair: rebuild an unreadable unit from its peers.
+        """Foreground repair: rebuild an unreadable unit from its stripe.
 
         This is the scrubber's repair promoted into the read path: the
-        latent unit is reconstructed by XOR over the surviving stripe
-        units and written back in place (remap-on-write clears the
-        latent extent). If a peer is dead or unreadable too, the stripe
-        is doubly exposed and the read is accounted as data loss.
+        latent unit is decoded from the rest of its stripe and written
+        back in place (remap-on-write clears the latent extent). With
+        one syndrome a lost peer leaves nothing to XOR the unit back
+        from, so the repair gives up before reading; with two it reads
+        the readable units first. A decode with too many erasures is
+        accounted as data loss either way.
         """
-        if self.layout.num_syndromes == 2:
-            yield from self._repair_read_dual(request, unit_index, logical, target)
-            return
         stripe = self.layout.stripe_of_logical(logical)
         yield self.locks.acquire(stripe)
         try:
-            failed = self.faults.failed_disk
-            lost = self.faults.lost_disks
-            peers = self._surviving_peers(stripe, target)
-            if any(
-                peer.disk in lost
-                or (peer.disk == failed and not self._unit_built(peer.offset))
-                for peer in peers
+            if self.layout.num_syndromes == 1 and any(
+                self._unit_lost(peer)
+                for peer in self.layout.stripe_units(stripe)
+                if peer != target
             ):
-                # Latent error on top of a failed peer: nothing left to
-                # XOR the unit back from.
                 self._record_data_loss_access(request, logical, stripe)
                 return
-            value = self._xor(self._ds_read(peer) for peer in peers)
-            peer_events = [self._disk_access(peer, is_write=False) for peer in peers]
-            yield self.env.all_of(peer_events)
-            if any(event.value.error is not None for event in peer_events):
+            decoded, _erasures = yield from self._decode(stripe, (target,))
+            if decoded is None:
                 self._record_data_loss_access(request, logical, stripe)
                 return
+            value = decoded[target]
             yield self._disk_access(target, is_write=True)
             self._ds_write(target, value)
         finally:
@@ -713,87 +783,67 @@ class ArrayController:
     # Write paths
     # ------------------------------------------------------------------
     def _write_unit(self, request: UserRequest, logical: int, value: int):
-        if self.layout.num_syndromes == 2:
-            yield from self._write_unit_dual(request, logical, value)
-            return
+        """Write one data unit and bring the stripe's check units along."""
+        layout = self.layout
         address = self.addressing.logical_unit_address(logical)
-        stripe = self.layout.stripe_of_logical(logical)
-        parity = self.layout.parity_unit(stripe)
+        stripe, role = layout.stripe_of(address.disk, address.offset)
         if self.faults.lost_disks and self._stripe_data_lost(stripe):
             # The stripe's data is already gone; writing one unit of it
             # cannot restore consistency. Account and fail the update.
             self._record_data_loss_access(request, logical, stripe)
             return
+        checks = [layout.stripe_unit(stripe, r) for r in layout.syndrome_roles]
         yield self.locks.acquire(stripe)
         try:
-            failed = self.faults.failed_disk
-            lost = self.faults.lost_disks
-            on_failed_data = address.disk == failed
-            on_failed_parity = parity.disk == failed
-            data_dead = on_failed_data or address.disk in lost
-            parity_dead = on_failed_parity or parity.disk in lost
-            data_ok = not data_dead or (
-                on_failed_data and self._unit_live(address.offset)
-            )
-            parity_ok = not parity_dead or (
-                on_failed_parity and self._unit_live(parity.offset)
-            )
-            if data_ok and parity_ok:
-                # Only the G=3 small-stripe path cares about peers; the
-                # peer scan is pure layout arithmetic, so deferring it
-                # behind the stripe-size test costs nothing else.
-                peers_readable = self.layout.stripe_size == 3 and all(
-                    peer.disk not in lost
-                    and (peer.disk != failed or self._unit_live(peer.offset))
-                    for peer in self._data_peers(stripe, address)
+            if self.faults.fault_free or not any(
+                map(self._address_dead, [address, *checks])
+            ):
+                path = yield from self._read_modify_write(
+                    stripe, role, address, checks, value
                 )
-                if peers_readable:
-                    path = yield from self._small_stripe_write(stripe, address, parity, value)
-                else:
-                    path = yield from self._read_modify_write(address, parity, value)
-            elif data_dead:
-                if (
-                    on_failed_data
-                    and self.faults.replacement_installed
-                    and self.algorithm.writes_to_replacement
-                ):
-                    path = yield from self._reconstruct_write(stripe, address, parity, value)
-                else:
-                    # Under strict isolation the unit may be rebuilt but
-                    # about to go stale: dirty it *before* the fold so
-                    # reconstruction cannot declare completion meanwhile.
-                    if on_failed_data and self.recon_status is not None:
-                        self.recon_status.mark_dirty(address.offset)
-                    path = yield from self._fold_write(stripe, address, parity, value)
             else:
-                if on_failed_parity and self.recon_status is not None:
-                    self.recon_status.mark_dirty(parity.offset)
-                path = yield from self._data_only_write(address, value)
+                path = yield from self._degraded_write(
+                    request, logical, stripe, role, address, checks, value
+                )
         finally:
             self.locks.release(stripe)
-        request.paths.append(path)
-        self.stats.record_path(path)
+        if path is not None:
+            request.paths.append(path)
+            self.stats.record_path(path)
 
-    def _read_modify_write(self, address: UnitAddress, parity: UnitAddress, value: int):
-        """The 4-access parity update: 2 pre-reads then 2 writes."""
-        old_data = self._ds_read(address)
-        old_parity = self._ds_read(parity)
-        yield self.env.all_of(
-            [
-                self._disk_access(address, is_write=False),
-                self._disk_access(parity, is_write=False),
-            ]
-        )
-        new_parity = old_parity ^ old_data ^ value
-        yield self.env.all_of(
-            [
-                self._disk_access(address, is_write=True),
-                self._disk_access(parity, is_write=True),
-            ]
-        )
-        self._ds_write(address, value)
-        self._ds_write(parity, new_parity)
-        return "rmw-write"
+    def _read_modify_write(self, stripe: int, role: int, address: UnitAddress,
+                           checks: typing.List[UnitAddress], value: int):
+        """Update a unit of a healthy stripe: pre-read, then write it and
+        its check units.
+
+        The pre-reads are the unit and its check units (4 accesses in
+        all with one syndrome, 6 with two), which the update folds the
+        change into. A single-parity G=3 stripe instead pre-reads its
+        other data unit, saving an access (Section 6's alpha = 0.1
+        exception), whenever that unit is readable.
+        """
+        other = None
+        if self._small_stripes:
+            other = self.layout.data_unit(stripe, 1 - role)
+            if self._address_dead(other):
+                other = None
+        if other is not None:
+            data = [value, value]
+            data[1 - role] = self._ds_read(other)
+            new_checks = gf.checks_of(data, 1)
+            pre_reads = [other]
+            path = "small-stripe-write"
+        else:
+            pre_reads = [address, *checks]
+            old = [self._ds_read(unit) for unit in pre_reads]
+            new_checks = gf.update_checks(old[1:], role, old[0], value)
+            path = self._write_paths.rmw
+        yield self._join([self._disk_access(u, is_write=False) for u in pre_reads])
+        writes = [address, *checks]
+        yield self._join([self._disk_access(u, is_write=True) for u in writes])
+        for unit, content in zip(writes, [value, *new_checks]):
+            self._ds_write(unit, content)
+        return path
 
     # Note on mirroring: G=2 stripes have one data unit, so the parity
     # unit is a byte-identical copy and *every* aligned write is a
@@ -802,403 +852,85 @@ class ArrayController:
     # declustered layouts realize Copeland & Keller's interleaved
     # declustering (see tests/array/test_mirroring.py).
 
-    def _small_stripe_write(self, stripe: int, address: UnitAddress,
-                            parity: UnitAddress, value: int):
-        """G=3 optimization: read the *other* data unit, then 2 writes.
+    def _degraded_write(self, request: UserRequest, logical: int, stripe: int,
+                        role: int, address: UnitAddress,
+                        checks: typing.List[UnitAddress], value: int):
+        """Write a unit when it or one of its check units is dead.
 
-        With only two data units per stripe the new parity depends on
-        the other unit and the new value alone, saving one access
-        (Section 6's alpha = 0.1 exception).
+        A dead unit goes to the replacement when the algorithm sends
+        user writes there (a reconstruct-write, which also rebuilds it)
+        and is otherwise folded into the check units. Every unit left
+        stale is dirtied for the sweep to redo. The syndrome count
+        decides the I/O:
+
+        - with one syndrome, a unit on a down slot counts as dead even
+          once rebuilt, and parity is written exactly when the unit is
+          dead, from the data peers read for it. A live unit means
+          parity is the dead one, and only the data is written. The plan
+          is made, and stale units dirtied, before the reads, and a lone
+          write is waited on by its own event;
+        - with two, the stripe is decoded from every readable unit, the
+          plan is made after the decode, every live check unit is
+          written, and the writes are joined with ``all_of`` even when
+          there is one.
         """
-        other = self._data_peers(stripe, address)[0]
-        other_value = self._ds_read(other)
-        yield self._disk_access(other, is_write=False)
-        new_parity = other_value ^ value
-        yield self.env.all_of(
-            [
-                self._disk_access(address, is_write=True),
-                self._disk_access(parity, is_write=True),
-            ]
-        )
-        self._ds_write(address, value)
-        self._ds_write(parity, new_parity)
-        return "small-stripe-write"
-
-    def _reconstruct_write(self, stripe: int, address: UnitAddress,
-                           parity: UnitAddress, value: int):
-        """Send a lost unit's new data straight to the replacement.
-
-        Parity must be rebuilt from the surviving data peers, after
-        which the unit is up to date on the replacement and needs no
-        sweep cycle (the user-writes family's "free reconstruction").
-        """
-        peers = self._data_peers(stripe, address)
-        peer_values = [self._ds_read(peer) for peer in peers]
-        if peers:
-            yield self.env.all_of(
-                [self._disk_access(peer, is_write=False) for peer in peers]
+        layout = self.layout
+        faults = self.faults
+        single = layout.num_syndromes == 1
+        data_units = layout.stripe_units(stripe)[: layout.data_units_per_stripe]
+        if single:
+            target_dead = (
+                address.disk in faults.failed_disks or address.disk in faults.lost_disks
             )
-        new_parity = self._xor(peer_values) ^ value
-        yield self.env.all_of(
-            [
-                self._disk_access(address, is_write=True),
-                self._disk_access(parity, is_write=True),
-            ]
+            check_writes = checks if target_dead else []
+            data = [self._ds_read(unit) for unit in data_units]
+        else:
+            target_dead = self._address_dead(address)
+            check_writes = [check for check in checks if not self._address_dead(check)]
+            decoded, _erasures = yield from self._decode(stripe)
+            if decoded is None:
+                self._record_data_loss_access(request, logical, stripe)
+                return None
+            data = [decoded[unit] for unit in data_units]
+        status = self.recon_statuses.get(address.disk)
+        rebuild = (
+            target_dead and status is not None and self.algorithm.writes_to_replacement
         )
-        self._ds_write(address, value)
-        self._ds_write(parity, new_parity)
-        self.recon_status.mark_built(address.offset)
-        return "reconstruct-write"
-
-    def _fold_write(self, stripe: int, address: UnitAddress,
-                    parity: UnitAddress, value: int):
-        """Fold a write to a lost unit into its parity unit (baseline).
-
-        After the fold, on-the-fly reconstruction of the lost unit
-        yields the *new* data, so no information is lost — but the
-        replacement gains nothing.
-        """
-        peers = self._data_peers(stripe, address)
-        peer_values = [self._ds_read(peer) for peer in peers]
-        if peers:
-            yield self.env.all_of(
-                [self._disk_access(peer, is_write=False) for peer in peers]
-            )
-        new_parity = self._xor(peer_values) ^ value
-        yield self._disk_access(parity, is_write=True)
-        self._ds_write(parity, new_parity)
-        return "fold-write"
-
-    def _data_only_write(self, address: UnitAddress, value: int):
-        """Parity is lost and unrebuilt: just write the data (1 access).
-
-        The sweep recomputes the parity unit from current data when it
-        reaches it, so skipping the parity update is safe.
-        """
-        yield self._disk_access(address, is_write=True)
-        self._ds_write(address, value)
-        return "data-only-write"
+        writes = ([address] if rebuild or not target_dead else []) + check_writes
+        self._mark_stale(u for u in (address, *checks) if u not in writes)
+        if single and target_dead:
+            peers = [unit for unit in data_units if unit != address]
+            if peers:
+                yield self.env.all_of(
+                    [self._disk_access(peer, is_write=False) for peer in peers]
+                )
+        data[role] = value
+        new_checks = gf.checks_of(data, layout.num_syndromes)
+        contents = dict(zip([address, *checks], [value, *new_checks]))
+        events = [self._disk_access(unit, is_write=True) for unit in writes]
+        yield self._join(events) if single else self.env.all_of(events)
+        for unit in writes:
+            self._ds_write(unit, contents[unit])
+        paths = self._write_paths
+        if rebuild:
+            status.mark_built(address.offset)
+            return paths.reconstruct
+        return paths.fold if target_dead else paths.check_dead
 
     def _large_write(self, request: UserRequest, stripe: int, values: typing.List[int]):
         """Full-stripe aligned write: G writes, no pre-reads (criterion 5)."""
         yield self.locks.acquire(stripe)
         try:
-            accesses = []
-            for j in range(self.layout.data_units_per_stripe):
-                address = self.layout.data_unit(stripe, j)
-                accesses.append(self._disk_access(address, is_write=True))
-                self._ds_write(address, values[j])
-            parity = self.layout.parity_unit(stripe)
-            accesses.append(self._disk_access(parity, is_write=True))
-            self._ds_write(parity, self._xor(values))
-            if self.layout.num_syndromes == 2:
-                q_addr = self.layout.q_unit(stripe)
-                accesses.append(self._disk_access(q_addr, is_write=True))
-                self._ds_write(q_addr, gf.q_of(values))
+            units = self.layout.stripe_units(stripe)
+            accesses = [self._disk_access(unit, is_write=True) for unit in units]
+            contents = values + gf.checks_of(values, self.layout.num_syndromes)
+            for unit, content in zip(units, contents):
+                self._ds_write(unit, content)
             yield self.env.all_of(accesses)
         finally:
             self.locks.release(stripe)
         request.paths.append("large-write")
         self.stats.record_path("large-write")
-
-    # ------------------------------------------------------------------
-    # Dual-syndrome (P+Q) paths
-    # ------------------------------------------------------------------
-    def _dual_stripe_decode(self, stripe: int,
-                            treat_dead: typing.Tuple[UnitAddress, ...] = (),
-                            kind: str = KIND_USER,
-                            repair_errored: bool = False):
-        """Read every readable unit of a dual stripe and decode its data.
-
-        Generator run under the stripe lock. Units on dead slots — plus
-        any in ``treat_dead`` (e.g. a unit that just returned a media
-        error) — become erasures; units whose read errors mid-decode
-        join them. Returns ``(data_values, erasures, ok)`` where ``ok``
-        is False once more than two units are unreadable.
-
-        With ``repair_errored`` (the reconstruction sweep), units that
-        errored on read — latent sectors, not dead slots — are
-        rewritten in place from the decode before returning: a stale
-        latent sector would otherwise be re-hit by every subsequent
-        sweep, each hit counting toward the disk's escalation
-        threshold until a healthy disk is declared failed mid-repair.
-
-        Data values are sampled from the datastore *before* the disk
-        accesses are issued, mirroring the single-syndrome paths: a
-        failure landing mid-decode cannot leak poison into the
-        arithmetic.
-        """
-        faults = self.faults
-        lost = faults.lost_disks
-        failed = faults.failed_disks
-        units = self.layout.stripe_units(stripe)
-        # One entry per unit in stripe order (data, P, Q): the value
-        # sampled now, or None for an erasure.
-        values: typing.List[typing.Optional[int]] = []
-        readable: typing.List[int] = []
-        for index, address in enumerate(units):
-            if (
-                address in treat_dead
-                or address.disk in lost
-                or (
-                    address.disk in failed
-                    and not self._unit_live_on(address.disk, address.offset)
-                )
-            ):
-                values.append(None)
-            else:
-                values.append(self._ds_read(address))
-                readable.append(index)
-        events = [
-            self._disk_access(units[index], is_write=False, kind=kind)
-            for index in readable
-        ]
-        if events:
-            yield self.env.all_of(events)
-        errored: typing.List[UnitAddress] = []
-        if self._fault_enabled:
-            for index, event in zip(readable, events):
-                if event.value.error is not None:
-                    values[index] = None
-                    errored.append(units[index])
-        erasures = values.count(None)
-        try:
-            decoded = gf.recover_stripe_data(values[:-2], values[-2], values[-1])
-        except ValueError:
-            return [], erasures, False
-        if repair_errored and errored:
-            # Rewriting remaps the latent sector; skip any slot a
-            # mid-decode failure just killed.
-            targets = [a for a in errored if not self._address_dead(a)]
-            if targets:
-                yield self.env.all_of(
-                    [self._disk_access(a, is_write=True, kind=kind)
-                     for a in targets]
-                )
-                for a in targets:
-                    self._ds_write(a, self._dual_unit_value(decoded, a))
-                    if self.fault_log is not None:
-                        self.fault_log.record(
-                            FOREGROUND_REPAIR, self.env.now,
-                            disk=a.disk, offset=a.offset,
-                            detail="rebuilt by recon sweep decode",
-                        )
-        return decoded, erasures, True
-
-    def _dual_unit_value(self, decoded: typing.List[int], address: UnitAddress) -> int:
-        """The decoded content of ``address`` (data, P, or Q role)."""
-        role = self.layout.stripe_of(address.disk, address.offset)[1]
-        if role >= 0:
-            return decoded[role]
-        if role == PARITY_ROLE:
-            return gf.p_of(decoded)
-        return gf.q_of(decoded)
-
-    def _read_unit_dual(self, request: UserRequest, unit_index: int):
-        """Read one unit of a P+Q stripe, decoding through up to two
-        dead slots."""
-        logical = request.logical_unit + unit_index
-        address = self.addressing.logical_unit_address(logical)
-        stripe = self.layout.stripe_of_logical(logical)
-        faults = self.faults
-        if faults.lost_disks and self._stripe_data_lost(stripe):
-            self._record_data_loss_access(request, logical, stripe)
-            return
-        if address.disk not in faults.failed_disks and address.disk not in faults.lost_disks:
-            outcome = yield self._disk_access(address, is_write=False)
-            if self._fault_enabled and outcome.error is not None:
-                yield from self._repair_read(request, unit_index, logical, address)
-                return
-            request.read_values[unit_index] = self._ds_read(address)
-            request.paths.append("read")
-            self.stats.record_path("read")
-            return
-        if (
-            address.disk in faults.failed_disks
-            and self.algorithm.redirect_reads
-            and self._unit_built_on(address.disk, address.offset)
-        ):
-            yield self._disk_access(address, is_write=False)
-            request.read_values[unit_index] = self._ds_read(address)
-            request.paths.append("redirected-read")
-            self.stats.record_path("redirected-read")
-            return
-        # Degraded read: decode the target from the surviving units.
-        handoff = False
-        yield self.locks.acquire(stripe)
-        try:
-            decoded, erasures, ok = yield from self._dual_stripe_decode(stripe)
-            if not ok:
-                self._record_data_loss_access(request, logical, stripe)
-                return
-            value = self._dual_unit_value(decoded, address)
-            request.read_values[unit_index] = value
-            path = "double-degraded-read" if erasures >= 2 else "on-the-fly-read"
-            request.paths.append(path)
-            self.stats.record_path(path)
-            status = self.recon_statuses.get(address.disk)
-            if (
-                self.algorithm.piggyback
-                and status is not None
-                and not status.is_built(address.offset)
-                and not status.is_claimed(address.offset)
-            ):
-                # Lock ownership transfers to the piggyback process,
-                # exactly as on the single-syndrome path.
-                self.stats.piggyback_writes += 1
-                self.env.process(
-                    self._piggyback_write(stripe, address, value, status),
-                    name="piggyback",
-                )
-                handoff = True
-        finally:
-            if not handoff:
-                self.locks.release(stripe)
-
-    def _repair_read_dual(self, request: UserRequest, unit_index: int,
-                          logical: int, target: UnitAddress):
-        """Foreground repair on a P+Q stripe: decode the latent unit
-        from the surviving units and write it back in place."""
-        stripe = self.layout.stripe_of_logical(logical)
-        yield self.locks.acquire(stripe)
-        try:
-            decoded, _erasures, ok = yield from self._dual_stripe_decode(
-                stripe, treat_dead=(target,)
-            )
-            if not ok:
-                self._record_data_loss_access(request, logical, stripe)
-                return
-            value = self._dual_unit_value(decoded, target)
-            yield self._disk_access(target, is_write=True)
-            self._ds_write(target, value)
-        finally:
-            self.locks.release(stripe)
-        request.read_values[unit_index] = value
-        request.paths.append("repaired-read")
-        self.stats.record_path("repaired-read")
-        self.fault_log.record(
-            FOREGROUND_REPAIR,
-            self.env.now,
-            disk=target.disk,
-            offset=target.offset,
-            detail=f"logical unit {logical}",
-        )
-
-    def _write_unit_dual(self, request: UserRequest, logical: int, value: int):
-        """Update one unit of a P+Q stripe plus both its checks."""
-        address = self.addressing.logical_unit_address(logical)
-        stripe = self.layout.stripe_of_logical(logical)
-        if self.faults.lost_disks and self._stripe_data_lost(stripe):
-            self._record_data_loss_access(request, logical, stripe)
-            return
-        p_addr = self.layout.parity_unit(stripe)
-        q_addr = self.layout.q_unit(stripe)
-        path = None
-        yield self.locks.acquire(stripe)
-        try:
-            target_dead = self._address_dead(address)
-            p_dead = self._address_dead(p_addr)
-            q_dead = self._address_dead(q_addr)
-            if not (target_dead or p_dead or q_dead):
-                path = yield from self._pq_read_modify_write(
-                    address, p_addr, q_addr, value
-                )
-            else:
-                decoded, _erasures, ok = yield from self._dual_stripe_decode(stripe)
-                if not ok:
-                    self._record_data_loss_access(request, logical, stripe)
-                else:
-                    path = yield from self._pq_apply_degraded_write(
-                        address, p_addr, q_addr, decoded, value,
-                        target_dead, p_dead, q_dead,
-                    )
-        finally:
-            self.locks.release(stripe)
-        if path is not None:
-            request.paths.append(path)
-            self.stats.record_path(path)
-
-    def _pq_read_modify_write(self, address: UnitAddress, p_addr: UnitAddress,
-                              q_addr: UnitAddress, value: int):
-        """The 6-access P+Q update: pre-read then rewrite data, P, Q."""
-        role = self.layout.stripe_of(address.disk, address.offset)[1]
-        old_data = self._ds_read(address)
-        old_p = self._ds_read(p_addr)
-        old_q = self._ds_read(q_addr)
-        yield self.env.all_of(
-            [
-                self._disk_access(address, is_write=False),
-                self._disk_access(p_addr, is_write=False),
-                self._disk_access(q_addr, is_write=False),
-            ]
-        )
-        new_p = old_p ^ old_data ^ value
-        new_q = gf.q_update(old_q, role, old_data, value)
-        yield self.env.all_of(
-            [
-                self._disk_access(address, is_write=True),
-                self._disk_access(p_addr, is_write=True),
-                self._disk_access(q_addr, is_write=True),
-            ]
-        )
-        self._ds_write(address, value)
-        self._ds_write(p_addr, new_p)
-        self._ds_write(q_addr, new_q)
-        return "pq-rmw-write"
-
-    def _pq_apply_degraded_write(self, address: UnitAddress, p_addr: UnitAddress,
-                                 q_addr: UnitAddress, decoded: typing.List[int],
-                                 value: int, target_dead: bool, p_dead: bool,
-                                 q_dead: bool):
-        """Finish a degraded P+Q write from the decoded stripe image.
-
-        Live units (target or checks) are rewritten with fresh contents;
-        dead ones are folded into the survivors — their rebuilt image
-        goes stale, so any rebuild in progress has the unit dirtied
-        *before* the writes land, exactly like the single-syndrome fold.
-        """
-        role = self.layout.stripe_of(address.disk, address.offset)[1]
-        new_data = list(decoded)
-        new_data[role] = value
-        new_p = gf.p_of(new_data)
-        new_q = gf.q_of(new_data)
-        writes: typing.List[typing.Tuple[UnitAddress, int]] = []
-        built_target = False
-        if not target_dead:
-            writes.append((address, value))
-            path = "pq-degraded-write"
-        else:
-            status = self.recon_statuses.get(address.disk)
-            if (
-                address.disk in self.faults.failed_disks
-                and self.faults.replacement_installed_on(address.disk)
-                and self.algorithm.writes_to_replacement
-            ):
-                writes.append((address, value))
-                built_target = True
-                path = "pq-reconstruct-write"
-            else:
-                if status is not None:
-                    status.mark_dirty(address.offset)
-                path = "pq-fold-write"
-        for check_addr, check_value, check_dead in (
-            (p_addr, new_p, p_dead),
-            (q_addr, new_q, q_dead),
-        ):
-            if not check_dead:
-                writes.append((check_addr, check_value))
-            else:
-                status = self.recon_statuses.get(check_addr.disk)
-                if status is not None:
-                    status.mark_dirty(check_addr.offset)
-        yield self.env.all_of(
-            [self._disk_access(a, is_write=True) for a, _v in writes]
-        )
-        for write_addr, write_value in writes:
-            self._ds_write(write_addr, write_value)
-        if built_target:
-            self.recon_statuses[address.disk].mark_built(address.offset)
-        return path
 
 
 class _RetryingAccess(Event):

@@ -150,30 +150,26 @@ class ParityScrubber:
     def _repair_errored(self, stripe: int, bad_units):
         """Rebuild errored unit(s) from the stripe's readable units.
 
-        Single-syndrome stripes XOR the survivors; dual-syndrome
-        stripes decode through :mod:`repro.array.syndromes`. Runs under
-        the stripe lock the caller already holds.
+        Single-syndrome stripes XOR the values the scrub just read;
+        dual-syndrome stripes read the stripe again and decode it. Runs
+        under the stripe lock the caller already holds.
         """
         controller = self.controller
         layout = controller.layout
-        units = layout.stripe_units(stripe)
         if layout.num_syndromes == 1:
-            bad = bad_units[0]
-            rebuilt = controller._xor(
-                controller._ds_read(unit) for unit in units if unit != bad
-            )
-            values = {bad: rebuilt}
+            units = layout.stripe_units(stripe)
+            values = [
+                None if unit in bad_units else controller._ds_read(unit)
+                for unit in units
+            ]
+            decoded = dict(zip(units, gf.decode(values, 1)))
         else:
-            decoded, _erasures, ok = yield from controller._dual_stripe_decode(
-                stripe, treat_dead=tuple(bad_units), kind=KIND_RECON
+            decoded, _erasures = yield from controller._decode(
+                stripe, tuple(bad_units), kind=KIND_RECON
             )
-            if not ok:
+            if decoded is None:
                 return
-            values = {
-                bad: controller._dual_unit_value(decoded, bad)
-                for bad in bad_units
-            }
-        for bad, rebuilt in values.items():
+        for bad in bad_units:
             yield controller._disk_access(bad, is_write=True, kind=KIND_RECON)
-            controller._ds_write(bad, rebuilt)
+            controller._ds_write(bad, decoded[bad])
             self.report.media_repairs += 1

@@ -1,7 +1,16 @@
-"""P+Q syndrome arithmetic over GF(2^64) for dual-syndrome stripes.
+"""Check-unit arithmetic for stripes with one or two syndromes.
 
-A dual-syndrome (RAID-6 style) stripe holds ``G - 2`` data units plus
-two check units:
+The controller, the rebuild sweep and the scrubber use three entry
+points, whatever the layout's syndrome count:
+
+- :func:`checks_of` computes a stripe's check units from its data;
+- :func:`update_checks` folds a one-unit change into them (the
+  read-modify-write update);
+- :func:`decode` fills in a stripe's erasures.
+
+With one syndrome the only check unit is P and all three are plain
+XOR. A dual-syndrome (RAID-6 style) stripe holds ``G - 2`` data units
+plus two check units:
 
 - **P** — the plain XOR of the data units (the paper's single parity);
 - **Q** — the Reed-Solomon-style syndrome ``Q = sum x^j * d_j`` where
@@ -25,7 +34,8 @@ stripe are recoverable:
   syndrome XOR the contribution of the surviving units);
 - missing check units are recomputed from data.
 
-Everything here is pure word arithmetic on Python ints; the small
+Check units are listed in the layout's ``syndrome_roles`` order, P
+then Q. Everything here is pure word arithmetic on Python ints; the small
 per-position constants (``x^j`` and the pairwise inverses) are memoised
 because stripe width ``G`` is tiny (<= 21) while inversion costs a full
 square-and-multiply ladder.
@@ -213,3 +223,55 @@ def recover_stripe_data(
     rebuilt[j_a] = d_a
     rebuilt[j_b] = d_b
     return [typing.cast(int, v) for v in rebuilt]
+
+
+# ----------------------------------------------------------------------
+# Stripe entry points: one or two syndromes
+# ----------------------------------------------------------------------
+def checks_of(data: typing.Sequence[int], num_syndromes: int) -> typing.List[int]:
+    """The check units of a stripe holding ``data``: ``[P]`` or ``[P, Q]``."""
+    if num_syndromes == 1:
+        return [p_of(data)]
+    return [p_of(data), q_of(data)]
+
+
+def update_checks(
+    checks: typing.Sequence[int], pos: int, old_value: int, new_value: int
+) -> typing.List[int]:
+    """New check units after data position ``pos`` changes value.
+
+    ``checks`` holds the old check units. P changes by ``old ^ new``
+    and Q by ``x^pos * (old ^ new)``, so neither needs the other data
+    units.
+    """
+    new_p = checks[0] ^ old_value ^ new_value
+    if len(checks) == 1:
+        return [new_p]
+    return [new_p, q_update(checks[1], pos, old_value, new_value)]
+
+
+def decode(
+    values: typing.Sequence[typing.Optional[int]], num_syndromes: int
+) -> typing.Optional[typing.List[int]]:
+    """Fill in the erasures of one stripe, or None if there are too many.
+
+    ``values`` lists the stripe's units in layout order (data units by
+    position, then the check units) with None for each erasure. Up to
+    ``num_syndromes`` erasures are recovered. With one syndrome the
+    missing unit, data or parity, is the XOR of all the others. With
+    two, :func:`recover_stripe_data` solves for lost data and lost
+    check units are recomputed from the data. Units that were present
+    are returned as given.
+    """
+    erasures = values.count(None)
+    if erasures > num_syndromes:
+        return None
+    stripe = list(values)
+    if not erasures:
+        return stripe
+    if num_syndromes == 1:
+        stripe[stripe.index(None)] = p_of(v for v in values if v is not None)
+        return stripe
+    data = recover_stripe_data(values[:-2], values[-2], values[-1])
+    p, q = values[-2], values[-1]
+    return data + [p_of(data) if p is None else p, q_of(data) if q is None else q]

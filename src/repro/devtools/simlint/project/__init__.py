@@ -6,7 +6,7 @@ everything in this package sees the whole tree at once:
 - :mod:`~repro.devtools.simlint.project.modules` — the
   :class:`ProjectContext`: every module parsed, functions and classes
   indexed by qualified name, imports and lightweight type annotations
-  resolved so ``self.controller._xor`` finds the method it names.
+  resolved so ``self.controller._decode`` finds the method it names.
 - :mod:`~repro.devtools.simlint.project.callgraph` — call sites
   resolved against that index into a project-wide call graph.
 - :mod:`~repro.devtools.simlint.project.taint` — interprocedural

@@ -60,7 +60,7 @@ def _degraded_config():
     )
 
 
-def _pq_campaign_config():
+def _campaign_pq_config():
     from repro.experiments.campaign import (
         MICRO,
         REPLACEMENT_DELAY_MS,
@@ -90,7 +90,7 @@ def _pq_campaign_config():
 SCENARIOS: typing.Dict[str, typing.Tuple[typing.Callable, bool]] = {
     "recon": (_recon_config, True),
     "degraded": (_degraded_config, True),
-    "pq-campaign": (_pq_campaign_config, False),
+    "pq-campaign": (_campaign_pq_config, False),
 }
 
 

@@ -1,9 +1,10 @@
 """The reconstruction sweep: single-threaded or N-way parallel.
 
 Each worker repeatedly claims the next lost unit of the failed disk,
-locks its parity stripe, reads all surviving units of that stripe in
-parallel (the *read phase*), XORs them, and writes the recovered unit
-to the replacement (the *write phase*). Section 8.1 shows a single
+locks its parity stripe, reads the rest of that stripe in parallel
+(the *read phase*), decodes the unit from it (an XOR with one
+syndrome), and writes the recovered unit to the replacement (the
+*write phase*). Section 8.1 shows a single
 worker cannot keep any disk busy, so :class:`Reconstructor` runs a
 configurable number of workers against a shared claim cursor.
 
@@ -172,7 +173,6 @@ class Reconstructor:
         layout = controller.layout
         status = self.status
         failed = self.disk
-        dual = layout.num_syndromes == 2
         while True:
             offset = status.claim_next()
             if offset is None:
@@ -191,38 +191,20 @@ class Reconstructor:
                     # and account the loss.
                     self._surrender(stripe, offset)
                     continue
-                target = self._address(failed, offset)
-                if dual:
-                    # P+Q decode through up to one *other* dead unit —
-                    # this is what lets a rebuild continue (rather than
-                    # abort) when a second disk fails mid-sweep.
-                    read_start = env.now
-                    decoded, _erasures, ok = yield from controller._dual_stripe_decode(
-                        stripe, treat_dead=(target,), kind=KIND_RECON,
-                        repair_errored=True,
-                    )
-                    if not ok:
-                        self._surrender(stripe, offset)
-                        continue
-                    value = controller._dual_unit_value(decoded, target)
-                else:
-                    peers = controller._surviving_peers(stripe, target)
-                    value = controller._xor(
-                        controller._ds_read(peer) for peer in peers
-                    )
-                    read_start = env.now
-                    peer_events = [
-                        controller._disk_access(peer, is_write=False, kind=KIND_RECON)
-                        for peer in peers
-                    ]
-                    yield env.all_of(peer_events)
-                    if controller._fault_enabled and any(
-                        event.value.error is not None for event in peer_events
-                    ):
-                        # A peer was unreadable (latent error survived the
-                        # retries): this unit cannot be rebuilt by the sweep.
-                        self._surrender(stripe, offset)
-                        continue
+                target = UnitAddress(failed, offset)
+                read_start = env.now
+                # With P+Q the decode reads around up to one *other* dead
+                # unit, which lets a rebuild continue (rather than abort)
+                # when a second disk fails mid-sweep.
+                decoded, _erasures = yield from controller._decode(
+                    stripe, (target,), kind=KIND_RECON, repair_errored=True
+                )
+                if decoded is None:
+                    # A peer was unreadable too (a latent error survived
+                    # the retries): the sweep cannot rebuild this unit.
+                    self._surrender(stripe, offset)
+                    continue
+                value = decoded[target]
                 write_start = env.now
                 yield controller._disk_access(target, is_write=True, kind=KIND_RECON)
                 controller._ds_write(target, value)
@@ -260,7 +242,3 @@ class Reconstructor:
             controller.fault_log.record(
                 REBUILD_LOST, controller.env.now, stripe=stripe, offset=offset
             )
-
-    @staticmethod
-    def _address(disk: int, offset: int) -> UnitAddress:
-        return UnitAddress(disk=disk, offset=offset)
