@@ -21,6 +21,7 @@ fault campaign summary.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -86,6 +87,20 @@ class ScenarioConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.recon_workers < 1:
             raise ValueError("recon_workers must be >= 1")
+        if not (math.isfinite(self.user_rate_per_s) and self.user_rate_per_s >= 0):
+            raise ValueError(
+                f"user_rate_per_s must be finite and >= 0, got {self.user_rate_per_s}"
+            )
+        if not 0.0 <= self.read_fraction <= 1.0:
+            raise ValueError(f"read_fraction must be in [0, 1], got {self.read_fraction}")
+        for name in ("recon_cycle_delay_ms", "replacement_delay_ms"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.mission_ms is not None and not (
+            math.isfinite(self.mission_ms) and self.mission_ms > 0
+        ):
+            raise ValueError(f"mission_ms must be finite and > 0, got {self.mission_ms}")
         if self.mode == "campaign" and self.fault_profile is None:
             raise ValueError("campaign mode requires a fault_profile")
         if self.spares < 0:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -185,8 +186,12 @@ def _parse_campaign(document: typing.Mapping) -> JobSpec:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise SpecError("'seed' must be an integer")
     mission_hours = document.get("mission_hours", MISSION_HOURS)
-    if not isinstance(mission_hours, (int, float)) or mission_hours <= 0:
-        raise SpecError("'mission_hours' must be a positive number")
+    if (
+        not isinstance(mission_hours, (int, float))
+        or not math.isfinite(mission_hours)
+        or mission_hours <= 0
+    ):
+        raise SpecError("'mission_hours' must be a positive finite number")
     if len(stripe_sizes) * trials > MAX_POINTS:
         raise SpecError(
             f"campaign enumerates {len(stripe_sizes) * trials} trials; "

@@ -37,6 +37,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             micro_config(mode="recon", recon_workers=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("user_rate_per_s", float("nan")),
+        ("user_rate_per_s", float("inf")),
+        ("user_rate_per_s", -1.0),
+        ("read_fraction", float("nan")),
+        ("read_fraction", -0.1),
+        ("read_fraction", 1.5),
+        ("recon_cycle_delay_ms", float("inf")),
+        ("recon_cycle_delay_ms", float("nan")),
+        ("recon_cycle_delay_ms", -1.0),
+        ("replacement_delay_ms", float("nan")),
+        ("replacement_delay_ms", float("inf")),
+        ("replacement_delay_ms", -1.0),
+        ("mission_ms", float("nan")),
+        ("mission_ms", float("inf")),
+        ("mission_ms", -1.0),
+        ("mission_ms", 0.0),
+    ])
+    def test_out_of_range_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            micro_config(**{field: value})
+
     def test_alpha(self):
         assert micro_config(stripe_size=5).alpha == pytest.approx(0.2)
 

@@ -34,6 +34,24 @@ class TestScenario:
         assert rebuilt.configs == spec.configs
         assert rebuilt.job_id() == spec.job_id()
 
+    @pytest.mark.parametrize("field, text", [
+        ("recon_cycle_delay_ms", "Infinity"),
+        ("recon_cycle_delay_ms", "NaN"),
+        ("user_rate_per_s", "NaN"),
+        ("user_rate_per_s", "Infinity"),
+        ("read_fraction", "NaN"),
+        ("replacement_delay_ms", "NaN"),
+        ("mission_ms", "NaN"),
+        ("mission_ms", "-1"),
+    ])
+    def test_non_finite_or_out_of_range_numbers_rejected(self, field, text):
+        raw = micro_scenario_spec()
+        # The service parses bodies with json.loads, which accepts NaN
+        # and Infinity.
+        raw["config"][field] = json.loads(text)
+        with pytest.raises(SpecError, match=field):
+            parse_spec(raw)
+
     def test_nan_fault_profile_rejected(self):
         raw = micro_scenario_spec()
         # The service parses bodies with json.loads, which accepts NaN.
@@ -174,6 +192,14 @@ MALFORMED = [
     pytest.param(
         {"kind": "campaign", "mission_hours": -1}, "mission_hours",
         id="campaign-bad-mission",
+    ),
+    pytest.param(
+        {"kind": "campaign", "mission_hours": float("nan")}, "mission_hours",
+        id="campaign-nan-mission",
+    ),
+    pytest.param(
+        {"kind": "campaign", "mission_hours": float("inf")}, "mission_hours",
+        id="campaign-infinite-mission",
     ),
 ]
 
