@@ -329,16 +329,18 @@ class ArrayController:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, request: UserRequest):
-        """Begin servicing a user request; returns its completion event."""
+        """Begin servicing a user request; returns its completion event.
+
+        The event is the request's process, which completes with the
+        request.
+        """
         if request.logical_unit + request.num_units > self.addressing.num_data_units:
             raise ValueError(
                 f"request [{request.logical_unit}, +{request.num_units}) exceeds "
                 f"data space of {self.addressing.num_data_units} units"
             )
-        done = self.env.event()
         request.submit_ms = self.env.now
-        self.env.process(self._handle(request, done), name="user-request")
-        return done
+        return self.env.process(self._handle(request), name="user-request")
 
     def read(self, logical_unit: int, num_units: int = 1):
         """Convenience: submit a read, returning its completion event."""
@@ -358,9 +360,9 @@ class ArrayController:
     # ------------------------------------------------------------------
     # Request decomposition
     # ------------------------------------------------------------------
-    def _handle(self, request: UserRequest, done: Event):
+    def _handle(self, request: UserRequest):
         """The request's one process: run its sub-operations, then
-        succeed ``done`` with the request.
+        return the request, which the process completes with.
 
         A request that plans to a single sub-operation (one unit read or
         written, or one full-stripe write) runs it inline, so a
@@ -368,9 +370,9 @@ class ArrayController:
         without a fault profile. Larger requests run one process per
         sub-operation and join them.
 
-        The request holds no reference to ``done``: the event's value is
-        the request, so a link back would make every finished request a
-        reference cycle.
+        The request holds no reference to its process: the process's
+        value is the request, so a link back would make every finished
+        request a reference cycle.
         """
         if request.is_write:
             self.stats.user_writes += 1
@@ -389,7 +391,7 @@ class ArrayController:
             (self._write_latency if request.is_write else self._read_latency).record(
                 now - request.submit_ms
             )
-        done.succeed(request)
+        return request
 
     def _plan_write(self, request: UserRequest):
         """Split a write into large-write groups and per-unit updates.
