@@ -19,6 +19,10 @@ reconstruct-write (user-writes+)  G-2 reads + data & parity writes
 redirected read                   1 read of the replacement
 ================================  =====================================
 
+Dual-syndrome (P+Q) layouts take the same paths with a second check
+unit: a fault-free write is 3 reads + 3 writes, and degraded reads and
+writes decode the stripe from its live units.
+
 An optional :class:`DataStore` carries real 64-bit contents for every
 unit plus parity, so integration tests can fail a disk, reconstruct it,
 and verify bit-exact recovery end to end.

@@ -119,9 +119,7 @@ class ParityScrubber:
                 if controller.datastore is None:
                     continue
                 data = [controller._ds_read(unit) for unit in units[:-num_syndromes]]
-                checks = [(units[-num_syndromes], gf.p_of(data))]
-                if num_syndromes == 2:
-                    checks.append((units[-1], gf.q_of(data)))
+                checks = zip(units[-num_syndromes:], gf.checks_of(data, num_syndromes))
                 stripe_stale = False
                 for check_unit, expected in checks:
                     if controller._ds_read(check_unit) == expected:

@@ -4,9 +4,9 @@ Each worker repeatedly claims the next lost unit of the failed disk,
 locks its parity stripe, reads the rest of that stripe in parallel
 (the *read phase*), decodes the unit from it (an XOR with one
 syndrome), and writes the recovered unit to the replacement (the
-*write phase*). Section 8.1 shows a single
-worker cannot keep any disk busy, so :class:`Reconstructor` runs a
-configurable number of workers against a shared claim cursor.
+*write phase*). Section 8.1 shows a single worker cannot keep any disk
+busy, so :class:`Reconstructor` runs a configurable number of workers
+against a shared claim cursor.
 
 Every cycle's read- and write-phase durations are recorded; Table 8-1
 is the average of the last 300 cycles, where redirection is at its

@@ -1,5 +1,6 @@
 """GF(2^64) syndrome arithmetic: field axioms, Q updates, erasure solves."""
 
+import itertools
 import random
 
 import pytest
@@ -140,3 +141,46 @@ class TestSyndromes:
     def test_recover_two_rejects_equal_positions(self):
         with pytest.raises(ValueError):
             gf.recover_two(1, 2, 3, 3)
+
+
+class TestStripeEntryPoints:
+    """``checks_of``, ``update_checks`` and ``decode`` for one or two
+    syndromes: the only syndrome calls the controller makes."""
+
+    @pytest.mark.parametrize("num_syndromes", [1, 2])
+    def test_checks_of_lists_p_then_q(self, num_syndromes):
+        data = [3, 1, 4, 1, 5]
+        expected = [gf.p_of(data), gf.q_of(data)][:num_syndromes]
+        assert gf.checks_of(data, num_syndromes) == expected
+
+    @pytest.mark.parametrize("num_syndromes", [1, 2])
+    def test_update_checks_matches_recompute(self, num_syndromes):
+        rng = random.Random(9)
+        data = [rng.getrandbits(64) for _ in range(6)]
+        checks = gf.checks_of(data, num_syndromes)
+        for pos in range(len(data)):
+            new = rng.getrandbits(64)
+            checks = gf.update_checks(checks, pos, data[pos], new)
+            data[pos] = new
+            assert checks == gf.checks_of(data, num_syndromes)
+
+    @pytest.mark.parametrize("num_syndromes", [1, 2])
+    def test_decode_fills_any_erasures_up_to_the_syndromes(self, num_syndromes):
+        rng = random.Random(10)
+        data = [rng.getrandbits(64) for _ in range(5)]
+        stripe = data + gf.checks_of(data, num_syndromes)
+        for lost in itertools.combinations(range(len(stripe)), num_syndromes):
+            holes = [None if i in lost else v for i, v in enumerate(stripe)]
+            assert gf.decode(holes, num_syndromes) == stripe
+
+    @pytest.mark.parametrize("num_syndromes", [1, 2])
+    def test_decode_gives_up_past_the_syndromes(self, num_syndromes):
+        stripe = [1, 2, 3, 4, 5]
+        holes = [None] * (num_syndromes + 1) + stripe[num_syndromes + 1:]
+        assert gf.decode(holes, num_syndromes) is None
+
+    def test_decode_returns_present_units_as_given(self):
+        # A stale check unit that was read is not recomputed.
+        data = [3, 1, 4]
+        stripe = [None] + data[1:] + [gf.p_of(data), 0xBAD]
+        assert gf.decode(stripe, 2) == data + [gf.p_of(data), 0xBAD]
