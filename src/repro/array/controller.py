@@ -549,10 +549,6 @@ class ArrayController:
         else:
             self.fail_disk(disk_id)
 
-    def _join(self, events: typing.List[Event]) -> Event:
-        """The event to wait on: a lone event itself, several joined."""
-        return events[0] if len(events) == 1 else self.env.all_of(events)
-
     def _ds_read(self, address: UnitAddress) -> int:
         if self.datastore is None:
             return 0
@@ -833,16 +829,18 @@ class ArrayController:
             data = [value, value]
             data[1 - role] = self._ds_read(other)
             new_checks = gf.checks_of(data, 1)
-            pre_reads = [other]
             path = "small-stripe-write"
+            yield self._disk_access(other, is_write=False)
         else:
             pre_reads = [address, *checks]
             old = [self._ds_read(unit) for unit in pre_reads]
             new_checks = gf.update_checks(old[1:], role, old[0], value)
             path = self._write_paths.rmw
-        yield self._join([self._disk_access(u, is_write=False) for u in pre_reads])
+            yield self.env.all_of(
+                [self._disk_access(unit, is_write=False) for unit in pre_reads]
+            )
         writes = [address, *checks]
-        yield self._join([self._disk_access(u, is_write=True) for u in writes])
+        yield self.env.all_of([self._disk_access(u, is_write=True) for u in writes])
         for unit, content in zip(writes, [value, *new_checks]):
             self._ds_write(unit, content)
         return path
@@ -910,7 +908,7 @@ class ArrayController:
         new_checks = gf.checks_of(data, layout.num_syndromes)
         contents = dict(zip([address, *checks], [value, *new_checks]))
         events = [self._disk_access(unit, is_write=True) for unit in writes]
-        yield self._join(events) if single else self.env.all_of(events)
+        yield events[0] if single and len(events) == 1 else self.env.all_of(events)
         for unit in writes:
             self._ds_write(unit, contents[unit])
         paths = self._write_paths

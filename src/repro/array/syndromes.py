@@ -270,7 +270,8 @@ def decode(
     if not erasures:
         return stripe
     if num_syndromes == 1:
-        stripe[stripe.index(None)] = p_of(v for v in values if v is not None)
+        missing = stripe.index(None)
+        stripe[missing] = p_of(stripe[:missing] + stripe[missing + 1:])
         return stripe
     data = recover_stripe_data(values[:-2], values[-2], values[-1])
     p, q = values[-2], values[-1]

@@ -124,6 +124,7 @@ class ParityLayout:
         self.name = name or type(self).__name__
         self.data_mapping = data_mapping
         self._data_units_per_stripe = stripe_size - num_syndromes
+        self._syndrome_roles = (PARITY_ROLE, Q_ROLE)[:num_syndromes]
 
     # ------------------------------------------------------------------
     # Period-local primitives (the subclass contract)
@@ -159,7 +160,7 @@ class ParityLayout:
     @property
     def syndrome_roles(self) -> typing.Tuple[int, ...]:
         """The check-unit roles: ``(PARITY_ROLE,)`` or ``(PARITY_ROLE, Q_ROLE)``."""
-        return (PARITY_ROLE, Q_ROLE)[: self.num_syndromes]
+        return self._syndrome_roles
 
     @property
     def mapping_table_units(self) -> int:
