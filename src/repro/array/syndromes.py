@@ -35,10 +35,10 @@ stripe are recoverable:
 - missing check units are recomputed from data.
 
 Check units are listed in the layout's ``syndrome_roles`` order, P
-then Q. Everything here is pure word arithmetic on Python ints; the small
-per-position constants (``x^j`` and the pairwise inverses) are memoised
-because stripe width ``G`` is tiny (<= 21) while inversion costs a full
-square-and-multiply ladder.
+then Q. Everything here is pure word arithmetic on Python ints; the
+small per-position constants (``x^j`` and the pairwise inverses) are
+memoised because stripe width ``G`` is tiny (<= 21) while inversion
+costs a full square-and-multiply ladder.
 """
 
 from __future__ import annotations
