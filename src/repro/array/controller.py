@@ -15,10 +15,11 @@ different I/O, the one path chooses by the count:
 
 - an on-the-fly read with one syndrome XORs the target back from every
   other unit; with two it reads every live unit and decodes;
-- a degraded write with one syndrome reads only the data peers the new
-  parity needs (none when parity is dead) and dirties the stale unit
-  before them; with two it decodes from every readable unit and dirties
-  after the decode;
+- a degraded write with one syndrome counts a unit on a down slot as
+  dead even once rebuilt, reads only the data peers the new parity
+  needs (none when parity is dead), and dirties the stale unit before
+  those reads; with two it decodes from every readable unit, writes
+  every live unit, and dirties after the decode;
 - a lone degraded write waits on its own disk event with one syndrome,
   and on ``all_of`` with two;
 - a repair read with one syndrome gives up without reading when a peer
