@@ -3,7 +3,7 @@
 Each line is one request as the drive completed it: disk id; submit,
 start-of-service and completion times (``repr``, so every float bit
 shows); start sector; sector count; write flag; kind; and the seek,
-rotation and transfer times ``DiskStats.record`` received. Ten
+rotation and transfer times ``DiskStats.record`` received. Twelve
 deterministic scenarios are pinned:
 
 - the two scenarios of ``test_golden_trace.py`` (fault-free service at
@@ -24,9 +24,13 @@ deterministic scenarios are pinned:
   small-stripe write, large writes and mirrored-read balancing;
 - latent sector errors during a single-parity rebuild, where unreadable
   peers end on-the-fly reads, repairs and sweep cycles;
+- a single-parity array with a fault profile failing past its
+  tolerance, where writes fold into a lost parity unit;
 - a redirect+piggyback P+Q array with latent sector errors, two failed
   disks and 2-unit writes, which takes every P+Q path, makes piggyback
-  writes and repairs a latent unit inside the rebuild's decode.
+  writes and repairs a latent unit inside the rebuild's decode;
+- a user-writes P+Q rebuild whose replacement arrives while degraded
+  writes are decoding.
 
 Lines of the fault-profile scenarios and the P+Q double failure also
 end with the request's ``error`` (``None``, ``media`` or ``timeout``),
@@ -75,7 +79,7 @@ from repro.faults.log import (
 )
 from repro.faults.profile import FaultProfile
 from repro.recon import Reconstructor
-from repro.recon.algorithms import REDIRECT_PIGGYBACK
+from repro.recon.algorithms import REDIRECT_PIGGYBACK, USER_WRITES
 from repro.workload import SyntheticWorkload, WorkloadConfig
 from tests.conftest import build_array, build_dual_array
 from tests.integration.test_golden_trace import (
@@ -245,6 +249,81 @@ def fault_rebuild() -> None:
     workload.stop()
 
 
+def fault_second_failure() -> None:
+    """Single parity past its tolerance, C=5 G=3, with a fault profile.
+
+    Latent errors arrive at 50 per disk per simulated second, 5% of
+    accesses time out and four hard errors fail a disk. Traffic is
+    150/s of 1-unit accesses plus 40/s of 2-unit ones. Disk 1 fails at
+    200 ms, a replacement and a 2-way baseline rebuild start at 300 ms,
+    and disk 3 fails at 600 ms, beyond the tolerance; run to 1,500 ms.
+    Writes then meet units on a down slot whose parity disk is lost,
+    which single parity folds into the dead parity even when the unit
+    is rebuilt (P+Q would write the live unit instead).
+    """
+    array = build_array(
+        num_disks=5, stripe_size=3, cylinders=3, with_datastore=False,
+        fault_profile=FaultProfile(
+            latent_errors_per_hour=180_000.0, transient_error_prob=0.05,
+            seed=3, escalation_threshold=4,
+        ),
+    )
+    controller = array.controller
+    FaultInjector(controller).start()
+    workloads = _start_workloads(controller, units=2)
+    array.env.run(until=200.0)
+    controller.fail_disk(1)
+    array.env.run(until=300.0)
+    controller.install_replacement(1)
+    Reconstructor(controller, workers=2, disk=1).start()
+    array.env.run(until=600.0)
+    controller.fail_disk(3)
+    array.env.run(until=1_500.0)
+    for workload in workloads:
+        workload.stop()
+
+
+def pq_replacement_mid_decode() -> None:
+    """A user-writes P+Q rebuild whose replacement arrives mid-write.
+
+    Full-width P+Q over 6 disks (cyclic RAID 6), 3 cylinders, no fault
+    profile. Traffic is 150/s of 1-unit accesses plus 40/s of 4-unit
+    ones. Disk 1 fails at 300 ms; its replacement and a 2-way rebuild
+    start at 500 ms, while degraded writes are decoding, so those writes
+    must choose reconstruct-write over fold after the decode; run to
+    1,500 ms.
+    """
+    array = build_dual_array(
+        num_disks=6, cylinders=3, with_datastore=False, algorithm=USER_WRITES
+    )
+    controller = array.controller
+    workloads = _start_workloads(controller, units=4)
+    array.env.run(until=300.0)
+    controller.fail_disk(1)
+    array.env.run(until=500.0)
+    controller.install_replacement(1)
+    Reconstructor(controller, workers=2, disk=1).start()
+    array.env.run(until=1_500.0)
+    for workload in workloads:
+        workload.stop()
+
+
+def _start_workloads(controller, units: int) -> list:
+    """150/s of 1-unit accesses at 50% reads plus 40/s of ``units``-unit
+    ones at 30% reads, running until stopped."""
+    workloads = [
+        SyntheticWorkload(controller, WorkloadConfig(
+            access_rate_per_s=150.0, read_fraction=0.5, seed=11,
+        )),
+        SyntheticWorkload(controller, WorkloadConfig(
+            access_rate_per_s=40.0, read_fraction=0.3, access_units=units, seed=12,
+        )),
+    ]
+    for workload in workloads:
+        workload.run(duration_ms=float("inf"))
+    return workloads
+
+
 def pq_faults() -> FaultLog:
     """Latent errors, two failures and a redirect+piggyback P+Q rebuild.
 
@@ -294,13 +373,16 @@ SCENARIOS = {
     "io_recon_redirect_piggyback.txt": recon_redirect_piggyback,
     "io_small_stripes.txt": small_stripes,
     "io_fault_rebuild.txt": fault_rebuild,
+    "io_fault_second_failure.txt": fault_second_failure,
     "io_pq_faults.txt": pq_faults,
+    "io_pq_replacement_mid_decode.txt": pq_replacement_mid_decode,
 }
 
 #: Fixtures whose lines also carry each request's ``error``.
 WITH_ERRORS = frozenset({
     "io_pq_double_failure.txt", "io_fault_trial.txt",
-    "io_fault_escalation.txt", "io_fault_rebuild.txt", "io_pq_faults.txt",
+    "io_fault_escalation.txt", "io_fault_rebuild.txt",
+    "io_fault_second_failure.txt", "io_pq_faults.txt",
 })
 
 #: Every access-path label each family can record, by syndrome count.
