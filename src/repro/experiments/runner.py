@@ -112,6 +112,16 @@ class ScenarioConfig:
                 f"stripe size {self.stripe_size} leaves no data units with "
                 f"{self.syndromes} syndromes"
             )
+        # The widest stripe is RAID 5's, where G = C.
+        if self.num_disks < self.stripe_size:
+            raise ValueError(
+                f"num_disks must be >= stripe size {self.stripe_size}, "
+                f"got {self.num_disks}"
+            )
+        if not 0 <= self.failed_disk < self.num_disks:
+            raise ValueError(
+                f"failed_disk must be in [0, {self.num_disks}), got {self.failed_disk}"
+            )
         if self.layout not in LAYOUT_CHOICES:
             raise ValueError(
                 f"layout must be one of {LAYOUT_CHOICES}, got {self.layout!r}"

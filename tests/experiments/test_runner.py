@@ -59,6 +59,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             micro_config(**{field: value})
 
+    @pytest.mark.parametrize("overrides, needle", [
+        ({"num_disks": 0}, "num_disks"),
+        ({"num_disks": 3}, "num_disks"),
+        ({"num_disks": 1, "stripe_size": 2}, "num_disks"),
+        ({"num_disks": 5, "failed_disk": 5}, "failed_disk"),
+        ({"failed_disk": 30}, "failed_disk"),
+        ({"failed_disk": -1}, "failed_disk"),
+    ])
+    def test_array_shape_rejected(self, overrides, needle):
+        with pytest.raises(ValueError, match=needle):
+            micro_config(**overrides)
+
+    def test_raid5_stripe_as_wide_as_the_array_accepted(self):
+        config = micro_config(num_disks=4, stripe_size=4, failed_disk=3)
+        assert config.alpha == 1.0
+
     def test_alpha(self):
         assert micro_config(stripe_size=5).alpha == pytest.approx(0.2)
 

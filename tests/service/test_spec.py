@@ -52,6 +52,19 @@ class TestScenario:
         with pytest.raises(SpecError, match=field):
             parse_spec(raw)
 
+    @pytest.mark.parametrize("overrides, needle", [
+        ({"num_disks": 0}, "num_disks"),
+        ({"num_disks": 4, "stripe_size": 5}, "num_disks"),
+        ({"num_disks": 1, "stripe_size": 2}, "num_disks"),
+        ({"num_disks": 21, "failed_disk": 30}, "failed_disk"),
+        ({"num_disks": 21, "failed_disk": -1}, "failed_disk"),
+    ])
+    def test_array_shape_rejected(self, overrides, needle):
+        raw = micro_scenario_spec()
+        raw["config"].update(overrides)
+        with pytest.raises(SpecError, match=needle):
+            parse_spec(raw)
+
     def test_nan_fault_profile_rejected(self):
         raw = micro_scenario_spec()
         # The service parses bodies with json.loads, which accepts NaN.
