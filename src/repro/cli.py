@@ -176,9 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
             "macro scenarios (see 'repro simsan --help'); "
             "'repro report' renders stored scenario results (sweep-cache "
             "entries or result JSON) as per-run metric tables (see "
-            "'repro report --help'); 'repro bench' runs the continuous "
-            "benchmarking harness and emits BENCH_<date>.json (see "
-            "'repro bench --help'); 'repro scenario' runs one ad-hoc "
+            "'repro report --help'); 'repro scenario' runs one ad-hoc "
             "scenario point — any width, any layout family (see 'repro "
             "scenario --help'); 'repro serve' runs the simulation "
             "job service and 'repro job' is its client (see 'repro "
@@ -255,11 +253,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         from repro.metrics.report import main as report_main
 
         return report_main(argv[1:])
-    if argv and argv[0] == "bench":
-        # And for the continuous benchmarking harness.
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "scenario":
         # One ad-hoc scenario point (any width/layout), same cache.
         from repro.experiments.scenario_cli import main as scenario_main

@@ -4,9 +4,10 @@ An AST-based, plugin-rule linter specialized to this codebase. The
 paper's figures are only reproducible because every run of a
 ``ScenarioConfig`` replays the same event order, RNG stream, and lock
 schedule; simlint enforces the coding invariants that property rests
-on. Run it as ``python -m repro lint``; CI runs it with the checked-in
-``simlint-baseline.json`` so pre-existing, justified findings don't
-block the build while new violations do.
+on. Run it as ``python -m repro lint``; CI runs it over ``src/repro``
+in whole-program mode and fails on any finding. An inline
+``# simlint: disable=RULE (reason)`` comment is the only way to accept
+one.
 
 Public surface:
 
@@ -15,17 +16,10 @@ Public surface:
 - :class:`Finding`, :class:`LintReport` — results
 - :class:`Rule`, :class:`ProjectRule`, :class:`RuntimeRule`,
   :func:`register`, :func:`all_rules` — the plugin API
-- :mod:`~repro.devtools.simlint.baseline` — accepted-findings file
 - :mod:`~repro.devtools.simlint.project` — the cross-module analyses
   (module graph, call graph, taint, lock flow)
 """
 
-from repro.devtools.simlint.baseline import (
-    Baseline,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
 from repro.devtools.simlint.context import ModuleContext
 from repro.devtools.simlint.engine import (
     LintUsageError,
@@ -50,8 +44,6 @@ from repro.devtools.simlint.reporters import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
     "Finding",
     "LintReport",
     "LintUsageError",
@@ -68,7 +60,5 @@ __all__ = [
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register",
-    "write_baseline",
 ]

@@ -1,24 +1,16 @@
 """``python -m repro lint`` — the simlint command line.
 
-Exit codes: 0 clean (possibly via suppressions/baseline), 1 findings,
-2 usage error. ``--write-baseline`` records the current findings as
-the new baseline and exits 0; a human then fills in the TODO reasons.
+Exit codes: 0 clean (possibly via inline suppressions), 1 findings,
+2 usage error. An inline ``# simlint: disable=RULE (reason)`` comment
+is the only way to accept a finding.
 """
 
 from __future__ import annotations
 
 import argparse
-import pathlib
 import sys
 import typing
 
-from repro.devtools.simlint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
 from repro.devtools.simlint.engine import LintUsageError, lint_paths
 from repro.devtools.simlint.registry import all_rules
 from repro.devtools.simlint.reporters import (
@@ -67,25 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "baseline of accepted findings (default: "
-            f"{DEFAULT_BASELINE_NAME} if it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--select",
         metavar="IDS",
         default=None,
@@ -105,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verbose",
         action="store_true",
-        help="also report suppressed and baselined findings (text format)",
+        help="also report suppressed findings (text format)",
     )
     return parser
 
@@ -123,24 +96,6 @@ def _list_rules(stream: typing.TextIO) -> None:
         stream.write(f"    fix:  {rule.hint}\n")
 
 
-def _resolve_baseline(
-    args: argparse.Namespace,
-) -> typing.Tuple[typing.Optional[Baseline], typing.Optional[pathlib.Path]]:
-    if args.no_baseline and not args.write_baseline:
-        return None, None
-    if args.baseline is not None:
-        path = pathlib.Path(args.baseline)
-        if path.exists():
-            return load_baseline(path), path
-        if args.write_baseline:
-            return None, path
-        raise BaselineError(f"baseline file not found: {path}")
-    default = pathlib.Path(DEFAULT_BASELINE_NAME)
-    if default.exists():
-        return load_baseline(default), default
-    return None, default if args.write_baseline else None
-
-
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
@@ -148,31 +103,10 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         return EXIT_OK
 
     try:
-        baseline, baseline_path = _resolve_baseline(args)
-    except BaselineError as error:
-        print(f"simlint: error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        if args.write_baseline:
-            # Baseline refresh wants the raw findings, unfiltered.
-            report = lint_paths(
-                args.paths,
-                select=_split_ids(args.select),
-                ignore=_split_ids(args.ignore),
-                baseline=None,
-                project=args.project,
-            )
-            target = baseline_path or pathlib.Path(DEFAULT_BASELINE_NAME)
-            count = write_baseline(target, report.active, previous=baseline)
-            print(f"simlint: wrote {count} entr{'y' if count == 1 else 'ies'} "
-                  f"to {target}")
-            return EXIT_OK
         report = lint_paths(
             args.paths,
             select=_split_ids(args.select),
             ignore=_split_ids(args.ignore),
-            baseline=baseline,
             project=args.project,
         )
     except LintUsageError as error:

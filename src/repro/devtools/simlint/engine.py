@@ -1,4 +1,4 @@
-"""The lint engine: walk files, run rules, apply suppressions/baseline.
+"""The lint engine: walk files, run rules, apply inline suppressions.
 
 File discovery is itself deterministic (paths sorted, duplicates
 dropped) — the linter practices what it preaches, so two runs over the
@@ -10,7 +10,6 @@ from __future__ import annotations
 import pathlib
 import typing
 
-from repro.devtools.simlint.baseline import Baseline
 from repro.devtools.simlint.context import ModuleContext
 from repro.devtools.simlint.findings import Finding, LintReport
 from repro.devtools.simlint.registry import Rule, get_rules
@@ -71,15 +70,14 @@ def lint_paths(
     paths: typing.Sequence[typing.Union[str, pathlib.Path]],
     select: typing.Optional[typing.Sequence[str]] = None,
     ignore: typing.Optional[typing.Sequence[str]] = None,
-    baseline: typing.Optional[Baseline] = None,
     project: bool = False,
 ) -> LintReport:
     """Lint every file under ``paths`` and classify the findings.
 
     With ``project=True`` a :class:`ProjectContext` is built over the
     whole file set and whole-program rules (DET010/011, LOCK010/011)
-    run in addition to the per-module ones; their findings flow through
-    the same suppression and baseline machinery.
+    run in addition to the per-module ones; their findings honour the
+    same inline suppressions.
     """
     try:
         rules = get_rules(select=select, ignore=ignore, project=project)
@@ -94,15 +92,8 @@ def lint_paths(
     def classify(finding: Finding) -> None:
         if finding.suppressed:
             report.suppressed.append(finding)
-            return
-        if baseline is not None:
-            entry = baseline.match(finding)
-            if entry is not None:
-                finding.baselined = True
-                finding.baseline_reason = entry.get("reason", "")
-                report.baselined.append(finding)
-                return
-        report.active.append(finding)
+        else:
+            report.active.append(finding)
 
     for path in files:
         try:
@@ -135,7 +126,5 @@ def lint_paths(
                     finding.suppressed = True
                     finding.suppress_reason = reason
             classify(finding)
-    if baseline is not None:
-        report.stale_baseline = baseline.stale_entries()
     report.active.sort(key=Finding.sort_key)
     return report

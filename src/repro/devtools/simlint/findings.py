@@ -1,11 +1,4 @@
-"""The unit of lint output: one finding at one source location.
-
-A finding's *identity* deliberately excludes the line number: baselines
-match on ``(rule, path, symbol, snippet)`` so that unrelated edits that
-shift code up or down do not invalidate the baseline, while touching
-the offending line itself (changing its text) surfaces the finding
-again for a fresh look.
-"""
+"""The unit of lint output: one finding at one source location."""
 
 from __future__ import annotations
 
@@ -33,13 +26,6 @@ class Finding:
     suppressed: bool = False
     #: The inline suppression's stated reason, if any.
     suppress_reason: str = ""
-    #: Set by the engine when a baseline entry covers the finding.
-    baselined: bool = False
-    baseline_reason: str = ""
-
-    def identity(self) -> typing.Tuple[str, str, str, str]:
-        """Line-number-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.symbol, self.snippet)
 
     def sort_key(self) -> typing.Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
@@ -63,16 +49,12 @@ class LintReport:
     """Everything one lint run produced, before and after filtering.
 
     ``active`` findings are the ones that fail the build; suppressed
-    and baselined findings are kept for reporting (``--format json``
-    emits their counts) but do not affect the exit code. ``stale``
-    lists baseline entries that no longer match any finding — a nudge
-    to refresh the baseline, never an error.
+    findings are kept for reporting (``--format json`` emits them with
+    their reasons) but do not affect the exit code.
     """
 
     active: typing.List[Finding] = field(default_factory=list)
     suppressed: typing.List[Finding] = field(default_factory=list)
-    baselined: typing.List[Finding] = field(default_factory=list)
-    stale_baseline: typing.List[dict] = field(default_factory=list)
     files_checked: int = 0
 
     @property

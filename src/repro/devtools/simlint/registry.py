@@ -3,8 +3,8 @@
 Rules self-register at import time via the :func:`register` decorator;
 :mod:`repro.devtools.simlint.rules` imports every rule module, so
 ``all_rules()`` is complete as soon as the package is imported. Rule
-IDs are stable public API: baselines, suppressions, and CI logs refer
-to them, so an ID is never renamed or reused.
+IDs are stable public API: suppressions and CI logs refer to them, so
+an ID is never renamed or reused.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class Rule:
     #: "module" rules see one file; "project" rules see the whole tree
     #: (run only under ``--project``); "runtime" rules are emitted by
     #: the simsan sanitizer, never by the engine — they are registered
-    #: so ``--list-rules`` documents them and suppressions/baselines
-    #: can target them.
+    #: so ``--list-rules`` documents them and suppressions can target
+    #: them.
     scope: str = "module"
 
     def check(self, ctx: ModuleContext) -> typing.Iterator[Finding]:
@@ -65,8 +65,7 @@ class ProjectRule(Rule):
     Implements :meth:`check_project` against a
     :class:`~repro.devtools.simlint.project.modules.ProjectContext`;
     :meth:`finding` still anchors each finding in one module's
-    :class:`ModuleContext`, so suppressions and baselines work
-    unchanged.
+    :class:`ModuleContext`, so suppressions work unchanged.
     """
 
     scope = "project"
@@ -84,7 +83,7 @@ class RuntimeRule(Rule):
     """A sanitizer rule: findings come from simsan at runtime.
 
     The engine never runs these; registration gives them stable IDs,
-    ``--list-rules`` documentation, and suppression/baseline support.
+    ``--list-rules`` documentation, and suppression support.
     """
 
     scope = "runtime"

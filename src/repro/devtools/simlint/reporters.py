@@ -7,7 +7,7 @@ import typing
 
 from repro.devtools.simlint.findings import LintReport
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def format_text(report: LintReport, verbose: bool = False) -> str:
@@ -28,24 +28,10 @@ def format_text(report: LintReport, verbose: bool = False) -> str:
                 f"{finding.path}:{finding.line}: {finding.rule} suppressed "
                 f"inline: {finding.suppress_reason}"
             )
-        for finding in report.baselined:
-            lines.append(
-                f"{finding.path}:{finding.line}: {finding.rule} baselined: "
-                f"{finding.baseline_reason}"
-            )
-    for entry in report.stale_baseline:
-        lines.append(
-            f"note: stale baseline entry {entry.get('rule')} at "
-            f"{entry.get('path')}:{entry.get('symbol')} matches nothing — "
-            "refresh with --write-baseline"
-        )
     lines.append(
         f"simlint: {len(report.active)} finding(s) in "
         f"{report.files_checked} file(s) "
-        f"({len(report.suppressed)} suppressed inline, "
-        f"{len(report.baselined)} baselined, "
-        f"{len(report.stale_baseline)} stale baseline entr"
-        f"{'y' if len(report.stale_baseline) == 1 else 'ies'})"
+        f"({len(report.suppressed)} suppressed inline)"
     )
     return "\n".join(lines)
 
@@ -59,16 +45,10 @@ def format_json(report: LintReport) -> str:
             dict(finding.to_dict(), reason=finding.suppress_reason)
             for finding in report.suppressed
         ],
-        "baselined": [
-            dict(finding.to_dict(), reason=finding.baseline_reason)
-            for finding in report.baselined
-        ],
-        "stale_baseline": report.stale_baseline,
         "summary": {
             "files_checked": report.files_checked,
             "active": len(report.active),
             "suppressed": len(report.suppressed),
-            "baselined": len(report.baselined),
             "ok": report.ok,
         },
     }
@@ -78,9 +58,9 @@ def format_json(report: LintReport) -> str:
 def format_sarif(report: LintReport) -> str:
     """SARIF 2.1.0, the interchange format code-scanning UIs ingest.
 
-    Active findings only: suppressed and baselined findings are
-    accepted by a human with a reason, and uploading them would just
-    re-litigate that decision in another UI.
+    Active findings only: suppressed findings are accepted by a human
+    with a reason, and uploading them would just re-litigate that
+    decision in another UI.
     """
     from repro.devtools.simlint.registry import all_rules
 

@@ -6,8 +6,8 @@ These run only under ``repro lint --project``: they need the
 module parsed and cross-linked) rather than one file at a time. The
 SAN rules carry no static check at all — simsan emits them while a
 macro scenario runs — but registering them here gives them stable IDs,
-``--list-rules`` documentation, and the same suppression/baseline
-machinery as everything else.
+``--list-rules`` documentation, and the same inline suppressions as
+everything else.
 """
 
 from __future__ import annotations

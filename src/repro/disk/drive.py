@@ -49,9 +49,9 @@ def service_components(
     This is the disk's only service-time arithmetic on any scenario
     path: the drive prices the request it services here, and the SPTF
     scheduler prices each queued candidate here. The batch path in
-    :mod:`repro.disk.vectorized` (used only by the ``disk.service_batch``
-    microbenchmark) must reproduce its results bit-for-bit (pinned by
-    the property tests in ``tests/disk/test_vectorized.py``), so any
+    :mod:`repro.disk.vectorized` (used by no scenario) must reproduce its
+    results bit-for-bit (pinned by the property tests in
+    ``tests/disk/test_vectorized.py``), so any
     change to the arithmetic here — including operation *order*, which
     decides float rounding — must be mirrored there.
 
@@ -379,10 +379,6 @@ class Disk:
     # ------------------------------------------------------------------
     # Physical timing
     # ------------------------------------------------------------------
-    def _rotational_position(self, at_ms: float) -> float:
-        """Platter angle at an absolute time, in (fractional) sector slots."""
-        return (at_ms / self._sector_time_ms) % self._sectors_per_track
-
     def _service_time(self, request: DiskRequest) -> typing.Tuple[float, float, float, float]:
         """Compute service time; updates head cylinder and direction.
 

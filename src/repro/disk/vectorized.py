@@ -19,8 +19,9 @@ the formulas but the floating-point *operation order*:
   (fmod plus sign-of-divisor adjustment) bit-for-bit for the
   non-negative divisors used here.
 
-Consumer: the ``disk.service_batch`` microbenchmark, which times both
-paths. No scenario path uses this module: the SPTF scheduler prices
+Users: the end-to-end benchmark's attribution, which counts calls to
+:func:`service_times` as ``disk.batch_pricings``, and the property
+tests. No scenario path uses this module: the SPTF scheduler prices
 its short queues with :func:`~repro.disk.drive.service_components`
 directly.
 
@@ -60,11 +61,10 @@ MODES = ("auto", "scalar", "vectorized")
 #: Below this many candidates ``auto`` stays scalar: the numpy batch
 #: pays fixed per-call overhead (a dozen ufunc invocations plus column
 #: gathers) that a short Python loop undercuts. The measured crossover
-#: on the reference container sits near 128 candidates
-#: (``disk.service_batch`` reports both paths' rates, so the trend job
-#: tracks it); above it the batch wins by a growing margin — ~1.9x by a
-#: thousand candidates. The exact value only moves wall-clock, never
-#: results — both paths are bit-identical.
+#: on the reference container sat near 128 candidates; above it the
+#: batch wins by a growing margin — ~1.9x by a thousand candidates. The
+#: exact value only moves wall-clock, never results — both paths are
+#: bit-identical.
 AUTO_THRESHOLD = 128
 
 

@@ -25,20 +25,17 @@ Example
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
-from repro.sim.stores import Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "RandomStreams",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

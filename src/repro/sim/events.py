@@ -52,18 +52,6 @@ class SimulationError(Exception):
     """Raised for kernel misuse (double trigger, yielding non-events...)."""
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The interrupting party supplies ``cause``, available as
-    ``interrupt.cause`` in the interrupted process.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # Event lifecycle states.
 PENDING = 0
 TRIGGERED = 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.events import PENDING, PROCESSED, TRIGGERED, Event, Interrupt, SimulationError
+from repro.sim.events import PENDING, PROCESSED, TRIGGERED, Event, SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -30,7 +30,7 @@ GeneratorType = typing.Generator[Event, object, object]
 class Process(Event):
     """A running simulation process (and the event of its completion)."""
 
-    __slots__ = ("name", "_generator", "_send", "_throw", "_waiting_on", "_resume_cb")
+    __slots__ = ("name", "_generator", "_send", "_throw", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: GeneratorType, name: str = ""):
         try:
@@ -43,7 +43,6 @@ class Process(Event):
         super().__init__(env)
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self._waiting_on: typing.Optional[Event] = None
         # One bound method for the process's whole life: registering
         # ``self._resume`` directly would allocate a fresh bound-method
         # object on every yield. It refers back to the process, so
@@ -67,25 +66,8 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._state == PENDING
 
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if self._state != PENDING:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        target = self._waiting_on
-        # A dispatched (or never-waited) target has no callback list,
-        # so only un-dispatched targets need the deregistration.
-        if target is not None and target._state != PROCESSED:
-            cbs = target._callbacks
-            if cbs is not None and self._resume_cb in cbs:
-                cbs.remove(self._resume_cb)
-        self._waiting_on = None
-        interrupt_event = Event(self.env)
-        interrupt_event._callbacks = [self._resume_cb]
-        interrupt_event.fail(Interrupt(cause))
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the fired event's outcome."""
-        self._waiting_on = None
         try:
             if event._exception is None:
                 next_event = self._send(event._value)
@@ -114,7 +96,6 @@ class Process(Event):
             self._resume_cb = None
             self.fail(error)
             return
-        self._waiting_on = next_event
         if state == PROCESSED:
             # Already fired and dispatched: resume on a fresh tick so the
             # value/exception is still delivered exactly once.

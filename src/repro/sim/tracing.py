@@ -102,14 +102,3 @@ class EnvironmentTracer:
 
     def of_kind(self, kind: str) -> typing.List[TraceEntry]:
         return [e for e in self.entries if e.kind == kind]
-
-    def format_tail(self, count: int = 20) -> str:
-        """The last ``count`` entries, one per line."""
-        tail = list(self.entries)[-count:] if count > 0 else []
-        lines = [
-            f"{e.at_ms:12.3f}  {e.kind:8s}  {'ok ' if e.ok else 'ERR'}  {e.name}"
-            for e in tail
-        ]
-        if self.dropped:
-            lines.insert(0, f"... {self.dropped} earlier entries dropped ...")
-        return "\n".join(lines)

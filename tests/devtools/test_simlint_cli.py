@@ -1,6 +1,6 @@
-"""CLI tests, including the acceptance gates: the repo lints clean
-under its checked-in baseline, and introducing any rule's positive
-fixture makes the exit code non-zero."""
+"""CLI tests, including the acceptance gates: the repo lints clean,
+and introducing any rule's positive fixture makes the exit code
+non-zero."""
 
 import json
 import pathlib
@@ -20,7 +20,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        assert lint_main([str(tmp_path), "--no-baseline"]) == 0
+        assert lint_main([str(tmp_path)]) == 0
 
     @pytest.mark.parametrize(
         "rule,snippet",
@@ -30,27 +30,20 @@ class TestExitCodes:
         self, tmp_path, rule, snippet
     ):
         (tmp_path / "bad.py").write_text(textwrap.dedent(snippet))
-        assert lint_main([str(tmp_path), "--no-baseline"]) == 1
+        assert lint_main([str(tmp_path)]) == 1
 
     def test_usage_error_exits_two(self, tmp_path, capsys):
-        assert lint_main([str(tmp_path / "missing"), "--no-baseline"]) == 2
+        assert lint_main([str(tmp_path / "missing")]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_unknown_rule_exits_two(self, tmp_path):
         (tmp_path / "ok.py").write_text("x = 1\n")
         assert lint_main([str(tmp_path), "--select", "NOPE1"]) == 2
 
-    def test_missing_baseline_file_exits_two(self, tmp_path):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        assert (
-            lint_main([str(tmp_path), "--baseline", str(tmp_path / "nope.json")])
-            == 2
-        )
-
     def test_explicit_non_python_file_exits_two(self, tmp_path, capsys):
         notes = tmp_path / "notes.txt"
         notes.write_text("not python\n")
-        assert lint_main([str(notes), "--no-baseline"]) == 2
+        assert lint_main([str(notes)]) == 2
         assert "not a Python file" in capsys.readouterr().err
 
     def test_project_rule_without_project_flag_exits_two(self, tmp_path, capsys):
@@ -83,18 +76,18 @@ class TestProjectMode:
 
     def test_project_flag_finds_the_handoff_leak(self, tmp_path, capsys):
         (tmp_path / "handoff.py").write_text(self.HANDOFF)
-        assert lint_main([str(tmp_path), "--no-baseline"]) == 0
+        assert lint_main([str(tmp_path)]) == 0
         capsys.readouterr()
-        assert lint_main([str(tmp_path), "--no-baseline", "--project"]) == 1
+        assert lint_main([str(tmp_path), "--project"]) == 1
         out = capsys.readouterr().out
         assert "LOCK010" in out
         assert "_finish" in out
 
     def test_src_lints_clean_in_project_mode(self, monkeypatch, capsys):
         # Acceptance gate: the whole-program rules hold over the real
-        # tree with no baseline at all.
+        # tree.
         monkeypatch.chdir(REPO_ROOT)
-        exit_code = lint_main(["src/repro", "--no-baseline", "--project"])
+        exit_code = lint_main(["src/repro", "--project"])
         assert exit_code == 0, capsys.readouterr().out
 
     def test_list_rules_shows_scopes(self, capsys):
@@ -109,10 +102,7 @@ class TestOutputFormats:
         (tmp_path / "bad.py").write_text(
             "import time\n\ndef stamp():\n    return time.time()\n"
         )
-        assert (
-            lint_main([str(tmp_path), "--no-baseline", "--format", "sarif"])
-            == 1
-        )
+        assert lint_main([str(tmp_path), "--format", "sarif"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["runs"][0]["results"][0]["ruleId"] == "DET001"
 
@@ -120,10 +110,7 @@ class TestOutputFormats:
         (tmp_path / "bad.py").write_text(
             "import time\n\ndef stamp():\n    return time.time()\n"
         )
-        assert (
-            lint_main([str(tmp_path), "--no-baseline", "--format", "github"])
-            == 1
-        )
+        assert lint_main([str(tmp_path), "--format", "github"]) == 1
         out = capsys.readouterr().out
         assert out.startswith("::error file=")
         assert "title=simlint DET001::" in out
@@ -132,35 +119,21 @@ class TestOutputFormats:
 class TestRepoIsClean:
     """The acceptance criterion: `python -m repro lint` exits 0 here."""
 
-    def test_src_lints_clean_with_checked_in_baseline(self, monkeypatch, capsys):
+    def test_src_lints_clean_by_default(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
         exit_code = lint_main(["--format", "json"])
         document = json.loads(capsys.readouterr().out)
         assert exit_code == 0, document["findings"]
         assert document["summary"]["ok"] is True
-        # Every baselined finding carries a human reason, not the TODO.
-        for entry in document["baselined"]:
+        # Every inline suppression states its reason.
+        for entry in document["suppressed"]:
             assert entry["reason"]
-            assert not entry["reason"].startswith("TODO")
-
-    def test_checked_in_baseline_has_no_todo_or_stale_entries(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(REPO_ROOT)
-        document = json.loads(
-            (REPO_ROOT / "simlint-baseline.json").read_text(encoding="utf-8")
-        )
-        for entry in document["entries"]:
-            assert entry["reason"] and not entry["reason"].startswith("TODO")
-        lint_main(["--format", "json"])
-        report = json.loads(capsys.readouterr().out)
-        assert report["stale_baseline"] == []
 
     def test_tests_tree_parses_under_lint(self, monkeypatch):
         # The test tree is not gated (fixtures intentionally violate
         # rules), but the engine must at least parse it without crashing.
         monkeypatch.chdir(REPO_ROOT)
-        assert lint_main(["src/repro/devtools", "--no-baseline"]) == 0
+        assert lint_main(["src/repro/devtools"]) == 0
 
 
 class TestListAndWrite:
@@ -170,38 +143,18 @@ class TestListAndWrite:
         for rule in all_rules():
             assert rule.id in out
 
-    def test_write_baseline_then_clean(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "bad.py").write_text(
-            "import time\n\ndef stamp():\n    return time.time()\n"
-        )
-        assert lint_main([str(tmp_path), "--write-baseline"]) == 0
-        capsys.readouterr()
-        baseline = tmp_path / "simlint-baseline.json"
-        assert baseline.exists()
-        assert lint_main([str(tmp_path), "--baseline", str(baseline)]) == 0
-
-    def test_no_baseline_overrides_default_file(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "bad.py").write_text(
-            "import time\n\ndef stamp():\n    return time.time()\n"
-        )
-        assert lint_main([str(tmp_path), "--write-baseline"]) == 0
-        assert lint_main([str(tmp_path)]) == 0
-        assert lint_main([str(tmp_path), "--no-baseline"]) == 1
-
 
 class TestReproEntryPoint:
     def test_python_m_repro_lint_dispatches(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        assert repro_main(["lint", str(tmp_path), "--no-baseline"]) == 0
+        assert repro_main(["lint", str(tmp_path)]) == 0
         assert "simlint: 0 finding(s)" in capsys.readouterr().out
 
     def test_python_m_repro_lint_fails_on_violation(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(
             "import random\n\ndef draw():\n    return random.random()\n"
         )
-        assert repro_main(["lint", str(tmp_path), "--no-baseline"]) == 1
+        assert repro_main(["lint", str(tmp_path)]) == 1
         assert "DET002" in capsys.readouterr().out
 
     def test_experiment_cli_still_works(self, capsys):

@@ -1,5 +1,5 @@
-"""Engine-level tests: suppressions, baseline lifecycle, reporters,
-rule selection, and determinism of the linter's own output."""
+"""Engine-level tests: suppressions, reporters, rule selection, and
+determinism of the linter's own output."""
 
 import json
 import textwrap
@@ -7,8 +7,6 @@ import textwrap
 import pytest
 
 from repro.devtools.simlint import (
-    Baseline,
-    BaselineError,
     LintUsageError,
     format_github,
     format_json,
@@ -17,10 +15,7 @@ from repro.devtools.simlint import (
     iter_python_files,
     lint_paths,
     lint_source,
-    load_baseline,
-    write_baseline,
 )
-from repro.devtools.simlint.baseline import TODO_REASON
 
 WALL_CLOCK = textwrap.dedent(
     """
@@ -123,110 +118,6 @@ class TestSuppressions:
         assert not finding.suppressed
 
 
-class TestBaseline:
-    def test_roundtrip_hides_known_findings(self, tmp_path):
-        module = write_module(tmp_path, "mod.py", WALL_CLOCK)
-        baseline_path = tmp_path / "baseline.json"
-        report = lint_paths([module])
-        assert len(report.active) == 1
-        write_baseline(baseline_path, report.active)
-        report2 = lint_paths([module], baseline=load_baseline(baseline_path))
-        assert report2.active == []
-        assert len(report2.baselined) == 1
-        assert report2.baselined[0].baseline_reason == TODO_REASON
-
-    def test_baseline_survives_line_moves(self, tmp_path):
-        module = write_module(tmp_path, "mod.py", WALL_CLOCK)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint_paths([module]).active)
-        # Shift the offending line down; identity ignores line numbers.
-        module.write_text(
-            "'''docstring'''\n\n\n" + module.read_text(), encoding="utf-8"
-        )
-        report = lint_paths([module], baseline=load_baseline(baseline_path))
-        assert report.active == []
-        assert len(report.baselined) == 1
-
-    def test_new_violation_not_masked(self, tmp_path):
-        module = write_module(tmp_path, "mod.py", WALL_CLOCK)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint_paths([module]).active)
-        module.write_text(
-            module.read_text()
-            + "\ndef fresh():\n    return time.monotonic()\n",
-            encoding="utf-8",
-        )
-        report = lint_paths([module], baseline=load_baseline(baseline_path))
-        assert len(report.active) == 1
-        assert "time.monotonic" in report.active[0].message
-
-    def test_stale_entries_reported_not_fatal(self, tmp_path):
-        module = write_module(tmp_path, "mod.py", WALL_CLOCK)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint_paths([module]).active)
-        write_module(tmp_path, "mod.py", "def clean():\n    return 1\n")
-        report = lint_paths([module], baseline=load_baseline(baseline_path))
-        assert report.ok
-        assert len(report.stale_baseline) == 1
-        assert report.stale_baseline[0]["rule"] == "DET001"
-
-    def test_rewrite_preserves_reasons(self, tmp_path):
-        module = write_module(tmp_path, "mod.py", WALL_CLOCK)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint_paths([module]).active)
-        document = json.loads(baseline_path.read_text())
-        document["entries"][0]["reason"] = "reviewed: display only"
-        baseline_path.write_text(json.dumps(document))
-        write_baseline(
-            baseline_path,
-            lint_paths([module]).active,
-            previous=load_baseline(baseline_path),
-        )
-        document = json.loads(baseline_path.read_text())
-        assert document["entries"][0]["reason"] == "reviewed: display only"
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-        bad.write_text('{"version": 1}')
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-
-    def test_absolute_lint_paths_match_relative_baseline(
-        self, tmp_path, monkeypatch
-    ):
-        # Baselines store repo-relative paths; linting the same tree via
-        # an absolute path must still match them.
-        monkeypatch.chdir(tmp_path)
-        module = write_module(tmp_path, "mod.py", WALL_CLOCK)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint_paths(["mod.py"]).active)
-        report = lint_paths(
-            [module.resolve()], baseline=load_baseline(baseline_path)
-        )
-        assert report.active == []
-        assert len(report.baselined) == 1
-        assert report.stale_baseline == []
-
-    def test_match_requires_same_rule_and_snippet(self, tmp_path):
-        baseline = Baseline(
-            [
-                {
-                    "rule": "DET002",
-                    "path": "src/x.py",
-                    "symbol": "stamp",
-                    "snippet": "return time.time()",
-                    "reason": "r",
-                }
-            ]
-        )
-        module = write_module(tmp_path, "mod.py", WALL_CLOCK)
-        report = lint_paths([module], baseline=baseline)
-        assert len(report.active) == 1  # rule/path differ -> no match
-
-
 class TestSelection:
     def test_select_narrows(self, tmp_path):
         module = write_module(
@@ -321,7 +212,8 @@ class TestReportersAndDeterminism:
         module = write_module(tmp_path, "mod.py", WALL_CLOCK)
         report = lint_paths([module])
         document = json.loads(format_json(report))
-        assert document["version"] == 1
+        assert document["version"] == 2
+        assert sorted(document) == ["findings", "summary", "suppressed", "version"]
         assert document["summary"]["active"] == 1
         assert document["summary"]["ok"] is False
         (finding,) = document["findings"]

@@ -29,7 +29,6 @@ BAD_USAGE_CASES = [
     pytest.param(
         ["report", "/no/such/path/anywhere.json"], id="report-missing-path"
     ),
-    pytest.param(["bench", "--scale", "galactic"], id="bench-bad-scale"),
     pytest.param(["serve", "--port", "99999"], id="serve-bad-port"),
     pytest.param(["serve", "--workers", "0"], id="serve-bad-workers"),
     pytest.param(["serve", "--max-jobs", "0"], id="serve-bad-max-jobs"),
@@ -37,7 +36,7 @@ BAD_USAGE_CASES = [
     pytest.param(
         ["job", "submit", "/no/such/spec.json"], id="job-missing-spec-file"
     ),
-    pytest.param(["lint", "--baseline", "/no/such/baseline"], id="lint-missing-baseline"),
+    pytest.param(["lint", "/no/such/path"], id="lint-missing-path"),
     pytest.param(
         ["scenario", "--stripe-size", "5", "--cylinders", "1"],
         id="scenario-one-cylinder",
@@ -85,6 +84,14 @@ BAD_USAGE_CASES = [
     pytest.param(
         ["scenario", "--stripe-size", "5", "--read-fraction", "nan"],
         id="scenario-nan-read-fraction",
+    ),
+    pytest.param(
+        ["scenario", "--num-disks", "1", "--stripe-size", "2", "--no-cache"],
+        id="scenario-one-disk",
+    ),
+    pytest.param(
+        ["scenario", "--num-disks", "4", "--stripe-size", "5", "--no-cache"],
+        id="scenario-fewer-disks-than-stripe",
     ),
 ]
 

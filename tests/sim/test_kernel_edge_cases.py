@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError, Store
+from repro.sim import Environment, SimulationError
 
 
 class TestConditionEdges:
@@ -58,91 +58,6 @@ class TestConditionEdges:
 
         process = env.process(body(env))
         assert env.run(until=process) == {"a", "b"}
-
-
-class TestInterruptEdges:
-    def test_interrupt_while_waiting_on_condition(self):
-        env = Environment()
-        outcome = []
-
-        def sleeper(env):
-            try:
-                yield env.all_of([env.timeout(100.0), env.timeout(200.0)])
-            except Interrupt:
-                outcome.append(env.now)
-
-        process = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(5.0)
-            process.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert outcome == [5.0]
-
-    def test_process_can_continue_after_interrupt(self):
-        env = Environment()
-        log = []
-
-        def resilient(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                log.append("interrupted")
-            yield env.timeout(1.0)
-            log.append(env.now)
-
-        process = env.process(resilient(env))
-
-        def interrupter(env):
-            yield env.timeout(2.0)
-            process.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert log == ["interrupted", 3.0]
-
-
-class TestStoreEdges:
-    def test_cancelled_getter_is_skipped(self):
-        env = Environment()
-        store = Store(env)
-        abandoned = store.get()
-        abandoned.succeed("cancelled-by-user-code")  # caller gave up
-        received = []
-
-        def consumer(env):
-            item = yield store.get()
-            received.append(item)
-
-        env.process(consumer(env))
-
-        def producer(env):
-            yield env.timeout(1.0)
-            store.put("real-item")
-
-        env.process(producer(env))
-        env.run()
-        assert received == ["real-item"]
-
-    def test_put_then_many_gets(self):
-        env = Environment()
-        store = Store(env)
-        for i in range(3):
-            store.put(i)
-        got = []
-
-        def consumer(env):
-            while True:
-                if len(store) == 0:
-                    return
-                item = yield store.get()
-                got.append(item)
-
-        env.process(consumer(env))
-        env.run()
-        assert got == [0, 1, 2]
 
 
 class TestSchedulingDiscipline:

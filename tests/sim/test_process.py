@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, SimulationError
 
 
 class TestProcessBasics:
@@ -126,35 +126,3 @@ class TestProcessBasics:
         env.run()
         assert not process.is_alive
 
-
-class TestInterrupt:
-    def test_interrupt_wakes_process(self):
-        env = Environment()
-        outcome = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                outcome.append((env.now, interrupt.cause))
-
-        sleeper_process = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(3.0)
-            sleeper_process.interrupt(cause="wake up")
-
-        env.process(interrupter(env))
-        env.run()
-        assert outcome == [(3.0, "wake up")]
-
-    def test_interrupt_finished_process_raises(self):
-        env = Environment()
-
-        def body(env):
-            yield env.timeout(1.0)
-
-        process = env.process(body(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()

@@ -65,14 +65,6 @@ class TestTracer:
         run_sample(env)
         assert list(tracer.entries) == []
 
-    def test_format_tail(self):
-        env = Environment()
-        tracer = EnvironmentTracer(env, capacity=2)
-        run_sample(env)
-        text = tracer.format_tail()
-        assert "dropped" in text
-        assert "ok" in text
-
     def test_failure_marked(self):
         env = Environment()
         tracer = EnvironmentTracer(env)

@@ -1,7 +1,7 @@
 """The simulator runs without numpy.
 
-Only ``repro bench``'s batch service-time kernel
-(:mod:`repro.disk.vectorized`) needs numpy. Every scenario path must
+Only the batch service-time kernel (:mod:`repro.disk.vectorized`),
+which no scenario calls, needs numpy. Every scenario path must
 import and run with it absent, so each process skips numpy's import
 time and memory, and no result depends on the host's BLAS. The probe
 runs in a fresh interpreter, once where ``import numpy`` raises and
