@@ -32,9 +32,9 @@ per-disk fault-free access rate ``a = lambda_d / C`` split into reads
   reads (``alpha * a_r * (1 - f_redirect)``) and of lost-unit write
   handling (``alpha * a_w``);
 - the replacement disk nominally carries redirected reads, direct user
-  writes, and piggybacked writes (``replacement_load`` reports them) —
-  but, as M&L assume and Holland & Gibson disprove, this extra work
-  does *not* slow the replacement, so it never enters the sweep-rate
+  writes, and piggybacked writes — but, as M&L assume and Holland &
+  Gibson disprove, this extra work does *not* slow the replacement, so
+  the model never computes it and it never enters the sweep-rate
   constraint;
 - sweep progress per unit costs ``alpha`` reads on each survivor and
   one write on the replacement, so the sweep rate is
@@ -108,18 +108,6 @@ class MuntzLuiModel:
         on_the_fly_reads = inputs.alpha * a_r * (1.0 - redirected)
         lost_write_reads = inputs.alpha * a_w
         return a + on_the_fly_reads + lost_write_reads
-
-    def replacement_load(self, algorithm: ReconAlgorithm, f: float) -> float:
-        """User-induced accesses/sec on the replacement disk at state ``f``."""
-        _a, a_r, a_w = self.per_disk_rates()
-        load = 0.0
-        if algorithm.writes_to_replacement:
-            load += a_w
-        if algorithm.redirect_reads:
-            load += f * a_r
-        if algorithm.piggyback:
-            load += (1.0 - f) * a_r
-        return load
 
     def free_rebuild_rate(self, algorithm: ReconAlgorithm, f: float) -> float:
         """Units/sec rebuilt by user activity rather than the sweep."""

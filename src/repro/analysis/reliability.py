@@ -33,7 +33,6 @@ campaign cross-checks against.
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass
 
 HOURS_PER_YEAR = 24.0 * 365.0
@@ -95,47 +94,3 @@ def data_loss_probability(inputs: ReliabilityInputs, mission_hours: float) -> fl
         raise ValueError("mission time must be non-negative")
     return 1.0 - math.exp(-mission_hours / mttdl_hours(inputs))
 
-
-def mttdl_improvement(
-    baseline_repair_hours: float,
-    improved_repair_hours: float,
-) -> float:
-    """MTTDL ratio achieved by shortening repairs (same C and MTTF).
-
-    MTTDL is inversely proportional to repair time, so the ratio is
-    simply ``baseline / improved`` — e.g. the paper's "alpha = 0.15
-    reconstructs about twice as fast as RAID 5" doubles MTTDL.
-    """
-    if baseline_repair_hours <= 0 or improved_repair_hours <= 0:
-        raise ValueError("repair times must be positive")
-    return baseline_repair_hours / improved_repair_hours
-
-
-def reliability_table(
-    repair_times_by_label: typing.Mapping[str, float],
-    num_disks: int = 21,
-    disk_mttf_hours: float = 150_000.0,
-    mission_years: float = 10.0,
-) -> typing.List[dict]:
-    """MTTDL rows for a set of measured repair times (in hours).
-
-    The default MTTF (150k hours) matches drives of the 0661's class.
-    """
-    rows = []
-    for label, repair_hours in repair_times_by_label.items():
-        inputs = ReliabilityInputs(
-            num_disks=num_disks,
-            disk_mttf_hours=disk_mttf_hours,
-            repair_hours=repair_hours,
-        )
-        rows.append(
-            {
-                "label": label,
-                "repair_hours": repair_hours,
-                "mttdl_years": mttdl_years(inputs),
-                "loss_probability_mission": data_loss_probability(
-                    inputs, mission_years * HOURS_PER_YEAR
-                ),
-            }
-        )
-    return rows

@@ -31,12 +31,7 @@ and verify bit-exact recovery end to end.
 from repro.array.addressing import ArrayAddressing
 from repro.array.controller import ArrayController, ControllerStats
 from repro.array.datastore import DataStore
-from repro.array.faults import (
-    ArrayFaults,
-    DataLossError,
-    DataLossEvent,
-    DiskMode,
-)
+from repro.array.faults import ArrayFaults, DataLossError, DataLossEvent
 from repro.array.locks import StripeLockTable
 from repro.array.requests import UserRequest
 from repro.array.scrubber import ParityScrubber, ScrubReport
@@ -50,7 +45,6 @@ __all__ = [
     "DataLossError",
     "DataLossEvent",
     "DataStore",
-    "DiskMode",
     "ParityScrubber",
     "RepairRecord",
     "ScrubReport",

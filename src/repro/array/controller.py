@@ -132,8 +132,6 @@ class ArrayController:
         disk_factory: typing.Optional[typing.Callable[..., Disk]] = None,
         fault_profile: typing.Optional[FaultProfile] = None,
         retry_policy: typing.Optional[RetryPolicy] = None,
-        fault_log: typing.Optional[FaultLog] = None,
-        on_disk_failure: typing.Optional[typing.Callable[[int], None]] = None,
         metrics: typing.Optional[MetricsRegistry] = None,
         measure_since_ms: float = 0.0,
         lock_monitor=None,
@@ -175,11 +173,8 @@ class ArrayController:
         self.datastore: typing.Optional[DataStore] = (
             DataStore(addressing) if with_datastore else None
         )
-        #: The earliest active failure's rebuild state (historical
-        #: single-failure API); per-disk states live in
-        #: :attr:`recon_statuses` so dual-syndrome arrays can run two
-        #: rebuilds at once.
-        self.recon_status: typing.Optional[ReconStatus] = None
+        #: Rebuild state per failed disk with a replacement installed;
+        #: dual-syndrome arrays can run two rebuilds at once.
         self.recon_statuses: typing.Dict[int, ReconStatus] = {}
         self.stats = ControllerStats()
         self._write_paths = _WRITE_PATHS[self.layout.num_syndromes]
@@ -193,13 +188,11 @@ class ArrayController:
         self.retry_policy = retry_policy if retry_policy is not None else (
             RetryPolicy() if fault_profile is not None else None
         )
-        self.fault_log = fault_log if fault_log is not None else (
-            FaultLog() if fault_profile is not None else None
-        )
+        self.fault_log = FaultLog() if fault_profile is not None else None
         #: Callback ``(disk_id) -> None`` for escalated failures; a
         #: FaultInjector installs itself here so threshold-crossing
         #: disks take the same spare-pool path as crashed ones.
-        self.on_disk_failure = on_disk_failure
+        self.on_disk_failure: typing.Optional[typing.Callable[[int], None]] = None
         self._fault_streams = (
             RandomStreams(fault_profile.seed).spawn("disk-fault-states")
             if fault_profile is not None
@@ -273,14 +266,6 @@ class ArrayController:
         if self.datastore is not None:
             self.datastore.poison_disk(disk)
         self.recon_statuses.pop(disk, None)
-        self._sync_recon_status()
-
-    def _sync_recon_status(self) -> None:
-        """Point the historical ``recon_status`` at the earliest failure."""
-        primary = self.faults.failed_disk
-        self.recon_status = (
-            self.recon_statuses.get(primary) if primary is not None else None
-        )
 
     def install_replacement(self, disk: typing.Optional[int] = None) -> ReconStatus:
         """Install a blank replacement in a failed slot.
@@ -309,7 +294,6 @@ class ArrayController:
         if self.metrics is not None:
             status.progress = self.metrics.start_recon_progress(status.total_units)
         self.recon_statuses[disk] = status
-        self._sync_recon_status()
         return status
 
     def finish_repair(self, disk: typing.Optional[int] = None) -> None:
@@ -321,10 +305,6 @@ class ArrayController:
             raise RuntimeError("finish_repair before reconstruction completed")
         self.faults.repair_complete(disk)
         self.recon_statuses.pop(disk)
-        # Historical contract: after the last repair the finished status
-        # stays readable; while another rebuild is active, track it.
-        if self.faults.failed_disk is not None:
-            self._sync_recon_status()
 
     # ------------------------------------------------------------------
     # Submission

@@ -3,9 +3,8 @@
 An array tolerates as many concurrent disk failures as its layout has
 syndromes (``tolerance``): one for the paper's parity code, two for
 P+Q dual-syndrome layouts. The state machine tracks every repairable
-fault — in failure order, since the first failure is the one the
-single-failure code paths care about — plus any unrecoverable failures
-beyond the budget. For failures past the tolerance, callers choose:
+fault in failure order, plus any unrecoverable failures beyond the
+budget. For failures past the tolerance, callers choose:
 
 - ``fail(disk)`` (the historical contract) raises
   :class:`DataLossError`, a ``RuntimeError`` subclass that carries the
@@ -18,25 +17,15 @@ beyond the budget. For failures past the tolerance, callers choose:
   ``data-loss`` path, and the simulation keeps running so a campaign
   can measure time-to-data-loss rather than crash at it.
 
-The single-failure accessors (:attr:`failed_disk`,
-:attr:`replacement_installed`, no-argument :meth:`install_replacement`
-and :meth:`repair_complete`) keep their exact historical behavior for
-``tolerance=1`` arrays; multi-failure callers address disks explicitly.
+:attr:`failed_disk` and the no-argument :meth:`install_replacement`
+and :meth:`repair_complete` address the earliest active failure;
+multi-failure callers name disks explicitly.
 """
 
 from __future__ import annotations
 
-import enum
 import typing
 from dataclasses import dataclass, field
-
-
-class DiskMode(enum.Enum):
-    """Operational state of one disk slot."""
-
-    OK = "ok"
-    FAILED = "failed"            # lost; no replacement installed yet
-    RECONSTRUCTING = "reconstructing"  # replacement installed, rebuild underway
 
 
 class DataLossError(RuntimeError):
@@ -92,7 +81,7 @@ class ArrayFaults:
         self.data_loss_events: typing.List[DataLossEvent] = []
 
     # ------------------------------------------------------------------
-    # Single-failure accessors (historical API, the first active fault)
+    # Queries
     # ------------------------------------------------------------------
     @property
     def failed_disk(self) -> typing.Optional[int]:
@@ -101,16 +90,6 @@ class ArrayFaults:
             return disk
         return None
 
-    @property
-    def replacement_installed(self) -> bool:
-        """Whether the earliest active failure has its replacement."""
-        for installed in self._active.values():
-            return installed
-        return False
-
-    # ------------------------------------------------------------------
-    # Multi-failure accessors
-    # ------------------------------------------------------------------
     @property
     def failed_disks(self) -> typing.Tuple[int, ...]:
         """All active repairable failures, in failure order."""
@@ -132,14 +111,6 @@ class ArrayFaults:
     def data_lost(self) -> bool:
         """True once any multi-failure has destroyed data (terminal)."""
         return bool(self.data_loss_events)
-
-    def mode_of(self, disk: int) -> DiskMode:
-        if disk in self.lost_disks:
-            return DiskMode.FAILED
-        installed = self._active.get(disk)
-        if installed is None:
-            return DiskMode.OK
-        return DiskMode.RECONSTRUCTING if installed else DiskMode.FAILED
 
     def replacement_installed_on(self, disk: int) -> bool:
         """Whether active failure ``disk`` has its replacement installed."""

@@ -25,8 +25,6 @@ from repro.designs.difference import (
     BaseBlock,
     cyclic_design,
     develop_base_blocks,
-    developed_tuple_at,
-    developed_tuple_count,
     difference_family_lambda,
     iter_developed_tuples,
 )
@@ -61,8 +59,6 @@ __all__ = [
     "default_catalog",
     "derived_design",
     "develop_base_blocks",
-    "developed_tuple_at",
-    "developed_tuple_count",
     "difference_family_lambda",
     "full_orbit_family",
     "is_t_balanced",

@@ -143,11 +143,6 @@ class BlockDesign:
         """True for symmetric designs (``b == v``, hence ``k == r``)."""
         return self.b == self.v
 
-    def relabeled(self, mapping: typing.Dict[int, int], v: int, name: str = "") -> "BlockDesign":
-        """A new design with objects renamed through ``mapping``."""
-        new_tuples = tuple(tuple(mapping[obj] for obj in t) for t in self.tuples)
-        return BlockDesign(v=v, tuples=new_tuples, name=name or self.name)
-
     def summary(self) -> str:
         """One-line human description with all five parameters."""
         return (

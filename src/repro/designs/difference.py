@@ -33,13 +33,6 @@ class BaseBlock:
         return self.period if self.period is not None else modulus
 
 
-def developed_tuple_count(
-    base_blocks: typing.Sequence[BaseBlock], modulus: int
-) -> int:
-    """Tuples the development of ``base_blocks`` yields, without building it."""
-    return sum(base.orbit_length(modulus) for base in base_blocks)
-
-
 def iter_developed_tuples(
     base_blocks: typing.Sequence[BaseBlock], modulus: int
 ) -> typing.Iterator[typing.Tuple[int, ...]]:
@@ -58,29 +51,6 @@ def iter_developed_tuples(
             raise DesignError(f"period {length} outside 1..{modulus}")
         for shift in range(length):
             yield tuple((e + shift) % modulus for e in base.elements)
-
-
-def developed_tuple_at(
-    base_blocks: typing.Sequence[BaseBlock], modulus: int, index: int
-) -> typing.Tuple[int, ...]:
-    """Random access into the development order: tuple ``index`` in O(k).
-
-    The inverse of enumerating :func:`iter_developed_tuples` — used by
-    table-free layouts to resolve one stripe without materializing any
-    neighbors.
-    """
-    if index < 0:
-        raise DesignError(f"negative tuple index {index}")
-    remaining = index
-    for base in base_blocks:
-        length = base.orbit_length(modulus)
-        if remaining < length:
-            return tuple((e + remaining) % modulus for e in base.elements)
-        remaining -= length
-    raise DesignError(
-        f"tuple index {index} outside the "
-        f"{developed_tuple_count(base_blocks, modulus)}-tuple development"
-    )
 
 
 def difference_family_lambda(

@@ -69,14 +69,6 @@ def projective_plane(q: int) -> BlockDesign:
         + [(0, 0, 1)]
     )
     index = {pt: i for i, pt in enumerate(points)}
-
-    def normalize(vec: typing.Tuple[int, int, int]) -> typing.Tuple[int, int, int]:
-        for lead in vec:
-            if lead % q != 0:
-                inv = pow(lead, q - 2, q)
-                return tuple((c * inv) % q for c in vec)
-        raise DesignError("zero vector has no projective normalization")
-
     # Lines are also indexed by projective triples [a:b:c]; a point lies
     # on a line iff a*x + b*y + c*z == 0 (mod q).
     tuples = []

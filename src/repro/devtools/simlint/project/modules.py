@@ -111,7 +111,6 @@ class ProjectContext:
         self.modules: typing.Dict[str, ModuleContext] = {}
         self.functions: typing.Dict[str, FunctionInfo] = {}
         self.classes: typing.Dict[str, ClassInfo] = {}
-        self._module_of_ctx: typing.Dict[str, str] = {}
         self._analyses: typing.Dict[str, object] = {}
         for path in files:
             source = path.read_text(encoding="utf-8")
@@ -119,7 +118,6 @@ class ProjectContext:
             module = _module_name(path)
             self.contexts[ctx.path] = ctx
             self.modules[module] = ctx
-            self._module_of_ctx[ctx.path] = module
         for module in sorted(self.modules):
             self._index_module(module, self.modules[module])
         for module in sorted(self.modules):
@@ -128,9 +126,6 @@ class ProjectContext:
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
-    def module_of(self, ctx: ModuleContext) -> str:
-        return self._module_of_ctx[ctx.path]
-
     def _index_module(self, module: str, ctx: ModuleContext) -> None:
         for stmt in ctx.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):

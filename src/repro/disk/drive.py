@@ -209,7 +209,6 @@ class DiskStats:
 
     completed: int = 0
     completed_by_kind: typing.Dict[str, int] = field(default_factory=dict)
-    buffer_hits: int = 0
     busy_ms: float = 0.0
     total_service_ms: float = 0.0
     total_queue_wait_ms: float = 0.0
@@ -249,8 +248,6 @@ class Disk:
         disk_id: int = 0,
         scheduler: typing.Optional[Scheduler] = None,
         policy: str = "cvscan",
-        track_buffer: bool = False,
-        buffer_hit_ms: float = 0.5,
     ):
         self.env = env
         self.spec = spec
@@ -276,14 +273,6 @@ class Disk:
         self.head_cylinder = 0
         self.direction = 1
         self.stats = DiskStats()
-        #: Optional single-track read buffer (the 0661 had one). A read
-        #: wholly inside the most recently read track is served from the
-        #: buffer at ``buffer_hit_ms``; any write to that track
-        #: invalidates it. Off by default — the paper's driver used no
-        #: caching.
-        self.track_buffer = track_buffer
-        self.buffer_hit_ms = buffer_hit_ms
-        self._buffered_track: typing.Optional[typing.Tuple[int, int]] = None
         #: Optional fault model (:class:`repro.faults.state.DiskFaultState`).
         #: None keeps the drive's behavior — timing and completions —
         #: bit-identical to a fault-free build.
@@ -387,25 +376,10 @@ class Disk:
         same head position, direction and clock, so pricing it again
         would repeat the identical arithmetic.
         """
-        runs = request.runs
-        if self.track_buffer:
-            tracks = {(run.cylinder, run.track) for run in runs}
-            if (
-                not request.is_write
-                and len(tracks) == 1
-                and next(iter(tracks)) == self._buffered_track
-            ):
-                # Whole read served from the track buffer: no mechanical work.
-                self.stats.buffer_hits += 1
-                return self.buffer_hit_ms, 0.0, 0.0, self.buffer_hit_ms
-            if request.is_write and self._buffered_track in tracks:
-                self._buffered_track = None
-            elif not request.is_write:
-                self._buffered_track = (runs[-1].cylinder, runs[-1].track)
         priced = request.priced
         if priced is None:
             priced = service_components(
-                runs,
+                request.runs,
                 self.head_cylinder,
                 self.direction,
                 self.env.now,

@@ -2,8 +2,7 @@
 
 Experiment runners return plain dict rows; this module writes them with
 enough metadata (experiment name, scale, package version, row schema)
-that a result file is self-describing, and loads them back for
-comparison across runs.
+that a result file is self-describing.
 """
 
 from __future__ import annotations
@@ -66,54 +65,3 @@ def save_rows(
         encoding="utf-8",
     )
 
-
-def load_rows(path: typing.Union[str, pathlib.Path]) -> typing.Tuple[dict, list]:
-    """Read a result document; returns ``(metadata, rows)``.
-
-    Raises
-    ------
-    ValueError
-        For documents written by an incompatible format version.
-    """
-    document = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    if document.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"result file {path} has format version "
-            f"{document.get('format_version')!r}, expected {FORMAT_VERSION}"
-        )
-    metadata = {k: v for k, v in document.items() if k != "rows"}
-    return metadata, document["rows"]
-
-
-def diff_rows(
-    baseline: typing.Sequence[dict],
-    current: typing.Sequence[dict],
-    key_fields: typing.Sequence[str],
-    value_field: str,
-) -> typing.List[dict]:
-    """Join two row sets on key fields and report value changes.
-
-    Useful for regression-checking experiment outputs across code
-    changes: join Figure 8-1 rows on (alpha, rate, algorithm) and see
-    how reconstruction time moved.
-    """
-    def key_of(row):
-        return tuple(row[f] for f in key_fields)
-
-    baseline_by_key = {key_of(row): row for row in baseline}
-    changes = []
-    for row in current:
-        key = key_of(row)
-        if key not in baseline_by_key:
-            continue
-        old = baseline_by_key[key][value_field]
-        new = row[value_field]
-        changes.append(
-            {
-                **{f: row[f] for f in key_fields},
-                "baseline": old,
-                "current": new,
-                "ratio": (new / old) if old else float("inf"),
-            }
-        )
-    return changes

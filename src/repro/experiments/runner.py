@@ -264,12 +264,10 @@ def run_scenario(
     if config.mode == "fault-free":
         workload.run(duration_ms=scale.steady_duration_ms)
         env.run(until=scale.steady_duration_ms)
-        measure_since = None
     elif config.mode == "degraded":
         controller.fail_disk(config.failed_disk)
         workload.run(duration_ms=scale.steady_duration_ms)
         env.run(until=scale.steady_duration_ms)
-        measure_since = None
     elif config.mode == "recon":
         controller.fail_disk(config.failed_disk)
         controller.install_replacement()
@@ -284,7 +282,6 @@ def run_scenario(
         workload.stop()
         env.run(until=workload.drained())
         reconstruction = reconstructor.result()
-        measure_since = None  # warm-up alone; the whole window is recovery
     else:  # campaign
         from repro.array.sparing import SparePool
         from repro.faults.injector import FaultInjector
@@ -309,7 +306,6 @@ def run_scenario(
         if workload is not None:
             workload.run(duration_ms=mission)
         env.run(until=env.any_of([env.timeout(mission), injector.data_loss_event]))
-        measure_since = None
         # mean_repair_ms averages spare_pool.repairs, and
         # injector.repairs_completed counts the same completions: the
         # injector installs a synchronous SparePool.on_repair callback,
@@ -384,9 +380,9 @@ def run_scenario(
         metrics_block = metrics.to_dict(end_ms)
     return ScenarioResult(
         config=config,
-        response=recorder.summary(since_ms=measure_since),
-        read_response=recorder.summary(reads_only=True, since_ms=measure_since),
-        write_response=recorder.summary(writes_only=True, since_ms=measure_since),
+        response=recorder.summary(),
+        read_response=recorder.summary(reads_only=True),
+        write_response=recorder.summary(writes_only=True),
         simulated_ms=end_ms,
         requests_completed=workload.completed if workload is not None else 0,
         mapped_units_per_disk=addressing.mapped_units_per_disk,

@@ -47,16 +47,15 @@ class FaultInjector:
         Optional :class:`~repro.array.sparing.SparePool`. Failures on a
         fault-free array route through it while spares remain;
         otherwise the disk just fails in place.
-    streams:
-        Random stream factory; defaults to a child of the profile's
-        seed, independent of the workload's streams.
+
+    The injector draws from a child of the profile's seed, independent
+    of the workload's streams.
     """
 
     def __init__(
         self,
         controller: "ArrayController",
         monitor: typing.Optional["SparePool"] = None,
-        streams: typing.Optional[RandomStreams] = None,
     ):
         if controller.fault_profile is None:
             raise ValueError(
@@ -67,7 +66,7 @@ class FaultInjector:
         self.profile: FaultProfile = controller.fault_profile
         self.monitor = monitor
         self.log: FaultLog = controller.fault_log
-        streams = streams or RandomStreams(self.profile.seed).spawn("fault-injector")
+        streams = RandomStreams(self.profile.seed).spawn("fault-injector")
         self._lifetime_rng = streams.stream("lifetimes")
         self._latent_rng = streams.stream("latent-errors")
         #: Fires with the simulated time of the first data-loss event.

@@ -66,7 +66,6 @@ class MetricsRegistry:
         self._queue_depth: typing.Dict[int, TimeWeightedGauge] = {}
         self.recon_progress: typing.List[ProgressSeries] = []
         self._disk_rows: typing.List[dict] = []
-        self._last_seen_ms = measure_since_ms
 
     # ------------------------------------------------------------------
     # Recording
@@ -95,8 +94,6 @@ class MetricsRegistry:
         mirroring how the response recorder filters its samples."""
         if now_ms < self.measure_since_ms:
             return
-        if now_ms > self._last_seen_ms:
-            self._last_seen_ms = now_ms
         self.latency_histogram(klass).record(value_ms)
 
     def queue_gauge(self, disk_id: int) -> TimeWeightedGauge:
@@ -149,16 +146,3 @@ class MetricsRegistry:
             "disks": disks,
             "recon_progress": [series.to_dict() for series in self.recon_progress],
         }
-
-    def snapshot(self, end_ms: typing.Optional[float] = None) -> dict:
-        """A JSON-safe snapshot usable *mid-run*.
-
-        :meth:`to_dict` requires the run's end time; a streaming
-        consumer (the job service's progress endpoint) doesn't know it
-        yet, so the snapshot defaults to the latest simulated time the
-        registry has observed. Snapshots are pure reads: taking one
-        never perturbs the run.
-        """
-        if end_ms is None:
-            end_ms = self._last_seen_ms
-        return self.to_dict(end_ms)

@@ -49,10 +49,6 @@ class ReconStatus:
     def all_built(self) -> bool:
         return self.built_count == self.total_units
 
-    @property
-    def fraction_built(self) -> float:
-        return self.built_count / self.total_units
-
     # ------------------------------------------------------------------
     # Sweep claiming
     # ------------------------------------------------------------------
@@ -70,12 +66,6 @@ class ReconStatus:
                 self._state[offset] = CLAIMED
                 return offset
         return None
-
-    def unclaim(self, offset: int) -> None:
-        """Return a claimed offset (e.g. found built under the lock)."""
-        if self._state[offset] == CLAIMED:
-            self._state[offset] = UNBUILT
-            self._cursor = min(self._cursor, offset)
 
     # ------------------------------------------------------------------
     # Completion

@@ -10,7 +10,7 @@ depending on the experiment section).
 from repro.workload.base import WorkloadBase
 from repro.workload.recorder import ResponseRecorder
 from repro.workload.synthetic import SyntheticWorkload, WorkloadConfig
-from repro.workload.patterns import phased, sequential_scan, zipf_hot_spot
+from repro.workload.patterns import zipf_hot_spot
 from repro.workload.trace import TraceRecord, TraceWorkload, load_trace, save_trace
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "WorkloadBase",
     "WorkloadConfig",
     "load_trace",
-    "phased",
     "save_trace",
-    "sequential_scan",
     "zipf_hot_spot",
 ]

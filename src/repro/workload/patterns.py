@@ -1,13 +1,13 @@
-"""Trace generators for structured access patterns.
+"""A trace generator for Zipf-like hot spots.
 
 The paper's generator is uniform random; real storage workloads are
-not. These helpers synthesize :class:`~repro.workload.trace.TraceRecord`
-lists for the classic non-uniform shapes — sequential scans, Zipf-like
-hot spots, and phased mixtures — so the same simulator can answer
-questions the uniform model cannot (does declustering still balance
-load under skew? how do sequential floods interact with recovery?).
+not. :func:`zipf_hot_spot` synthesizes a
+:class:`~repro.workload.trace.TraceRecord` list whose accesses
+concentrate on a small working set, so the same simulator can answer
+a question the uniform model cannot: does declustering still balance
+load under skew?
 
-All generators take an explicit RNG seed and produce deterministic
+The generator takes an explicit RNG seed and produces deterministic
 traces.
 """
 
@@ -27,38 +27,6 @@ def _interarrivals(rng, rate_per_s: float, count: int) -> typing.List[float]:
         clock += rng.expovariate(rate_per_s / 1000.0)
         times.append(clock)
     return times
-
-
-def sequential_scan(
-    num_units: int,
-    start_unit: int = 0,
-    length: typing.Optional[int] = None,
-    rate_per_s: float = 100.0,
-    is_write: bool = False,
-    access_units: int = 1,
-    seed: int = 1992,
-) -> typing.List[TraceRecord]:
-    """A sequential pass over ``length`` units from ``start_unit``.
-
-    Models backup/scan traffic: addresses advance strictly, arrivals
-    are Poisson at ``rate_per_s``.
-    """
-    if length is None:
-        length = num_units - start_unit
-    if start_unit + length > num_units:
-        raise ValueError("scan exceeds the data space")
-    count = length // access_units
-    rng = RandomStreams(seed).stream("scan-arrivals")
-    times = _interarrivals(rng, rate_per_s, count)
-    return [
-        TraceRecord(
-            at_ms=times[i],
-            is_write=is_write,
-            logical_unit=start_unit + i * access_units,
-            num_units=access_units,
-        )
-        for i in range(count)
-    ]
 
 
 def zipf_hot_spot(
@@ -113,31 +81,3 @@ def zipf_hot_spot(
         for i in range(count)
     ]
 
-
-def phased(
-    phases: typing.Sequence[typing.Sequence[TraceRecord]],
-    gap_ms: float = 0.0,
-) -> typing.List[TraceRecord]:
-    """Concatenate traces end to end, optionally separated by idle gaps.
-
-    Each phase's timestamps are shifted to start after the previous
-    phase's last record (plus ``gap_ms``).
-    """
-    if gap_ms < 0:
-        raise ValueError("gap must be non-negative")
-    merged: typing.List[TraceRecord] = []
-    offset = 0.0
-    for phase in phases:
-        ordered = sorted(phase, key=lambda r: r.at_ms)
-        for record in ordered:
-            merged.append(
-                TraceRecord(
-                    at_ms=offset + record.at_ms,
-                    is_write=record.is_write,
-                    logical_unit=record.logical_unit,
-                    num_units=record.num_units,
-                )
-            )
-        if ordered:
-            offset = merged[-1].at_ms + gap_ms
-    return merged

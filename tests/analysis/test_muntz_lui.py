@@ -104,16 +104,6 @@ class TestLoadEquations:
         late = model.survivor_load(REDIRECT, f=1.0)
         assert late < early
 
-    def test_replacement_load_grows_with_redirection_progress(self):
-        model = MuntzLuiModel(make_inputs(g=10))
-        assert model.replacement_load(REDIRECT, 1.0) > model.replacement_load(
-            REDIRECT, 0.0
-        )
-
-    def test_baseline_replacement_load_is_zero(self):
-        model = MuntzLuiModel(make_inputs())
-        assert model.replacement_load(BASELINE, 0.5) == 0.0
-
     def test_free_rebuilds_only_for_writing_algorithms(self):
         model = MuntzLuiModel(make_inputs())
         assert model.free_rebuild_rate(BASELINE, 0.0) == 0.0

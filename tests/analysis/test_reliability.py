@@ -9,9 +9,7 @@ from repro.analysis.reliability import (
     ReliabilityInputs,
     data_loss_probability,
     mttdl_hours,
-    mttdl_improvement,
     mttdl_years,
-    reliability_table,
 )
 
 
@@ -96,21 +94,3 @@ class TestLossProbability:
         with pytest.raises(ValueError):
             data_loss_probability(inputs(), -1.0)
 
-
-class TestImprovement:
-    def test_halving_repair_doubles_mttdl(self):
-        assert mttdl_improvement(2.0, 1.0) == pytest.approx(2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mttdl_improvement(0.0, 1.0)
-
-
-class TestTable:
-    def test_rows_and_ordering(self):
-        rows = reliability_table({"alpha=0.15": 0.5, "raid5": 1.0})
-        by_label = {r["label"]: r for r in rows}
-        assert by_label["alpha=0.15"]["mttdl_years"] == pytest.approx(
-            2 * by_label["raid5"]["mttdl_years"]
-        )
-        assert 0 < by_label["raid5"]["loss_probability_mission"] < 1

@@ -47,16 +47,16 @@ class TestBaseline:
         array = array_in_recon_mode(BASELINE)
         logical = find_logical_on_disk(array, FAILED)
         offset = array.addressing.logical_unit_address(logical).offset
-        array.controller.recon_status.mark_built(offset)
+        array.controller.recon_statuses[FAILED].mark_built(offset)
         array.run_op(array.controller.write(logical, values=[2]))
         assert array.controller.stats.by_path == {"rmw-write": 1}
-        assert array.controller.recon_status.is_built(offset)
+        assert array.controller.recon_statuses[FAILED].is_built(offset)
 
     def test_built_read_still_reconstructs_on_the_fly(self):
         array = array_in_recon_mode(BASELINE)
         logical = find_logical_on_disk(array, FAILED)
         offset = array.addressing.logical_unit_address(logical).offset
-        array.controller.recon_status.mark_built(offset)
+        array.controller.recon_statuses[FAILED].mark_built(offset)
         request = array.run_op(array.controller.read(logical))
         assert request.paths == ["on-the-fly-read"]
 
@@ -65,10 +65,10 @@ class TestBaseline:
         logical = find_logical_with_parity_on_disk(array, FAILED)
         stripe = array.layout.stripe_of_logical(logical)
         parity_offset = array.layout.parity_unit(stripe).offset
-        array.controller.recon_status.mark_built(parity_offset)
+        array.controller.recon_statuses[FAILED].mark_built(parity_offset)
         array.run_op(array.controller.write(logical, values=[3]))
         assert array.controller.stats.by_path == {"rmw-write": 1}
-        assert array.controller.recon_status.is_built(parity_offset)
+        assert array.controller.recon_statuses[FAILED].is_built(parity_offset)
 
 
 class TestStrictBaseline:
@@ -80,11 +80,11 @@ class TestStrictBaseline:
         array = array_in_recon_mode(STRICT_BASELINE)
         logical = find_logical_on_disk(array, FAILED)
         offset = array.addressing.logical_unit_address(logical).offset
-        array.controller.recon_status.mark_built(offset)
+        array.controller.recon_statuses[FAILED].mark_built(offset)
         array.run_op(array.controller.write(logical, values=[2]))
         assert array.controller.stats.by_path == {"fold-write": 1}
-        assert not array.controller.recon_status.is_built(offset)
-        assert array.controller.recon_status.dirtied_count == 1
+        assert not array.controller.recon_statuses[FAILED].is_built(offset)
+        assert array.controller.recon_statuses[FAILED].dirtied_count == 1
         assert replacement_user_accesses(array) == 0
 
     def test_built_parity_write_dirties_parity(self):
@@ -94,10 +94,10 @@ class TestStrictBaseline:
         logical = find_logical_with_parity_on_disk(array, FAILED)
         stripe = array.layout.stripe_of_logical(logical)
         parity_offset = array.layout.parity_unit(stripe).offset
-        array.controller.recon_status.mark_built(parity_offset)
+        array.controller.recon_statuses[FAILED].mark_built(parity_offset)
         array.run_op(array.controller.write(logical, values=[3]))
         assert array.controller.stats.by_path == {"data-only-write": 1}
-        assert not array.controller.recon_status.is_built(parity_offset)
+        assert not array.controller.recon_statuses[FAILED].is_built(parity_offset)
 
     def test_dirtied_unit_is_reswept_and_correct(self):
         from repro.recon import Reconstructor
@@ -107,7 +107,7 @@ class TestStrictBaseline:
         controller = array.controller
         logical = find_logical_on_disk(array, FAILED)
         offset = array.addressing.logical_unit_address(logical).offset
-        controller.recon_status.mark_built(offset)
+        controller.recon_statuses[FAILED].mark_built(offset)
         array.run_op(controller.write(logical, values=[0xD1247]))
         reconstructor = Reconstructor(controller, workers=2)
         array.env.run(until=reconstructor.start())
@@ -123,7 +123,7 @@ class TestUserWrites:
         offset = array.addressing.logical_unit_address(logical).offset
         array.run_op(array.controller.write(logical, values=[7]))
         assert array.controller.stats.by_path == {"reconstruct-write": 1}
-        assert array.controller.recon_status.is_built(offset)
+        assert array.controller.recon_statuses[FAILED].is_built(offset)
         assert replacement_user_accesses(array) == 1
 
     def test_reconstruct_write_access_count(self):
@@ -172,7 +172,7 @@ class TestRedirect:
         logical = find_logical_on_disk(array, FAILED)
         offset = array.addressing.logical_unit_address(logical).offset
         array.run_op(array.controller.read(logical))
-        assert not array.controller.recon_status.is_built(offset)
+        assert not array.controller.recon_statuses[FAILED].is_built(offset)
         assert array.controller.stats.piggyback_writes == 0
 
 
@@ -183,7 +183,7 @@ class TestRedirectPiggyback:
         offset = array.addressing.logical_unit_address(logical).offset
         array.run_op(array.controller.read(logical))
         array.env.run()  # let the piggyback write finish
-        assert array.controller.recon_status.is_built(offset)
+        assert array.controller.recon_statuses[FAILED].is_built(offset)
         assert array.controller.stats.piggyback_writes == 1
 
     def test_piggybacked_unit_reads_correctly_from_replacement(self):

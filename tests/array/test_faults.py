@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.array import ArrayFaults, DiskMode
+from repro.array import ArrayFaults
 from repro.array.faults import DataLossError
 
 
@@ -10,20 +10,23 @@ class TestFaultTransitions:
     def test_initially_fault_free(self):
         faults = ArrayFaults(5)
         assert faults.fault_free
-        assert all(faults.mode_of(d) is DiskMode.OK for d in range(5))
+        assert faults.failed_disks == ()
+        assert not any(faults.replacement_installed_on(d) for d in range(5))
 
     def test_fail_marks_disk(self):
         faults = ArrayFaults(5)
         faults.fail(2)
         assert not faults.fault_free
-        assert faults.mode_of(2) is DiskMode.FAILED
-        assert faults.mode_of(1) is DiskMode.OK
+        assert faults.failed_disks == (2,)
+        assert not faults.replacement_installed_on(2)
 
     def test_replacement_transitions_to_reconstructing(self):
         faults = ArrayFaults(5)
         faults.fail(2)
         faults.install_replacement()
-        assert faults.mode_of(2) is DiskMode.RECONSTRUCTING
+        assert faults.failed_disks == (2,)
+        assert faults.replacement_installed_on(2)
+        assert not faults.replacement_installed_on(1)
 
     def test_repair_complete_restores_fault_free(self):
         faults = ArrayFaults(5)
@@ -31,6 +34,7 @@ class TestFaultTransitions:
         faults.install_replacement()
         faults.repair_complete()
         assert faults.fault_free
+        assert not faults.replacement_installed_on(2)
 
     def test_second_failure_rejected(self):
         faults = ArrayFaults(5)

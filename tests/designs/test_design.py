@@ -83,11 +83,3 @@ class TestConstructionErrors:
     def test_tuple_larger_than_v_rejected(self):
         with pytest.raises(DesignError):
             BlockDesign(v=2, tuples=((0, 1, 1),))
-
-
-class TestRelabel:
-    def test_relabel_preserves_structure(self):
-        mapping = {i: (i + 1) % 7 for i in range(7)}
-        rotated = FANO.relabeled(mapping, v=7)
-        rotated.validate()
-        assert rotated.tuples[0] == (1, 2, 4)

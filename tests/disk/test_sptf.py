@@ -41,10 +41,10 @@ def reference(disk, request):
     )
 
 
-def idle_drive(policy="sptf", at_ms=37.25, **kwargs):
+def idle_drive(policy="sptf", at_ms=37.25):
     """A drive that has idled until ``at_ms`` (a nonzero platter phase)."""
     env = Environment()
-    disk = Disk(env, IBM_0661, policy=policy, **kwargs)
+    disk = Disk(env, IBM_0661, policy=policy)
     env.run(until=at_ms)
     return env, disk
 
@@ -138,21 +138,6 @@ class TestDriveHandoff:
         for request, _depth, fresh in picks:
             assert recorded[request] == fresh[1:4]
             assert request.complete_ms == request.start_service_ms + fresh[0]
-
-    def test_track_buffer_hit_still_costs_buffer_hit_ms(self):
-        env, disk = idle_drive(track_buffer=True, buffer_hit_ms=0.5)
-        buffered = 200 * SPC + 3 * SPT
-        env.run(until=disk.access(buffered, 8, is_write=False))
-        # The next sectors of the buffered track, queued beside two
-        # far-away reads: SPTF prices all three mechanically, and the
-        # drive still serves the buffered one from the buffer.
-        hit, *_others = submit_all(
-            disk, [(buffered + 8, 8), (20 * SPC, 8), (900 * SPC, 8)]
-        )
-        env.run()
-        assert hit.priced is not None
-        assert disk.stats.buffer_hits == 1
-        assert hit.complete_ms - hit.start_service_ms == pytest.approx(0.5)
 
 
 class TestPriority:

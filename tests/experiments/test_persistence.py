@@ -1,8 +1,10 @@
 """Unit tests for experiment result persistence."""
 
+import json
+
 import pytest
 
-from repro.experiments.persistence import diff_rows, load_rows, save_rows
+from repro.experiments.persistence import FORMAT_VERSION, save_rows
 
 ROWS = [
     {"alpha": 0.15, "rate": 105, "recon_time_s": 40.0},
@@ -10,45 +12,25 @@ ROWS = [
 ]
 
 
+def read_document(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "fig8.json"
         save_rows(path, experiment="fig8-1", scale="tiny", rows=ROWS)
-        metadata, rows = load_rows(path)
-        assert rows == ROWS
-        assert metadata["experiment"] == "fig8-1"
-        assert metadata["scale"] == "tiny"
-        assert "alpha" in metadata["fields"]
+        document = read_document(path)
+        assert document["rows"] == ROWS
+        assert document["format_version"] == FORMAT_VERSION
+        assert document["experiment"] == "fig8-1"
+        assert document["scale"] == "tiny"
+        assert "alpha" in document["fields"]
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "nested" / "deeper" / "out.json"
         save_rows(path, experiment="x", scale="tiny", rows=ROWS)
         assert path.exists()
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text('{"format_version": 99, "rows": []}')
-        with pytest.raises(ValueError, match="format version"):
-            load_rows(path)
-
-
-class TestDiff:
-    def test_joins_on_keys(self):
-        current = [
-            {"alpha": 0.15, "rate": 105, "recon_time_s": 44.0},
-            {"alpha": 1.0, "rate": 105, "recon_time_s": 80.0},
-        ]
-        changes = diff_rows(ROWS, current, key_fields=["alpha", "rate"],
-                            value_field="recon_time_s")
-        by_alpha = {c["alpha"]: c for c in changes}
-        assert by_alpha[0.15]["ratio"] == pytest.approx(1.1)
-        assert by_alpha[1.0]["ratio"] == pytest.approx(1.0)
-
-    def test_unmatched_rows_skipped(self):
-        current = [{"alpha": 0.45, "rate": 105, "recon_time_s": 50.0}]
-        changes = diff_rows(ROWS, current, key_fields=["alpha", "rate"],
-                            value_field="recon_time_s")
-        assert changes == []
 
 
 class TestNonUniformRows:
@@ -60,17 +42,17 @@ class TestNonUniformRows:
         ]
         path = tmp_path / "mixed.json"
         save_rows(path, experiment="mixed", scale="tiny", rows=rows)
-        metadata, loaded = load_rows(path)
-        assert metadata["fields"] == ["alpha", "mean_response_ms",
+        document = read_document(path)
+        assert document["fields"] == ["alpha", "mean_response_ms",
                                       "rate", "recon_time_s"]
-        assert loaded == rows
+        assert document["rows"] == rows
 
     def test_empty_rows(self, tmp_path):
         path = tmp_path / "empty.json"
         save_rows(path, experiment="none", scale="tiny", rows=[])
-        metadata, loaded = load_rows(path)
-        assert metadata["fields"] == []
-        assert loaded == []
+        document = read_document(path)
+        assert document["fields"] == []
+        assert document["rows"] == []
 
 
 class TestCanonicalObjects:
@@ -87,7 +69,7 @@ class TestCanonicalObjects:
             path, experiment="obj", scale="tiny",
             rows=[{"algorithm": REDIRECT, "config": config}],
         )
-        _metadata, loaded = load_rows(path)
+        loaded = read_document(path)["rows"]
         assert loaded[0]["algorithm"] == "redirect"
         assert ScenarioConfig.from_key(loaded[0]["config"]) == config
 
@@ -96,7 +78,7 @@ class TestCanonicalObjects:
 
         path = tmp_path / "preset.json"
         save_rows(path, experiment="p", scale="tiny", rows=[{"scale": TINY}])
-        _metadata, loaded = load_rows(path)
+        loaded = read_document(path)["rows"]
         assert loaded[0]["scale"]["cylinders"] == 13
 
     def test_unserializable_object_rejected(self, tmp_path):

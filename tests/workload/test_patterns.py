@@ -1,41 +1,8 @@
-"""Unit tests for trace pattern generators."""
+"""Unit tests for the Zipf hot-spot trace generator."""
 
 import pytest
 
-from repro.workload.patterns import phased, sequential_scan, zipf_hot_spot
-from repro.workload.trace import TraceRecord
-
-
-class TestSequentialScan:
-    def test_addresses_advance_strictly(self):
-        records = sequential_scan(num_units=100, length=20)
-        units = [r.logical_unit for r in records]
-        assert units == list(range(20))
-
-    def test_timestamps_increase(self):
-        records = sequential_scan(num_units=100, length=20)
-        times = [r.at_ms for r in records]
-        assert times == sorted(times)
-        assert times[0] > 0
-
-    def test_multi_unit_accesses(self):
-        records = sequential_scan(num_units=100, length=20, access_units=4)
-        assert len(records) == 5
-        assert [r.logical_unit for r in records] == [0, 4, 8, 12, 16]
-        assert all(r.num_units == 4 for r in records)
-
-    def test_write_scan(self):
-        records = sequential_scan(num_units=50, length=10, is_write=True)
-        assert all(r.is_write for r in records)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            sequential_scan(num_units=10, start_unit=5, length=10)
-
-    def test_deterministic(self):
-        assert sequential_scan(100, length=10, seed=5) == sequential_scan(
-            100, length=10, seed=5
-        )
+from repro.workload.patterns import zipf_hot_spot
 
 
 class TestZipfHotSpot:
@@ -70,32 +37,13 @@ class TestZipfHotSpot:
             zipf_hot_spot(num_units=10, count=5, skew=-1)
 
 
-class TestPhased:
-    def test_phases_are_sequenced(self):
-        first = [TraceRecord(at_ms=5.0, is_write=False, logical_unit=0)]
-        second = [TraceRecord(at_ms=1.0, is_write=True, logical_unit=1)]
-        merged = phased([first, second], gap_ms=10.0)
-        assert merged[0].at_ms == 5.0
-        assert merged[1].at_ms == pytest.approx(16.0)  # 5 + 10 gap + 1
-
-    def test_empty_phases_skipped(self):
-        only = [TraceRecord(at_ms=1.0, is_write=False, logical_unit=0)]
-        merged = phased([[], only])
-        assert len(merged) == 1
-
     def test_replay_through_the_array(self):
         from repro.workload import TraceWorkload
         from tests.conftest import build_array
 
         array = build_array(with_datastore=True)
-        trace = phased(
-            [
-                sequential_scan(array.addressing.num_data_units, length=30,
-                                rate_per_s=500.0),
-                zipf_hot_spot(array.addressing.num_data_units, count=30,
-                              rate_per_s=500.0),
-            ],
-            gap_ms=50.0,
+        trace = zipf_hot_spot(
+            array.addressing.num_data_units, count=60, rate_per_s=500.0
         )
         workload = TraceWorkload(array.controller, trace)
         workload.run()
