@@ -26,6 +26,43 @@ class Scheduler:
         raise NotImplementedError
 
 
+def _policies(cylinders: int) -> typing.Dict[str, typing.Callable[[], Scheduler]]:
+    """The base policies by name, each building a scheduler for a disk
+    of ``cylinders`` cylinders."""
+    from repro.disk.scheduling.cvscan import CvscanScheduler
+    from repro.disk.scheduling.fifo import FifoScheduler
+    from repro.disk.scheduling.scan import LookScheduler
+    from repro.disk.scheduling.sptf import SptfScheduler
+    from repro.disk.scheduling.sstf import SstfScheduler
+
+    return {
+        "fifo": FifoScheduler,
+        "sstf": SstfScheduler,
+        "sptf": SptfScheduler,
+        "look": LookScheduler,
+        "cvscan": lambda: CvscanScheduler(cylinders=cylinders),
+    }
+
+
+def parse_policy(policy: str) -> typing.Tuple[str, bool]:
+    """Split a policy name into its base policy and whether
+    ``+priority`` wraps it.
+
+    Raises ``ValueError`` for a name :func:`make_scheduler` cannot
+    build, so a configuration can be checked before any disk exists.
+    """
+    if not isinstance(policy, str):
+        raise ValueError(f"scheduling policy must be a name, got {policy!r}")
+    base_policy, _plus, modifier = policy.partition("+")
+    names = sorted(_policies(cylinders=0))
+    if base_policy not in names or modifier not in ("", "priority"):
+        raise ValueError(
+            f"unknown scheduling policy {policy!r}; choose from "
+            f"{names} optionally suffixed with '+priority'"
+        )
+    return base_policy, modifier == "priority"
+
+
 def make_scheduler(policy: str, cylinders: int) -> Scheduler:
     """Build a scheduler by policy name.
 
@@ -45,26 +82,10 @@ def make_scheduler(policy: str, cylinders: int) -> Scheduler:
     wraps it in the two-class user-priority discipline: user requests
     are always served before reconstruction requests.
     """
-    from repro.disk.scheduling.cvscan import CvscanScheduler
-    from repro.disk.scheduling.fifo import FifoScheduler
-    from repro.disk.scheduling.priority import UserPriorityScheduler
-    from repro.disk.scheduling.scan import LookScheduler
-    from repro.disk.scheduling.sptf import SptfScheduler
-    from repro.disk.scheduling.sstf import SstfScheduler
+    base_policy, priority = parse_policy(policy)
+    build = _policies(cylinders)[base_policy]
+    if priority:
+        from repro.disk.scheduling.priority import UserPriorityScheduler
 
-    policies: typing.Dict[str, typing.Callable[[], Scheduler]] = {
-        "fifo": FifoScheduler,
-        "sstf": SstfScheduler,
-        "sptf": SptfScheduler,
-        "look": LookScheduler,
-        "cvscan": lambda: CvscanScheduler(cylinders=cylinders),
-    }
-    base_policy, _plus, modifier = policy.partition("+")
-    if base_policy not in policies or modifier not in ("", "priority"):
-        raise ValueError(
-            f"unknown scheduling policy {policy!r}; choose from "
-            f"{sorted(policies)} optionally suffixed with '+priority'"
-        )
-    if modifier == "priority":
-        return UserPriorityScheduler(policies[base_policy](), policies[base_policy]())
-    return policies[base_policy]()
+        return UserPriorityScheduler(build(), build())
+    return build()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import typing
+
 from repro.designs.catalog import default_catalog
 from repro.designs.complete import complete_design_size
 from repro.designs.design import BlockDesign, DesignError
@@ -66,6 +68,29 @@ def dual_design_for(num_disks: int, stripe_size: int) -> BlockDesign:
     return design_for(num_disks, stripe_size)
 
 
+def _arithmetic_family(
+    num_disks: int, stripe_size: int, kind: str = "auto"
+) -> typing.Optional[typing.Tuple[typing.Tuple[int, ...], ...]]:
+    """The cyclic family an arithmetic layout of ``kind`` develops for
+    ``(C, G)``, or None for permutation striping; no layout is built.
+
+    Raises :class:`LayoutError` when neither construction fits.
+    """
+    if kind in ("auto", "prime") and is_prime(num_disks) and stripe_size < num_disks:
+        return None
+    if kind == "prime":
+        raise LayoutError(
+            f"layout 'prime' needs a prime C with G < C, got C={num_disks} "
+            f"G={stripe_size}"
+        )
+    try:
+        return full_orbit_family(num_disks, stripe_size)
+    except DesignError as error:
+        raise LayoutError(
+            f"no arithmetic layout for C={num_disks} G={stripe_size}: {error}"
+        ) from error
+
+
 def arithmetic_layout(
     num_disks: int, stripe_size: int, syndromes: int = 1, kind: str = "auto"
 ) -> ParityLayout:
@@ -76,21 +101,11 @@ def arithmetic_layout(
     permutation striping (always available on a prime width) and falls
     back to a cyclic family.
     """
-    if kind in ("auto", "prime") and is_prime(num_disks) and stripe_size < num_disks:
+    blocks = _arithmetic_family(num_disks, stripe_size, kind)
+    if blocks is None:
         return PermutationStripingLayout(
             num_disks, stripe_size, num_syndromes=syndromes
         )
-    if kind == "prime":
-        raise LayoutError(
-            f"layout 'prime' needs a prime C with G < C, got C={num_disks} "
-            f"G={stripe_size}"
-        )
-    try:
-        blocks = full_orbit_family(num_disks, stripe_size)
-    except DesignError as error:
-        raise LayoutError(
-            f"no arithmetic layout for C={num_disks} G={stripe_size}: {error}"
-        ) from error
     return CyclicArithmeticLayout(blocks, num_disks, num_syndromes=syndromes)
 
 
@@ -102,8 +117,8 @@ def _catalog_serves_exact(num_disks: int, stripe_size: int, syndromes: int) -> b
     small C that substitution is the paper's own policy and stays; at
     large C the nearest feasible design is a near-complete one whose
     O(b * k**2) validation is intractable (v=1009 would pick k=1008 and
-    spend ~1e9 operations in ``pair_counts``), so the auto path must
-    not walk into it.
+    spend ~1e9 operations in ``pair_counts``), so no path may walk into
+    it there (see :func:`check_layout`).
     """
     if stripe_size == num_disks:
         return True  # RAID 5 / cyclic RAID 6: no block design involved
@@ -134,6 +149,46 @@ def _table_layout(
     return DeclusteredLayout(design_for(num_disks, stripe_size))
 
 
+def check_layout(
+    num_disks: int, stripe_size: int, syndromes: int = 1, layout: str = "auto"
+) -> None:
+    """Raise :class:`LayoutError` unless :func:`build_layout` can serve
+    ``(C, G)`` with ``layout``.
+
+    Cheap on every path, so a config can be checked before a worker
+    builds anything: ``prime`` tests primality, ``cyclic`` looks up its
+    family, and ``table``/``auto`` consult the catalog only from
+    :data:`SAMPLING_THRESHOLD_DISKS` up. Below that width the table
+    path always serves (substituting the closest feasible alpha if it
+    must), and no design is built here.
+    """
+    if layout not in LAYOUT_CHOICES:
+        raise LayoutError(
+            f"unknown layout {layout!r}; choose from {LAYOUT_CHOICES}"
+        )
+    if layout == "prime" or layout == "cyclic":
+        _arithmetic_family(num_disks, stripe_size, kind=layout)
+    elif num_disks >= SAMPLING_THRESHOLD_DISKS and not _catalog_serves_exact(
+        num_disks, stripe_size, syndromes
+    ):
+        # A closest-alpha substitute at this width would be a
+        # near-complete design: intractable to validate and nothing
+        # like the requested geometry. Fail instead of hanging.
+        if layout == "table":
+            raise LayoutError(
+                f"layout 'table' has no design for C={num_disks} "
+                f"G={stripe_size} at this width"
+            )
+        try:
+            _arithmetic_family(num_disks, stripe_size)
+        except LayoutError as error:
+            raise LayoutError(
+                f"no layout for C={num_disks} G={stripe_size}: the catalog "
+                f"has no design at this width and no arithmetic "
+                f"construction fits ({error})"
+            ) from error
+
+
 def build_layout(
     num_disks: int, stripe_size: int, syndromes: int = 1, layout: str = "auto"
 ) -> ParityLayout:
@@ -150,12 +205,9 @@ def build_layout(
     policy below :data:`SAMPLING_THRESHOLD_DISKS` when no arithmetic
     construction fits either; ``"table"`` forces the table path;
     ``"prime"`` / ``"cyclic"`` force the corresponding arithmetic
-    construction.
+    construction. :func:`check_layout` says beforehand whether it can.
     """
-    if layout not in LAYOUT_CHOICES:
-        raise LayoutError(
-            f"unknown layout {layout!r}; choose from {LAYOUT_CHOICES}"
-        )
+    check_layout(num_disks, stripe_size, syndromes, layout)
     if layout == "prime" or layout == "cyclic":
         return arithmetic_layout(num_disks, stripe_size, syndromes, kind=layout)
     if layout == "table":
@@ -167,16 +219,11 @@ def build_layout(
             return arithmetic_layout(num_disks, stripe_size, syndromes)
     try:
         return arithmetic_layout(num_disks, stripe_size, syndromes)
-    except LayoutError as error:
+    except LayoutError:
+        # The paper's closest-alpha substitution, tractable only below
+        # SAMPLING_THRESHOLD_DISKS (see check_layout).
         if num_disks >= SAMPLING_THRESHOLD_DISKS:
-            # A closest-alpha substitute at this width would be a
-            # near-complete design: intractable to validate and nothing
-            # like the requested geometry. Fail instead of hanging.
-            raise LayoutError(
-                f"no layout for C={num_disks} G={stripe_size}: the catalog "
-                f"has no design at this width and no arithmetic "
-                f"construction fits ({error})"
-            ) from error
+            raise
         return _table_layout(num_disks, stripe_size, syndromes)
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from repro.array.addressing import ArrayAddressing
 from repro.array.controller import ArrayController
 from repro.disk.constant import ConstantRateDisk
-from repro.experiments.builders import LAYOUT_CHOICES, PAPER_NUM_DISKS, build_layout
+from repro.disk.scheduling.base import parse_policy
+from repro.experiments.builders import PAPER_NUM_DISKS, build_layout, check_layout
 from repro.experiments.scales import ScalePreset, get_scale
 from repro.faults.profile import FaultProfile
 from repro.metrics import MetricsRegistry
@@ -91,6 +92,9 @@ class ScenarioConfig:
             raise ValueError(
                 f"user_rate_per_s must be finite and >= 0, got {self.user_rate_per_s}"
             )
+        # Only a campaign may run without user traffic.
+        if self.mode != "campaign" and self.user_rate_per_s == 0:
+            raise ValueError(f"user_rate_per_s must be > 0 in {self.mode} mode")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError(f"read_fraction must be in [0, 1], got {self.read_fraction}")
         for name in ("recon_cycle_delay_ms", "replacement_delay_ms"):
@@ -122,10 +126,9 @@ class ScenarioConfig:
             raise ValueError(
                 f"failed_disk must be in [0, {self.num_disks}), got {self.failed_disk}"
             )
-        if self.layout not in LAYOUT_CHOICES:
-            raise ValueError(
-                f"layout must be one of {LAYOUT_CHOICES}, got {self.layout!r}"
-            )
+        check_layout(self.num_disks, self.stripe_size, self.syndromes, self.layout)
+        self.scale_preset()  # an unknown scale name raises ValueError
+        parse_policy(self.policy)
 
     @property
     def alpha(self) -> float:

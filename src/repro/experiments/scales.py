@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass
 
@@ -15,7 +16,8 @@ class ScalePreset:
     ``cylinders`` sets the disk (hence reconstruction) size.
     ``steady_duration_ms`` and ``warmup_ms`` control fault-free and
     degraded measurements (Figures 6-1/6-2), which need steady-state
-    windows rather than a reconstruction endpoint.
+    windows rather than a reconstruction endpoint. A warmup as long as
+    the duration is legal: the measurement window is then empty.
     """
 
     name: str
@@ -23,6 +25,16 @@ class ScalePreset:
     steady_duration_ms: float
     warmup_ms: float
     note: str
+
+    def __post_init__(self):
+        if self.cylinders < 2:
+            raise ValueError(f"cylinders must be >= 2, got {self.cylinders}")
+        if not (math.isfinite(self.steady_duration_ms) and self.steady_duration_ms > 0):
+            raise ValueError(
+                f"steady_duration_ms must be finite and > 0, got {self.steady_duration_ms}"
+            )
+        if not (math.isfinite(self.warmup_ms) and self.warmup_ms >= 0):
+            raise ValueError(f"warmup_ms must be finite and >= 0, got {self.warmup_ms}")
 
     def spec(self) -> DiskSpec:
         if self.cylinders == IBM_0661.cylinders:

@@ -109,23 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject values no simulation can run, as usage errors (exit 2).
+    """Reject a duration or warmup no simulation can run, as usage
+    errors (exit 2).
 
-    An infinite or NaN duration would never end the workload, and a
-    negative one fails only after the sweep's retries. A rate that is
-    not finite and positive, or a read fraction outside [0, 1], likewise
-    fails only inside the sweep, after its retries.
+    :class:`ScalePreset` checks both, but without ``--cylinders`` these
+    flags never reach one. Every other value is checked by the config
+    types when :func:`config_from_args` builds them.
     """
-    if not (math.isfinite(args.rate) and args.rate > 0):
-        parser.error(f"--rate must be finite and positive, got {args.rate!r}")
-    if not 0.0 <= args.read_fraction <= 1.0:
-        parser.error(f"--read-fraction must be in [0, 1], got {args.read_fraction!r}")
     if not (math.isfinite(args.duration_ms) and args.duration_ms > 0):
         parser.error(f"--duration-ms must be finite and positive, got {args.duration_ms!r}")
     if not (math.isfinite(args.warmup_ms) and args.warmup_ms >= 0):
         parser.error(f"--warmup-ms must be finite and non-negative, got {args.warmup_ms!r}")
-    if args.cylinders is not None and args.cylinders < 2:
-        parser.error(f"--cylinders must be >= 2, got {args.cylinders}")
 
 
 def _scale_from_args(args: argparse.Namespace) -> typing.Union[str, ScalePreset]:

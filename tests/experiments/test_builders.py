@@ -4,15 +4,17 @@ import time
 
 import pytest
 
+from repro.experiments import builders
 from repro.experiments.builders import (
     PAPER_NUM_DISKS,
     PAPER_STRIPE_SIZES,
     alpha_of,
     build_layout,
+    check_layout,
     design_for,
     dual_design_for,
 )
-from repro.layout import DeclusteredLayout, LeftSymmetricRaid5Layout
+from repro.layout import DeclusteredLayout, LayoutError, LeftSymmetricRaid5Layout
 from repro.layout.arithmetic import PermutationStripingLayout
 from repro.layout.dual import CyclicDualRaid6Layout, DualDeclusteredLayout
 
@@ -88,6 +90,53 @@ class TestAutoLayoutSelection:
             if g == 21:
                 continue
             assert isinstance(build_layout(21, g), DeclusteredLayout)
+
+
+class TestCheckLayout:
+    def test_forced_table_at_large_width_fails_fast(self):
+        # The closest-alpha substitute for C=1009 G=10 is the k=1008
+        # near-complete design: about 1e9 operations to validate.
+        started = time.perf_counter()
+        with pytest.raises(LayoutError, match="table"):
+            build_layout(1009, 10, layout="table")
+        assert time.perf_counter() - started < 5.0
+
+    @pytest.mark.parametrize("num_disks, stripe_size, layout", [
+        (8, 5, "prime"),
+        (21, 5, "prime"),
+        (21, 4, "cyclic"),
+        (1009, 10, "table"),
+        (1024, 10, "auto"),
+    ])
+    def test_agrees_with_build_layout(self, num_disks, stripe_size, layout):
+        with pytest.raises(LayoutError):
+            check_layout(num_disks, stripe_size, layout=layout)
+        with pytest.raises(LayoutError):
+            build_layout(num_disks, stripe_size, layout=layout)
+
+    @pytest.mark.parametrize("num_disks, stripe_size, layout", [
+        (23, 7, "prime"),
+        (13, 4, "cyclic"),
+        (1009, 10, "auto"),
+        (1009, 10, "prime"),
+    ])
+    def test_buildable_shapes_pass(self, num_disks, stripe_size, layout):
+        check_layout(num_disks, stripe_size, layout=layout)
+        assert build_layout(num_disks, stripe_size, layout=layout).stripe_size == (
+            stripe_size
+        )
+
+    @pytest.mark.parametrize("layout", ["auto", "table"])
+    def test_builds_no_design_below_the_sampling_threshold(self, monkeypatch, layout):
+        # Table layouts below C=256 always build (by closest-alpha
+        # substitution if need be), so checking them costs nothing.
+        def no_catalog():
+            raise AssertionError("check_layout consulted the design catalog")
+
+        monkeypatch.setattr(builders, "default_catalog", no_catalog)
+        for num_disks, stripe_size in [(21, 5), (21, 7), (255, 9)]:
+            check_layout(num_disks, stripe_size, layout=layout)
+            check_layout(num_disks, stripe_size, syndromes=2, layout=layout)
 
 
 class TestDualBuildLayout:

@@ -93,6 +93,21 @@ BAD_USAGE_CASES = [
         ["scenario", "--num-disks", "4", "--stripe-size", "5", "--no-cache"],
         id="scenario-fewer-disks-than-stripe",
     ),
+    pytest.param(
+        ["scenario", "--num-disks", "8", "--stripe-size", "5", "--layout", "prime",
+         "--no-cache"],
+        id="scenario-prime-layout-on-composite-width",
+    ),
+    pytest.param(
+        ["scenario", "--num-disks", "21", "--stripe-size", "4", "--layout", "cyclic",
+         "--no-cache"],
+        id="scenario-cyclic-layout-without-a-family",
+    ),
+    pytest.param(
+        ["scenario", "--num-disks", "1009", "--stripe-size", "10", "--layout", "table",
+         "--cylinders", "128", "--no-cache"],
+        id="scenario-table-layout-without-a-design-at-large-width",
+    ),
 ]
 
 

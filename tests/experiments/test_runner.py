@@ -1,9 +1,12 @@
 """Scenario runner integration tests (micro-sized arrays)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import ScenarioConfig, run_scenario
 from repro.experiments.scales import ScalePreset
+from repro.layout import LayoutError
 from repro.recon import REDIRECT, USER_WRITES
 
 #: A sub-tiny preset so each runner test stays under a second.
@@ -69,6 +72,46 @@ class TestConfigValidation:
     ])
     def test_array_shape_rejected(self, overrides, needle):
         with pytest.raises(ValueError, match=needle):
+            micro_config(**overrides)
+
+    @pytest.mark.parametrize("overrides, needle", [
+        ({"cylinders": 1}, "cylinders"),
+        ({"steady_duration_ms": float("inf")}, "steady_duration_ms"),
+        ({"steady_duration_ms": float("nan")}, "steady_duration_ms"),
+        ({"steady_duration_ms": 0.0}, "steady_duration_ms"),
+        ({"warmup_ms": -1.0}, "warmup_ms"),
+        ({"warmup_ms": float("nan")}, "warmup_ms"),
+        ({"warmup_ms": float("inf")}, "warmup_ms"),
+    ])
+    def test_unrunnable_scale_rejected(self, overrides, needle):
+        # An infinite duration used to run a workload to an infinite
+        # deadline; a negative warmup measured from before time 0.
+        with pytest.raises(ValueError, match=needle):
+            dataclasses.replace(MICRO, **overrides)
+
+    @pytest.mark.parametrize("mode", ["fault-free", "degraded", "recon"])
+    def test_zero_rate_rejected_outside_campaign(self, mode):
+        with pytest.raises(ValueError, match="user_rate_per_s"):
+            micro_config(mode=mode, user_rate_per_s=0.0)
+
+    @pytest.mark.parametrize("overrides, needle", [
+        ({"scale": "huge"}, "unknown scale"),
+        ({"policy": "bogus"}, "scheduling policy"),
+        ({"policy": "cvscan+bogus"}, "scheduling policy"),
+        ({"policy": 5}, "scheduling policy"),
+    ])
+    def test_unknown_names_rejected(self, overrides, needle):
+        with pytest.raises(ValueError, match=needle):
+            micro_config(**overrides)
+
+    @pytest.mark.parametrize("overrides, needle", [
+        ({"num_disks": 8, "stripe_size": 5, "layout": "prime"}, "prime"),
+        ({"num_disks": 21, "stripe_size": 4, "layout": "cyclic"}, "arithmetic"),
+        ({"num_disks": 1009, "stripe_size": 10, "layout": "table"}, "table"),
+        ({"num_disks": 1024, "stripe_size": 10}, "no layout"),
+    ])
+    def test_unbuildable_layout_rejected(self, overrides, needle):
+        with pytest.raises(LayoutError, match=needle):
             micro_config(**overrides)
 
     def test_raid5_stripe_as_wide_as_the_array_accepted(self):

@@ -65,6 +65,44 @@ class TestScenario:
         with pytest.raises(SpecError, match=needle):
             parse_spec(raw)
 
+    @pytest.mark.parametrize("field, text", [
+        ("steady_duration_ms", "Infinity"),
+        ("steady_duration_ms", "NaN"),
+        ("cylinders", "1"),
+        ("warmup_ms", "-1"),
+    ])
+    def test_unrunnable_custom_scale_rejected(self, field, text):
+        # An infinite duration used to hang the worker: the workload
+        # ran to an infinite deadline.
+        raw = micro_scenario_spec()
+        raw["config"]["scale"][field] = json.loads(text)
+        with pytest.raises(SpecError, match=field):
+            parse_spec(raw)
+
+    @pytest.mark.parametrize("overrides, needle", [
+        ({"user_rate_per_s": 0.0}, "user_rate_per_s"),
+        ({"user_rate_per_s": 0.0, "mode": "recon"}, "user_rate_per_s"),
+        ({"policy": "bogus"}, "scheduling policy"),
+        ({"policy": 5}, "scheduling policy"),
+        ({"scale": "huge"}, "unknown scale"),
+    ])
+    def test_config_that_fails_only_in_a_worker_rejected(self, overrides, needle):
+        raw = micro_scenario_spec()
+        raw["config"].update(overrides)
+        with pytest.raises(SpecError, match=needle):
+            parse_spec(raw)
+
+    @pytest.mark.parametrize("overrides, needle", [
+        ({"num_disks": 8, "stripe_size": 5, "layout": "prime"}, "prime"),
+        ({"num_disks": 21, "stripe_size": 4, "layout": "cyclic"}, "arithmetic"),
+        ({"num_disks": 1009, "stripe_size": 10, "layout": "table"}, "table"),
+    ])
+    def test_unbuildable_layout_rejected(self, overrides, needle):
+        raw = micro_scenario_spec()
+        raw["config"].update(overrides)
+        with pytest.raises(SpecError, match=needle):
+            parse_spec(raw)
+
     def test_nan_fault_profile_rejected(self):
         raw = micro_scenario_spec()
         # The service parses bodies with json.loads, which accepts NaN.
