@@ -38,6 +38,12 @@ PAPER_STRIPE_SIZES = (3, 4, 5, 6, 10, 18, 21)
 #: fit.
 LAYOUT_CHOICES = ("auto", "table", "prime", "cyclic")
 
+#: The widest array a scenario may name, ten times the widest any test,
+#: benchmark or CI job builds. It bounds what :func:`check_layout` costs
+#: on a job spec: primality is trial division, and C(C, G) alone takes
+#: 10 s at C=1,000,003 G=500,001.
+MAX_NUM_DISKS = 10_000
+
 
 def design_for(num_disks: int, stripe_size: int) -> BlockDesign:
     """The block design backing a declustered layout for (C, G).
@@ -162,6 +168,8 @@ def check_layout(
     path always serves (substituting the closest feasible alpha if it
     must), and no design is built here.
     """
+    if num_disks > MAX_NUM_DISKS:
+        raise LayoutError(f"C={num_disks} exceeds the {MAX_NUM_DISKS}-disk limit")
     if layout not in LAYOUT_CHOICES:
         raise LayoutError(
             f"unknown layout {layout!r}; choose from {LAYOUT_CHOICES}"

@@ -92,7 +92,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"user_rate_per_s must be finite and >= 0, got {self.user_rate_per_s}"
             )
-        # Only a campaign may run without user traffic.
         if self.mode != "campaign" and self.user_rate_per_s == 0:
             raise ValueError(f"user_rate_per_s must be > 0 in {self.mode} mode")
         if not 0.0 <= self.read_fraction <= 1.0:

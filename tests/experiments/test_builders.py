@@ -107,6 +107,7 @@ class TestCheckLayout:
         (21, 4, "cyclic"),
         (1009, 10, "table"),
         (1024, 10, "auto"),
+        (10_007, 5, "prime"),
     ])
     def test_agrees_with_build_layout(self, num_disks, stripe_size, layout):
         with pytest.raises(LayoutError):

@@ -109,6 +109,7 @@ class TestConfigValidation:
         ({"num_disks": 21, "stripe_size": 4, "layout": "cyclic"}, "arithmetic"),
         ({"num_disks": 1009, "stripe_size": 10, "layout": "table"}, "table"),
         ({"num_disks": 1024, "stripe_size": 10}, "no layout"),
+        ({"num_disks": 10_007, "stripe_size": 5, "layout": "prime"}, "limit"),
     ])
     def test_unbuildable_layout_rejected(self, overrides, needle):
         with pytest.raises(LayoutError, match=needle):

@@ -96,6 +96,8 @@ class TestScenario:
         ({"num_disks": 8, "stripe_size": 5, "layout": "prime"}, "prime"),
         ({"num_disks": 21, "stripe_size": 4, "layout": "cyclic"}, "arithmetic"),
         ({"num_disks": 1009, "stripe_size": 10, "layout": "table"}, "table"),
+        # Checked before any primality test, which is trial division.
+        ({"num_disks": 10**18 + 3, "stripe_size": 5, "layout": "prime"}, "limit"),
     ])
     def test_unbuildable_layout_rejected(self, overrides, needle):
         raw = micro_scenario_spec()
