@@ -58,6 +58,11 @@ class TestScenario:
         ({"num_disks": 1, "stripe_size": 2}, "num_disks"),
         ({"num_disks": 21, "failed_disk": 30}, "failed_disk"),
         ({"num_disks": 21, "failed_disk": -1}, "failed_disk"),
+        ({"num_disks": 8, "stripe_size": 5, "layout": "prime"}, "prime"),
+        ({"num_disks": 21, "stripe_size": 4, "layout": "cyclic"}, "arithmetic"),
+        ({"num_disks": 1009, "stripe_size": 10, "layout": "table"}, "table"),
+        # Checked before any primality test, which is trial division.
+        ({"num_disks": 10**18 + 3, "stripe_size": 5, "layout": "prime"}, "limit"),
     ])
     def test_array_shape_rejected(self, overrides, needle):
         raw = micro_scenario_spec()
@@ -87,19 +92,6 @@ class TestScenario:
         ({"scale": "huge"}, "unknown scale"),
     ])
     def test_config_that_fails_only_in_a_worker_rejected(self, overrides, needle):
-        raw = micro_scenario_spec()
-        raw["config"].update(overrides)
-        with pytest.raises(SpecError, match=needle):
-            parse_spec(raw)
-
-    @pytest.mark.parametrize("overrides, needle", [
-        ({"num_disks": 8, "stripe_size": 5, "layout": "prime"}, "prime"),
-        ({"num_disks": 21, "stripe_size": 4, "layout": "cyclic"}, "arithmetic"),
-        ({"num_disks": 1009, "stripe_size": 10, "layout": "table"}, "table"),
-        # Checked before any primality test, which is trial division.
-        ({"num_disks": 10**18 + 3, "stripe_size": 5, "layout": "prime"}, "limit"),
-    ])
-    def test_unbuildable_layout_rejected(self, overrides, needle):
         raw = micro_scenario_spec()
         raw["config"].update(overrides)
         with pytest.raises(SpecError, match=needle):
