@@ -181,6 +181,16 @@ class ArrayController:
         self._small_stripes = (
             self.layout.num_syndromes == 1 and self.layout.stripe_size == 3
         )
+        # With one data unit per stripe (G=2, mirroring) every aligned
+        # one-unit write is a full-stripe write, so such writes keep the
+        # planner, which sends them to the large write.
+        self._plan_unit_writes = (
+            self.layout.supports_large_write
+            and self.layout.data_units_per_stripe == 1
+        )
+        # Addressing is frozen: snapshot what every disk access reads.
+        self._sectors_per_unit = addressing.sectors_per_unit
+        self._mapped_units_per_disk = addressing.mapped_units_per_disk
         # Fault injection is strictly opt-in: with no profile, every
         # access takes the exact legacy path (no extra RNG draws, no
         # retry wrapper, no timing or event-ordering changes).
@@ -201,10 +211,6 @@ class ArrayController:
         if fault_profile is not None:
             for disk in self.disks:
                 self._attach_fault_state(disk)
-
-    @property
-    def _fault_enabled(self) -> bool:
-        return self.fault_profile is not None
 
     def _instrument_disk(self, disk: Disk) -> None:
         """Apply the measurement boundary (and any gauges) to a disk.
@@ -240,7 +246,7 @@ class ArrayController:
         doubly-exposed stripes take the accounted ``data-loss`` path
         instead of crashing the simulation.
         """
-        if not self.faults.can_absorb and self._fault_enabled:
+        if not self.faults.can_absorb and self.fault_profile is not None:
             event = self.faults.fail(disk, allow_data_loss=True)
             event.at_ms = self.env.now
             if self.datastore is not None:
@@ -281,7 +287,7 @@ class ArrayController:
         self.disks[disk] = self._disk_factory(
             self.env, self.spec, disk_id=disk, policy=self.policy
         )
-        if self._fault_enabled:
+        if self.fault_profile is not None:
             # A replacement is a new spindle: fresh latent/error state,
             # drawing from the same per-slot RNG stream.
             self._attach_fault_state(self.disks[disk])
@@ -342,34 +348,52 @@ class ArrayController:
     # Request decomposition
     # ------------------------------------------------------------------
     def _handle(self, request: UserRequest):
-        """The request's one process: run its sub-operations, then
+        """The request's one process: run its unit operations, then
         return the request, which the process completes with.
 
-        A request that plans to a single sub-operation (one unit read or
-        written, or one full-stripe write) runs it inline, so a
-        single-unit request costs exactly this one process, with or
-        without a fault profile. Larger requests run one process per
-        sub-operation and join them.
+        A one-unit request, which is every request the workloads issue,
+        runs its unit operation (:meth:`_read_unit` or
+        :meth:`_write_unit`) directly in this process, with no plan.
+        The exception is a one-unit write on the stripe data mapping
+        with one data unit per stripe: every such write is a full-stripe
+        write, so it goes through :meth:`_plan_write`, which sends it to
+        :meth:`_large_write` when the stripe is healthy. A write that
+        plans to one sub-operation runs it inline too, so a single-unit
+        request costs exactly this one process, with or without a fault
+        profile. Larger requests run one process per sub-operation and
+        join them.
 
         The request holds no reference to its process: the process's
         value is the request, so a link back would make every finished
         request a reference cycle.
         """
-        if request.is_write:
+        is_write = request.is_write
+        if is_write:
             self.stats.user_writes += 1
-            subops = self._plan_write(request)
         else:
             self.stats.user_reads += 1
             request.read_values = [0] * request.num_units
-            subops = [self._read_unit(request, i) for i in range(request.num_units)]
-        if len(subops) == 1:
-            yield from subops[0]
+        if request.num_units == 1 and not (is_write and self._plan_unit_writes):
+            if is_write:
+                values = request.values
+                yield from self._write_unit(
+                    request, request.logical_unit, 0 if values is None else values[0]
+                )
+            else:
+                yield from self._read_unit(request, 0)
         else:
-            yield self.env.all_of([self.env.process(subop) for subop in subops])
+            if is_write:
+                subops = self._plan_write(request)
+            else:
+                subops = [self._read_unit(request, i) for i in range(request.num_units)]
+            if len(subops) == 1:
+                yield from subops[0]
+            else:
+                yield self.env.all_of([self.env.process(subop) for subop in subops])
         now = self.env.now
         request.complete_ms = now
         if self._read_latency is not None and now >= self.measure_since_ms:
-            (self._write_latency if request.is_write else self._read_latency).record(
+            (self._write_latency if is_write else self._read_latency).record(
                 now - request.submit_ms
             )
         return request
@@ -429,11 +453,10 @@ class ArrayController:
     def _unit_lost(self, address: UnitAddress) -> bool:
         """True if the unit's slot is lost, or failed and not rebuilt."""
         faults = self.faults
-        if address.disk in faults.lost_disks:
-            return True
-        return address.disk in faults.failed_disks and not self._unit_built_on(
-            address.disk, address.offset
-        )
+        disk = address.disk
+        if not faults.is_down(disk):
+            return False
+        return disk in faults.lost_disks or not self._unit_built_on(disk, address.offset)
 
     def _record_data_loss_access(self, request: UserRequest, logical: int,
                                  stripe: int) -> None:
@@ -470,11 +493,10 @@ class ArrayController:
     def _address_dead(self, address: UnitAddress) -> bool:
         """True if this unit cannot currently be read or written."""
         faults = self.faults
-        if address.disk in faults.lost_disks:
-            return True
-        if address.disk in faults.failed_disks:
-            return not self._unit_live_on(address.disk, address.offset)
-        return False
+        disk = address.disk
+        if not faults.is_down(disk):
+            return False
+        return disk in faults.lost_disks or not self._unit_live_on(disk, address.offset)
 
     # ------------------------------------------------------------------
     # Disk access helpers
@@ -495,17 +517,19 @@ class ArrayController:
         :class:`~repro.disk.drive.DiskRequest`, as is the plain disk
         event's.
         """
-        faults = self.faults
-        if address.disk in faults.lost_disks or (
-            address.disk in faults.failed_disks
-            and not faults.replacement_installed_on(address.disk)
-        ):
+        disk = address.disk
+        if self.faults.is_unreplaced(disk):
             self.stats.straddled_accesses += 1
-        sector = self.addressing.unit_to_sector(address)
-        if self._fault_enabled:
+        offset = address.offset
+        if offset >= self._mapped_units_per_disk:
+            raise ValueError(
+                f"offset {offset} beyond mapped capacity {self._mapped_units_per_disk}"
+            )
+        sector = offset * self._sectors_per_unit
+        if self.fault_profile is not None:
             return _RetryingAccess(self, address, sector, is_write, kind)
-        return self.disks[address.disk].submit(
-            DiskRequest(sector, self.addressing.sectors_per_unit, is_write, kind)
+        return self.disks[disk].submit(
+            DiskRequest(sector, self._sectors_per_unit, is_write, kind)
         )
 
     def _count_hard_error(self, disk_id: int) -> None:
@@ -516,8 +540,7 @@ class ArrayController:
         state.hard_errors += 1
         if state.hard_errors < self.fault_profile.escalation_threshold:
             return
-        faults = self.faults
-        if disk_id in faults.failed_disks or disk_id in faults.lost_disks:
+        if self.faults.is_down(disk_id):
             return  # already dead; nothing further to escalate
         self.fault_log.record(
             ESCALATION,
@@ -584,7 +607,7 @@ class ArrayController:
         if events:
             yield self.env.all_of(events)
         errored: typing.List[UnitAddress] = []
-        if self._fault_enabled:
+        if self.fault_profile is not None:
             for index, event in zip(readable, events):
                 if event.value.error is not None:
                     values[index] = None
@@ -620,8 +643,9 @@ class ArrayController:
         logical = request.logical_unit + unit_index
         address = self.addressing.logical_unit_address(logical)
         faults = self.faults
-        lost = faults.lost_disks
-        if lost and self._stripe_data_lost(self.layout.stripe_of_logical(logical)):
+        if faults.lost_disks and self._stripe_data_lost(
+            self.layout.stripe_of_logical(logical)
+        ):
             # More units of this stripe are gone than the syndromes
             # recover: the read cannot be served. Account it rather than
             # fabricate data.
@@ -629,8 +653,7 @@ class ArrayController:
                 request, logical, self.layout.stripe_of_logical(logical)
             )
             return
-        failed = faults.failed_disks
-        if address.disk not in failed and address.disk not in lost:
+        if not faults.is_down(address.disk):
             target = address
             if self.layout.stripe_size == 2:
                 # Mirrored reads balance across the two copies: take the
@@ -638,14 +661,13 @@ class ArrayController:
                 # failed slot — its copy may not be rebuilt yet).
                 mirror = self.layout.parity_unit(self.layout.stripe_of_logical(logical))
                 if (
-                    mirror.disk not in failed
-                    and mirror.disk not in lost
+                    not faults.is_down(mirror.disk)
                     and self.disks[mirror.disk].queue_length
                     < self.disks[target.disk].queue_length
                 ):
                     target = mirror
             outcome = yield self._disk_access(target, is_write=False)
-            if self._fault_enabled and outcome.error is not None:
+            if self.fault_profile is not None and outcome.error is not None:
                 # Media error (or exhausted retries) on a live disk:
                 # rebuild the unit from its stripe in-line.
                 yield from self._repair_read(request, unit_index, logical, target)
@@ -762,24 +784,63 @@ class ArrayController:
     # Write paths
     # ------------------------------------------------------------------
     def _write_unit(self, request: UserRequest, logical: int, value: int):
-        """Write one data unit and bring the stripe's check units along."""
+        """Write one data unit and bring the stripe's check units along.
+
+        On a healthy stripe (neither the unit nor a check unit dead)
+        this is the read-modify-write, run in this frame: pre-read the
+        unit and its check units (4 accesses in all with one syndrome,
+        6 with two), then write them all with the change folded in. A
+        single-parity G=3 stripe instead pre-reads its other data unit,
+        saving an access (Section 6's alpha = 0.1 exception), whenever
+        that unit is readable; that lone pre-read is waited on by its
+        own event. Otherwise :meth:`_degraded_write` writes.
+
+        Values are read, and new check values computed and stored, only
+        when a data store is attached; the old values are sampled before
+        the accesses are issued, so a failure landing mid-write cannot
+        leak poison into the arithmetic.
+        """
         layout = self.layout
         address = self.addressing.logical_unit_address(logical)
-        stripe, role = layout.stripe_of(address.disk, address.offset)
-        if self.faults.lost_disks and self._stripe_data_lost(stripe):
+        stripe, role = layout.stripe_role_of_logical(logical)
+        faults = self.faults
+        if faults.lost_disks and self._stripe_data_lost(stripe):
             # The stripe's data is already gone; writing one unit of it
             # cannot restore consistency. Account and fail the update.
             self._record_data_loss_access(request, logical, stripe)
             return
         checks = [layout.stripe_unit(stripe, r) for r in layout.syndrome_roles]
+        writes = [address, *checks]
         yield self.locks.acquire(stripe)
         try:
-            if self.faults.fault_free or not any(
-                map(self._address_dead, [address, *checks])
-            ):
-                path = yield from self._read_modify_write(
-                    stripe, role, address, checks, value
+            if faults.fault_free or not any(map(self._address_dead, writes)):
+                datastore = self.datastore
+                other = None
+                if self._small_stripes:
+                    other = layout.data_unit(stripe, 1 - role)
+                    if self._address_dead(other):
+                        other = None
+                if other is not None:
+                    if datastore is not None:
+                        data = [value, value]
+                        data[1 - role] = self._ds_read(other)
+                        new_checks = gf.checks_of(data, 1)
+                    path = "small-stripe-write"
+                    yield self._disk_access(other, is_write=False)
+                else:
+                    if datastore is not None:
+                        old = [self._ds_read(unit) for unit in writes]
+                        new_checks = gf.update_checks(old[1:], role, old[0], value)
+                    path = self._write_paths.rmw
+                    yield self.env.all_of(
+                        [self._disk_access(unit, is_write=False) for unit in writes]
+                    )
+                yield self.env.all_of(
+                    [self._disk_access(unit, is_write=True) for unit in writes]
                 )
+                if datastore is not None:
+                    for unit, content in zip(writes, [value, *new_checks]):
+                        self._ds_write(unit, content)
             else:
                 path = yield from self._degraded_write(
                     request, logical, stripe, role, address, checks, value
@@ -789,42 +850,6 @@ class ArrayController:
         if path is not None:
             request.paths.append(path)
             self.stats.record_path(path)
-
-    def _read_modify_write(self, stripe: int, role: int, address: UnitAddress,
-                           checks: typing.List[UnitAddress], value: int):
-        """Update a unit of a healthy stripe: pre-read, then write it and
-        its check units.
-
-        The pre-reads are the unit and its check units (4 accesses in
-        all with one syndrome, 6 with two), which the update folds the
-        change into. A single-parity G=3 stripe instead pre-reads its
-        other data unit, saving an access (Section 6's alpha = 0.1
-        exception), whenever that unit is readable.
-        """
-        other = None
-        if self._small_stripes:
-            other = self.layout.data_unit(stripe, 1 - role)
-            if self._address_dead(other):
-                other = None
-        if other is not None:
-            data = [value, value]
-            data[1 - role] = self._ds_read(other)
-            new_checks = gf.checks_of(data, 1)
-            path = "small-stripe-write"
-            yield self._disk_access(other, is_write=False)
-        else:
-            pre_reads = [address, *checks]
-            old = [self._ds_read(unit) for unit in pre_reads]
-            new_checks = gf.update_checks(old[1:], role, old[0], value)
-            path = self._write_paths.rmw
-            yield self.env.all_of(
-                [self._disk_access(unit, is_write=False) for unit in pre_reads]
-            )
-        writes = [address, *checks]
-        yield self.env.all_of([self._disk_access(u, is_write=True) for u in writes])
-        for unit, content in zip(writes, [value, *new_checks]):
-            self._ds_write(unit, content)
-        return path
 
     # Note on mirroring: G=2 stripes have one data unit, so the parity
     # unit is a byte-identical copy and *every* aligned write is a
@@ -860,9 +885,7 @@ class ArrayController:
         single = layout.num_syndromes == 1
         data_units = layout.stripe_units(stripe)[: layout.data_units_per_stripe]
         if single:
-            target_dead = (
-                address.disk in faults.failed_disks or address.disk in faults.lost_disks
-            )
+            target_dead = faults.is_down(address.disk)
             check_writes = checks if target_dead else []
             data = [self._ds_read(unit) for unit in data_units]
         else:
@@ -904,9 +927,10 @@ class ArrayController:
         try:
             units = self.layout.stripe_units(stripe)
             accesses = [self._disk_access(unit, is_write=True) for unit in units]
-            contents = values + gf.checks_of(values, self.layout.num_syndromes)
-            for unit, content in zip(units, contents):
-                self._ds_write(unit, content)
+            if self.datastore is not None:
+                contents = values + gf.checks_of(values, self.layout.num_syndromes)
+                for unit, content in zip(units, contents):
+                    self._ds_write(unit, content)
             yield self.env.all_of(accesses)
         finally:
             self.locks.release(stripe)
@@ -955,8 +979,7 @@ class _RetryingAccess(Event):
         # installed in this slot while the access was backing off.
         done = controller.disks[self._address.disk].submit(
             DiskRequest(
-                self._sector, controller.addressing.sectors_per_unit,
-                self._is_write, self._kind,
+                self._sector, controller._sectors_per_unit, self._is_write, self._kind
             )
         )
         done.callbacks.append(self._on_done)

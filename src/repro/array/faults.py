@@ -112,9 +112,19 @@ class ArrayFaults:
         """True once any multi-failure has destroyed data (terminal)."""
         return bool(self.data_loss_events)
 
-    def replacement_installed_on(self, disk: int) -> bool:
-        """Whether active failure ``disk`` has its replacement installed."""
-        return self._active.get(disk, False)
+    def is_down(self, disk: int) -> bool:
+        """True if ``disk`` has failed: an active repairable failure or a
+        disk lost beyond the tolerance.
+
+        The membership test for callers that ask about one disk;
+        :attr:`failed_disks` builds a tuple for callers that list them.
+        """
+        return disk in self._active or disk in self.lost_disks
+
+    def is_unreplaced(self, disk: int) -> bool:
+        """True if ``disk`` is lost, or failed with no replacement
+        installed: its slot has no working spindle."""
+        return self._active.get(disk) is False or disk in self.lost_disks
 
     def fail(self, disk: int,
              allow_data_loss: bool = False) -> typing.Optional[DataLossEvent]:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import collections
 import typing
 
+from repro.sim.events import Event
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim import Environment
 
@@ -28,7 +30,7 @@ class _Mutex:
 
     def acquire(self):
         """An event firing when the caller holds the lock."""
-        event = self.env.event()
+        event = Event(self.env)
         if not self.locked:
             self.locked = True
             event.succeed()

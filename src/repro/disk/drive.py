@@ -210,7 +210,6 @@ class DiskStats:
     completed: int = 0
     completed_by_kind: typing.Dict[str, int] = field(default_factory=dict)
     busy_ms: float = 0.0
-    total_service_ms: float = 0.0
     total_queue_wait_ms: float = 0.0
     total_seek_ms: float = 0.0
     total_rotation_ms: float = 0.0
@@ -223,19 +222,28 @@ class DiskStats:
 
     def record(self, request: DiskRequest, seek_ms: float, rotation_ms: float,
                transfer_ms: float) -> None:
+        """Fold one completed request in; the drive calls this once per
+        completion.
+
+        The busy interval is clipped to the window inline, as
+        :meth:`WindowedDuration.add` would clip it: the drive's clock
+        never runs backwards, so the interval needs no order check.
+        """
         self.completed += 1
-        self.completed_by_kind[request.kind] = self.completed_by_kind.get(request.kind, 0) + 1
-        service_ms = request.complete_ms - request.start_service_ms
-        self.busy_ms += service_ms
-        self.busy_window.add(request.start_service_ms, request.complete_ms)
-        self.total_service_ms += service_ms
-        self.total_queue_wait_ms += request.start_service_ms - request.submit_ms
+        kind = request.kind
+        self.completed_by_kind[kind] = self.completed_by_kind.get(kind, 0) + 1
+        start = request.start_service_ms
+        end = request.complete_ms
+        self.busy_ms += end - start
+        window = self.busy_window
+        since = window.since_ms
+        clipped = end - (start if start > since else since)
+        if clipped > 0.0:
+            window.total_ms += clipped
+        self.total_queue_wait_ms += start - request.submit_ms
         self.total_seek_ms += seek_ms
         self.total_rotation_ms += rotation_ms
         self.total_transfer_ms += transfer_ms
-
-    def mean_service_ms(self) -> float:
-        return self.total_service_ms / self.completed if self.completed else 0.0
 
 
 class Disk:

@@ -111,7 +111,7 @@ class FaultInjector:
     def inject_disk_failure(self, disk: int) -> None:
         """Fail ``disk`` now, routing through the spare pool if possible."""
         faults = self.controller.faults
-        if disk in faults.failed_disks or disk in faults.lost_disks:
+        if faults.is_down(disk):
             return  # already dead; nothing new fails
         self.disk_failures += 1
         if faults.can_absorb and self.monitor is not None:
@@ -147,7 +147,7 @@ class FaultInjector:
             lifetime = self.profile.draw_lifetime_ms(self._lifetime_rng)
             yield self.env.timeout(lifetime)
             faults = self.controller.faults
-            if disk in faults.failed_disks or disk in faults.lost_disks:
+            if faults.is_down(disk):
                 # The slot is already dead; this clock now times the
                 # replacement spindle's remaining life.
                 continue
@@ -165,7 +165,7 @@ class FaultInjector:
             disk = self._latent_rng.randrange(num_disks)
             offset = self._latent_rng.randrange(addressing.mapped_units_per_disk)
             faults = self.controller.faults
-            if disk in faults.failed_disks or disk in faults.lost_disks:
+            if faults.is_down(disk):
                 continue  # errors on a dead spindle are moot
             state = self.controller.disks[disk].fault_state
             if state is None:

@@ -273,10 +273,19 @@ class ParityLayout:
 
     def stripe_of_logical(self, logical_unit: int) -> int:
         """The parity stripe containing logical data unit ``logical_unit``."""
+        return self.stripe_role_of_logical(logical_unit)[0]
+
+    def stripe_role_of_logical(self, logical_unit: int) -> typing.Tuple[int, int]:
+        """``(stripe, role)`` of logical data unit ``logical_unit``.
+
+        Equal to :meth:`stripe_of` at the unit's slot. The stripe data
+        mapping fills data positions stripe by stripe, so this is a
+        division there, with no inverse-table lookup.
+        """
         if self.data_mapping == "stripe":
-            return logical_unit // self._data_units_per_stripe
+            return divmod(logical_unit, self._data_units_per_stripe)
         address = self.logical_to_physical(logical_unit)
-        return self.stripe_of(address.disk, address.offset)[0]
+        return self.stripe_of(address.disk, address.offset)
 
     # ------------------------------------------------------------------
     # Rendering (for docs, tests, and the layout explorer example)

@@ -1,35 +1,34 @@
 """The simulation environment: clock, event schedule, and run loop.
 
-The schedule has two lanes ordered by one global ``(time, seq)`` key:
+The schedule has two lanes:
 
-- a **heap** for events scheduled into the future (positive delays), and
+- a **heap** for events scheduled into the future (positive delays),
+  keyed by ``(time, seq)``, where ``seq`` counts heap pushes and only
+  breaks ties among heap entries at the same time; and
 - an **immediate deque** for events scheduled *at the current time* —
   ``succeed``/``fail``, zero-delay timeouts, and process kickoffs, which
   together are the majority of all schedules in an array simulation.
+  Its order is its append order, and its entries carry no key.
 
-Immediate entries are appended in ``seq`` order at the then-current
-time, and time never moves backwards, so the deque is always sorted and
-its head is its minimum; dispatch takes whichever lane holds the
-smaller ``(time, seq)`` key. Because every immediate entry's time is
-``now`` and its seq is implied by append order, the lane stores **bare
-event objects** — no key tuples at all — and the lane comparison
-"``heap[0] < imm[0]``" reduces to ``heap[0][0] <= now``. Two invariants
-make that reduction exact:
+Dispatch takes the heap's head while its time is ``<= now`` and the
+deque's head otherwise, so the lane choice compares times only. That is
+the order a single heap over every schedule, keyed by ``(time, global
+schedule count)``, would produce, by two invariants:
 
-1. While the immediate deque is non-empty, every entry in it carries
-   ``time == now`` (entries are appended at the then-current time, and
-   the run loop never advances the clock past a non-empty deque), and
-   the deque is in ascending ``seq`` order.
+1. While the immediate deque is non-empty, every entry in it is due at
+   ``now`` (entries are appended at the then-current time, and the run
+   loop never advances the clock past a non-empty deque), and the deque
+   holds them in the order they were scheduled.
 2. A heap entry at ``time == now`` was necessarily pushed *before*
    ``now`` was reached (a push at ``now`` itself requires a positive
-   delay and therefore lands strictly later), so its ``seq`` is smaller
-   than that of every immediate entry, all of which were appended *at*
+   delay and therefore lands strictly later), so it was scheduled
+   before every immediate entry, all of which were appended *at*
    ``now``.
 
-That makes the common zero-delay schedule an O(1) allocation-free
-append and its dispatch an O(1) popleft — instead of two O(log n) sift
-passes through the heap — while dispatch order stays exactly what a
-single heap would produce. Bit-identical ordering is pinned by
+Only heap pushes advance ``seq``: a zero-delay schedule is an O(1)
+allocation-free append that touches no counter, and its dispatch is an
+O(1) popleft — instead of two O(log n) sift passes through the heap.
+Bit-identical ordering is pinned by
 ``tests/integration/test_golden_trace.py``.
 
 :meth:`Environment.run` and :meth:`Environment.step` both take one
@@ -62,17 +61,19 @@ class Environment:
     def __init__(self, initial_time: float = 0.0):
         self._now = initial_time
         self._heap: list = []
-        #: Events scheduled at the current instant, in FIFO (= seq)
-        #: order. Bare event objects — conceptually each entry's key is
-        #: (now, its seq), but since every entry is at ``now`` and the
-        #: deque preserves append order, the keys are redundant and no
+        #: Events scheduled at the current instant, in append order.
+        #: Bare event objects: every entry is due at ``now`` and the
+        #: deque keeps the order they were scheduled in, so no key
         #: tuple is allocated (see the module docstring).
         self._imm: typing.Deque = deque()
         #: Pre-bound ``self._imm.append`` — one attribute lookup instead
         #: of two on every zero-delay schedule (``close()`` clears the
         #: deque in place, so the binding never goes stale).
         self._imm_append = self._imm.append
-        self._seq = 0  # tie-breaker keeps FIFO order among same-time events
+        #: Heap pushes so far: the tie-breaker that keeps FIFO order
+        #: among heap entries due at the same time. Immediate-lane
+        #: schedules do not advance it.
+        self._seq = 0
         self._closed = False
         #: Per-dispatch observers (see :meth:`add_observer`).
         self._observers: list = []
@@ -111,9 +112,9 @@ class Environment:
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Queue a triggered event for callback dispatch after ``delay``.
 
-        Zero-delay schedules take the immediate lane (see the module
-        docstring); both lanes share the ``(time, seq)`` key space, so
-        the split never reorders dispatch.
+        Zero-delay schedules take the immediate lane, whose order is
+        its append order; only heap pushes take a ``seq`` (see the
+        module docstring), so the split never reorders dispatch.
         """
         if self._closed:
             raise SimulationError("cannot schedule on a closed environment")
@@ -121,13 +122,12 @@ class Environment:
             if not delay > 0:  # negative, or NaN
                 raise SimulationError(f"cannot schedule with delay={delay!r}")
             heappush(self._heap, (self._now + delay, self._seq, event))
+            self._seq += 1
         else:
-            # The immediate lane stores bare events: every entry is at
-            # the current time in append (= seq) order, so the deque's
-            # FIFO order *is* the (time, seq) order and no key tuple is
-            # needed (see the module docstring).
+            # The immediate lane stores bare events: every entry is due
+            # now, in append order, so it needs no key tuple and no seq
+            # (see the module docstring).
             self._imm_append(event)
-        self._seq += 1
 
     def close(self) -> None:
         """Shut the environment down: drop pending events, refuse new ones.
@@ -199,10 +199,9 @@ class Environment:
         imm = self._imm
         heap = self._heap
         if imm:
-            # Heap entries at `now` carry smaller seqs than every
+            # Heap entries at `now` were scheduled before every
             # immediate entry (module docstring, invariant 2), so the
-            # heap goes first whenever its head time is <= now — the
-            # exact condition `heap[0] < (now, imm-head seq)` reduces to.
+            # heap goes first whenever its head time is <= now.
             if heap and heap[0][0] <= self._now:
                 when, _seq, event = heappop(heap)
                 self._now = when

@@ -22,8 +22,10 @@ ordering** (pinned by ``tests/integration/test_golden_trace.py``):
   born triggered and enters the schedule directly;
 - ``succeed``/``fail`` append the event itself to the environment's
   immediate lane (``env._imm`` — see :mod:`repro.sim.environment`)
-  instead of paying a heap push: the lane's FIFO order *is* the
-  ``(time, seq)`` order, so no key tuple is allocated at all;
+  instead of paying a heap push. The lane is ordered by append, so no
+  key tuple is allocated and the sequence counter is not touched:
+  ``seq`` only breaks ties among heap entries, and only heap pushes
+  advance it;
 - the callback list is lazy: events are born with ``_callbacks = None``
   and the list is only allocated when the first waiter attaches (many
   events — bare completion signals, unwaited timeouts — never get one).
@@ -143,7 +145,6 @@ class Event:
         self._value = value
         # Inline of env.schedule(self) with delay 0 — the only case here.
         env._imm_append(self)
-        env._seq += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -158,7 +159,6 @@ class Event:
         self._state = TRIGGERED
         self._exception = exception
         env._imm_append(self)
-        env._seq += 1
         return self
 
     def _run_callbacks(self) -> None:
@@ -184,10 +184,10 @@ class Timeout(Event):
     Timeouts are the most common event by far (every disk service slice
     and every arrival delay is one), so construction is the fast path:
     the event is born ``TRIGGERED`` — skipping ``succeed()``'s
-    pending-state bookkeeping — and enters the schedule directly (heap
-    for positive delays, immediate lane for zero) with the same
-    ``(time, seq)`` key :meth:`Environment.schedule` would have
-    assigned, preserving dispatch order exactly.
+    pending-state bookkeeping — and enters the schedule directly: the
+    heap for positive delays, with the same ``(time, seq)`` key
+    :meth:`Environment.schedule` would have assigned, and the immediate
+    lane for zero, preserving dispatch order exactly.
     """
 
     __slots__ = ("delay",)
@@ -214,9 +214,9 @@ class Timeout(Event):
             if not delay > 0:
                 raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
             heappush(env._heap, (env._now + delay, env._seq, self))
+            env._seq += 1
         else:
             env._imm_append(self)
-        env._seq += 1
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"

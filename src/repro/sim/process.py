@@ -59,7 +59,6 @@ class Process(Event):
         start._callbacks = [self._resume_cb]
         start._state = TRIGGERED
         env._imm_append(start)
-        env._seq += 1
 
     @property
     def is_alive(self) -> bool:

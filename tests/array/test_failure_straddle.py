@@ -6,11 +6,52 @@ parity arithmetic consistent because its pre-read values were sampled
 before the failure poisoned the store.
 """
 
+import pytest
+
+from repro.faults.profile import FaultProfile
 from repro.recon import Reconstructor
 from tests.array.test_controller_degraded import find_logical_on_disk
 from tests.conftest import build_array
 
 FAILED = 2
+#: The tolerated failure that comes first when ``FAILED`` is lost.
+FIRST = 0
+
+
+def _write_across_a_loss_past_the_tolerance():
+    """A write's pre-reads start; then its disk is lost: it was the
+    second concurrent failure of a single-parity array."""
+    # Under a fault profile a failure past the tolerance is recorded as
+    # data loss instead of raising.
+    array = build_array(fault_profile=FaultProfile(seed=3))
+    controller = array.controller
+    layout = array.layout
+    controller.fail_disk(FIRST)
+    logical = next(
+        logical
+        for logical in range(array.addressing.num_data_units)
+        if layout.logical_to_physical(logical).disk == FAILED
+        and FIRST not in {
+            unit.disk for unit in layout.stripe_units(layout.stripe_of_logical(logical))
+        }
+    )
+    done = controller.write(logical, values=[0x5117])
+    array.env.run(until=1.0)
+    controller.fail_disk(FAILED)
+    assert FAILED in controller.faults.lost_disks
+    array.env.run(until=done)
+    return controller
+
+
+def _rebuild_onto_the_replacement():
+    """The sweep writes every unit of the failed slot's replacement."""
+    array = build_array()
+    controller = array.controller
+    controller.fail_disk(FAILED)
+    controller.install_replacement()
+    array.env.run(until=Reconstructor(controller, workers=2).start())
+    assert controller.disks[FAILED].stats.completed == array.addressing.mapped_units_per_disk
+    return controller
 
 
 class TestStraddlingRequests:
@@ -62,3 +103,11 @@ class TestStraddlingRequests:
         controller.fail_disk(FAILED)
         array.run_op(controller.read(0))
         assert controller.stats.straddled_accesses == 0
+
+    @pytest.mark.parametrize(
+        "scenario, straddled",
+        [(_write_across_a_loss_past_the_tolerance, 1), (_rebuild_onto_the_replacement, 0)],
+        ids=["lost-slot-counted", "replaced-slot-not-counted"],
+    )
+    def test_straddle_count_by_slot_state(self, scenario, straddled):
+        assert scenario().stats.straddled_accesses == straddled

@@ -11,22 +11,24 @@ class TestFaultTransitions:
         faults = ArrayFaults(5)
         assert faults.fault_free
         assert faults.failed_disks == ()
-        assert not any(faults.replacement_installed_on(d) for d in range(5))
+        assert not any(faults.is_down(d) for d in range(5))
+        assert not any(faults.is_unreplaced(d) for d in range(5))
 
     def test_fail_marks_disk(self):
         faults = ArrayFaults(5)
         faults.fail(2)
         assert not faults.fault_free
         assert faults.failed_disks == (2,)
-        assert not faults.replacement_installed_on(2)
+        assert faults.is_down(2) and faults.is_unreplaced(2)
+        assert not faults.is_down(1) and not faults.is_unreplaced(1)
 
     def test_replacement_transitions_to_reconstructing(self):
         faults = ArrayFaults(5)
         faults.fail(2)
         faults.install_replacement()
         assert faults.failed_disks == (2,)
-        assert faults.replacement_installed_on(2)
-        assert not faults.replacement_installed_on(1)
+        assert faults.is_down(2) and not faults.is_unreplaced(2)
+        assert not faults.is_down(1) and not faults.is_unreplaced(1)
 
     def test_repair_complete_restores_fault_free(self):
         faults = ArrayFaults(5)
@@ -34,7 +36,7 @@ class TestFaultTransitions:
         faults.install_replacement()
         faults.repair_complete()
         assert faults.fault_free
-        assert not faults.replacement_installed_on(2)
+        assert not faults.is_down(2) and not faults.is_unreplaced(2)
 
     def test_second_failure_rejected(self):
         faults = ArrayFaults(5)
@@ -70,6 +72,15 @@ class TestFaultTransitions:
     def test_out_of_range_disk_rejected(self):
         with pytest.raises(ValueError):
             ArrayFaults(5).fail(5)
+
+    def test_lost_disk_is_down_and_unreplaced(self):
+        faults = ArrayFaults(5)
+        faults.fail(2)
+        faults.install_replacement()
+        faults.fail(4, allow_data_loss=True)
+        assert faults.failed_disks == (2,)
+        assert faults.is_down(4) and faults.is_unreplaced(4)
+        assert faults.is_down(2) and not faults.is_unreplaced(2)
 
 
 class TestDeterministicOrdering:

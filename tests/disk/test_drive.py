@@ -6,6 +6,7 @@ import pytest
 
 from repro.disk import Disk, DiskRequest, IBM_0661, scaled_spec
 from repro.disk.drive import KIND_RECON, KIND_USER
+from repro.metrics import WindowedDuration
 from repro.sim import Environment
 
 
@@ -132,6 +133,24 @@ class TestStats:
         disk = Disk(env, IBM_0661, policy="fifo")
         run_accesses(disk, env, [(0, 8, False), (96, 8, False)])
         assert disk.stats.busy_ms == pytest.approx(env.now)
+
+    @pytest.mark.parametrize("since_ms", [0, 0.0, 3.7, 100.0, 1e9])
+    def test_busy_window_clips_like_windowed_duration(self, since_ms):
+        # DiskStats.record clips the busy interval inline; the
+        # accumulator's own add() is the reference.
+        env = Environment()
+        disk = Disk(env, IBM_0661, policy="fifo")
+        disk.stats.busy_window.since_ms = since_ms
+        reference = WindowedDuration(since_ms=since_ms)
+        rng = random.Random(11)
+        dones = [
+            disk.access(rng.randrange(0, 100_000, 8), 8, is_write=False)
+            for _ in range(20)
+        ]
+        env.run()
+        for done in dones:
+            reference.add(done.value.start_service_ms, done.value.complete_ms)
+        assert disk.stats.busy_window.total_ms.hex() == float(reference.total_ms).hex()
 
     def test_response_decomposition(self):
         env = Environment()

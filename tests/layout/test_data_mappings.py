@@ -3,6 +3,7 @@
 import pytest
 
 from repro.designs import complete_design, paper_design
+from repro.experiments.builders import build_layout
 from repro.layout import DeclusteredLayout, LayoutError
 from repro.layout.criteria import (
     check_large_write_optimization,
@@ -45,6 +46,26 @@ class TestRowMajorMapping:
             assert layout.stripe_of_logical(logical) == layout.stripe_of(
                 address.disk, address.offset
             )[0]
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            *layouts(),
+            *layouts(g=5, v=21),
+            build_layout(5, 5),
+            build_layout(8, 4, syndromes=2),
+            build_layout(6, 6, syndromes=2),
+            build_layout(7, 3, layout="prime"),
+            build_layout(11, 5, syndromes=2, layout="prime"),
+        ],
+        ids=repr,
+    )
+    def test_stripe_role_of_logical_agrees_with_stripe_of(self, layout):
+        for logical in range(2 * layout.data_units_per_table):
+            address = layout.logical_to_physical(logical)
+            assert layout.stripe_role_of_logical(logical) == layout.stripe_of(
+                address.disk, address.offset
+            )
 
     def test_unknown_mapping_rejected(self):
         from repro.layout.base import TableParityLayout, UnitAddress

@@ -177,8 +177,8 @@ class TestSameInstantTimeoutFIFO:
         # zero-delay timeouts (immediate lane, created AT t=1) while the
         # heap still holds the shuffled t=1 timeouts created up front.
         # The dispatch order must be: driver, then the heap entries in
-        # creation order (their seqs predate reaching t=1), then the
-        # zero-delay entries in creation order (invariants 1-2 in
+        # creation order (they were scheduled before reaching t=1), then
+        # the zero-delay entries in creation order (invariants 1-2 in
         # repro.sim.environment).
         import random
 
@@ -212,8 +212,8 @@ class TestSameInstantTimeoutFIFO:
 
     def test_merge_path_after_external_step_interleave(self):
         # A manual step() can leave the immediate lane non-empty while
-        # the heap still holds entries at `now`. The heap entry (smaller
-        # seq) must dispatch first, in run() as in step().
+        # the heap still holds entries at `now`. The heap entry (scheduled
+        # first) must dispatch first, in run() as in step().
         env = Environment()
         order = []
         a = env.timeout(1.0)
