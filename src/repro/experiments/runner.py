@@ -41,6 +41,15 @@ from repro.workload.synthetic import SyntheticWorkload, WorkloadConfig
 
 MODES = ("fault-free", "degraded", "recon", "campaign")
 
+#: Config fields that must be plain ``int``s. A float or a bool here
+#: either fails only inside a worker or runs the same work under a
+#: second cache key (``21.0`` and ``True`` hash apart from ``21`` and
+#: ``1``).
+_INT_FIELDS = (
+    "stripe_size", "num_disks", "recon_workers", "seed", "failed_disk",
+    "spares", "syndromes",
+)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -84,6 +93,10 @@ class ScenarioConfig:
     layout: str = "auto"
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.recon_workers < 1:

@@ -27,6 +27,8 @@ class ScalePreset:
     note: str
 
     def __post_init__(self):
+        if not isinstance(self.cylinders, int) or isinstance(self.cylinders, bool):
+            raise ValueError(f"cylinders must be an integer, got {self.cylinders!r}")
         if self.cylinders < 2:
             raise ValueError(f"cylinders must be >= 2, got {self.cylinders}")
         if not (math.isfinite(self.steady_duration_ms) and self.steady_duration_ms > 0):

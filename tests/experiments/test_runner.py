@@ -79,6 +79,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=needle):
             micro_config(**overrides)
 
+    @pytest.mark.parametrize("overrides, field", [
+        # Fail only inside a worker.
+        ({"stripe_size": 4.5}, "stripe_size"),
+        ({"mode": "recon", "recon_workers": 1.5}, "recon_workers"),
+        ({"seed": "abc"}, "seed"),
+        # Run, but under a second cache key for the same work.
+        ({"syndromes": True}, "syndromes"),
+        ({"num_disks": 21.0}, "num_disks"),
+        ({"spares": 0.0}, "spares"),
+        ({"seed": 1992.0}, "seed"),
+        ({"failed_disk": False}, "failed_disk"),
+    ])
+    def test_non_integer_fields_rejected(self, overrides, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            micro_config(**overrides)
+
     @pytest.mark.parametrize("overrides, needle", [
         ({"cylinders": 1}, "cylinders"),
         ({"steady_duration_ms": float("inf")}, "steady_duration_ms"),
@@ -87,6 +103,8 @@ class TestConfigValidation:
         ({"warmup_ms": -1.0}, "warmup_ms"),
         ({"warmup_ms": float("nan")}, "warmup_ms"),
         ({"warmup_ms": float("inf")}, "warmup_ms"),
+        ({"cylinders": 13.5}, "cylinders must be an integer"),
+        ({"cylinders": True}, "cylinders must be an integer"),
     ])
     def test_unrunnable_scale_rejected(self, overrides, needle):
         # An infinite duration used to run a workload to an infinite

@@ -70,10 +70,30 @@ class TestScenario:
         with pytest.raises(SpecError, match=needle):
             parse_spec(raw)
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"stripe_size": 4.5}, "stripe_size"),
+        ({"mode": "recon", "recon_workers": 1.5}, "recon_workers"),
+        ({"seed": "abc"}, "seed"),
+        ({"syndromes": True}, "syndromes"),
+        ({"num_disks": 21.0}, "num_disks"),
+        ({"spares": 0.0}, "spares"),
+        ({"seed": 1992.0}, "seed"),
+        ({"failed_disk": 0.0}, "failed_disk"),
+    ])
+    def test_non_integer_fields_rejected(self, overrides, field):
+        # Each got a job id: the first three then failed in the worker,
+        # the rest ran the same work as the integer spec under a second
+        # job id.
+        raw = micro_scenario_spec()
+        raw["config"].update(overrides)
+        with pytest.raises(SpecError, match=f"{field} must be an integer"):
+            parse_spec(raw)
+
     @pytest.mark.parametrize("field, text", [
         ("steady_duration_ms", "Infinity"),
         ("steady_duration_ms", "NaN"),
         ("cylinders", "1"),
+        ("cylinders", "13.5"),
         ("warmup_ms", "-1"),
     ])
     def test_unrunnable_custom_scale_rejected(self, field, text):
