@@ -141,7 +141,9 @@ class Reconstructor:
         env = self.controller.env
         status = self.status
         status.started_at = env.now
-        for index in range(self.workers):
+        # A worker past the unit count would claim nothing and return at
+        # once, so at most one worker per unit is started.
+        for index in range(min(self.workers, status.total_units)):
             env.process(self._worker(), name=f"recon-worker-{index}")
         env.process(self._finisher(), name="recon-finisher")
         return status.complete_event

@@ -5,6 +5,7 @@ import pytest
 from repro.array.datastore import initial_data_pattern
 from repro.layout.base import PARITY_ROLE
 from repro.recon import BASELINE, REDIRECT_PIGGYBACK, Reconstructor, USER_WRITES
+from repro.sim.process import Process
 from tests.conftest import build_array
 
 FAILED = 1
@@ -123,6 +124,25 @@ class TestLifecycle:
         reconstructor.start()
         with pytest.raises(RuntimeError, match="already"):
             reconstructor.start()
+
+    def test_workers_are_capped_at_the_unit_count(self):
+        def rebuild(workers):
+            array = build_array(cylinders=2)
+            finished = []
+            array.env.add_observer(
+                lambda event: finished.append(event.name)
+                if isinstance(event, Process) and event.name.startswith("recon-worker-")
+                else None
+            )
+            reconstructor = reconstruct(array, workers=workers)
+            array.env.run()  # let every worker return
+            return reconstructor, len(finished)
+
+        units = build_array(cylinders=2).addressing.mapped_units_per_disk
+        capped, capped_started = rebuild(units + 3)
+        full, full_started = rebuild(units)
+        assert capped_started == full_started == units
+        assert capped.result() == full.result()
 
     def test_zero_workers_rejected(self, small_array):
         controller = small_array.controller
