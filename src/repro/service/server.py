@@ -58,6 +58,7 @@ from repro.service.jobs import (
     FAILED,
     QUEUED,
     RUNNING,
+    TERMINAL_STATES,
     Job,
     JobStore,
 )
@@ -532,11 +533,17 @@ class Service:
                         (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
                     )
                     await writer.drain()
-                    if event.get("event") == "state" and event.get("state") in (
-                        DONE,
-                        FAILED,
-                        CANCELLED,
+                    if (
+                        event.get("event") == "state"
+                        and event.get("state") in TERMINAL_STATES
+                        and not any(
+                            later.get("event") == "state"
+                            for later in log.history[position:]
+                        )
                     ):
+                        # The job's current terminal event. One that a
+                        # later state event follows ended an earlier
+                        # attempt of a resubmitted job.
                         return
                 async with log.changed:
                     if position >= len(log.history):

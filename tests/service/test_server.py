@@ -191,6 +191,41 @@ class TestDedup:
         finally:
             service.stop()
 
+    def test_following_a_resubmitted_job_waits_for_the_new_attempt(self, tmp_path):
+        # The log keeps the first attempt's `failed`; a follower must not
+        # stop there while the second attempt runs.
+        second_started = threading.Event()
+        release = threading.Event()
+        calls = {"count": 0}
+
+        def fail_then_gate(key):
+            calls["count"] += 1
+            if calls["count"] == 1:
+                raise RuntimeError("transient outage")
+            second_started.set()
+            assert release.wait(timeout=30.0), "gate never released"
+            return fake_execute(key)
+
+        service = LiveService(tmp_path / "data", execute=fail_then_gate)
+        releaser = threading.Timer(0.5, release.set)
+        try:
+            service.service.engine_options.retries = 0
+            _status, job = service.post("/jobs", micro_scenario_spec())
+            final, _events = service.wait_for(job["id"])
+            assert final["state"] == "failed"
+            service.post("/jobs", micro_scenario_spec())
+            assert second_started.wait(timeout=10.0)
+            # The follower connects while the second attempt is gated.
+            releaser.start()
+            final, events = service.wait_for(job["id"])
+            states = [e["state"] for e in events if e.get("event") == "state"]
+            assert states == ["queued", "running", "failed", "queued", "running", "done"]
+            assert final["state"] == "done"
+        finally:
+            releaser.cancel()
+            release.set()
+            service.stop()
+
 
 class TestCancel:
     def test_cancel_queued_job(self, tmp_path):
