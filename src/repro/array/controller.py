@@ -181,9 +181,9 @@ class ArrayController:
         self._small_stripes = (
             self.layout.num_syndromes == 1 and self.layout.stripe_size == 3
         )
-        # With one data unit per stripe (G=2, mirroring) every aligned
-        # one-unit write is a full-stripe write, so such writes keep the
-        # planner, which sends them to the large write.
+        # With one data unit per stripe (G=2 mirroring, or P+Q at G=3)
+        # every aligned one-unit write is a full-stripe write, so such
+        # writes keep the planner, which sends them to the large write.
         self._plan_unit_writes = (
             self.layout.supports_large_write
             and self.layout.data_units_per_stripe == 1
