@@ -228,27 +228,27 @@ class Condition(Event):
     The condition fires once ``_target`` children have fired — every
     child for :class:`AllOf`, one for :class:`AnyOf` — and at once when
     there are no children. A failing child fails the whole condition
-    immediately.
+    immediately. A condition succeeds with no value: joins are waited
+    on, never read.
     """
 
-    __slots__ = ("events", "_fired_count", "_target")
+    __slots__ = ("_fired_count", "_target")
 
     #: Children that must fire; ``None`` means all of them.
     _needed: typing.ClassVar[typing.Optional[int]] = None
 
     def __init__(self, env: "Environment", events: typing.Sequence[Event]):
         super().__init__(env)
-        self.events = list(events)
         self._fired_count = 0
-        self._target = self._needed or len(self.events)
-        if not self.events:
-            self.succeed(self._collect())
+        self._target = self._needed or len(events)
+        if not events:
+            self.succeed()
             return
-        for event in self.events:
+        for event in events:
             if event.env is not env:
                 raise SimulationError("condition mixes events from different environments")
         on_child = self._on_child
-        for event in self.events:
+        for event in events:
             if event._state == PROCESSED:
                 on_child(event)
             else:
@@ -257,14 +257,6 @@ class Condition(Event):
                     event._callbacks = [on_child]
                 else:
                     cbs.append(on_child)
-
-    def _collect(self) -> dict:
-        """Values of all successfully fired children, keyed by event."""
-        return {
-            e: e._value
-            for e in self.events
-            if e._state == PROCESSED and e._exception is None
-        }
 
     def _on_child(self, event: Event) -> None:
         if self._state != PENDING:
@@ -275,7 +267,7 @@ class Condition(Event):
             return
         self._fired_count += 1
         if self._fired_count == self._target:
-            self.succeed(self._collect())
+            self.succeed()
 
 
 class AllOf(Condition):

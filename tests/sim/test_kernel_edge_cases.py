@@ -48,17 +48,6 @@ class TestConditionEdges:
         process = env.process(body(env))
         assert env.run(until=process) == 3.0
 
-    def test_condition_over_condition_values(self):
-        env = Environment()
-
-        def body(env):
-            first = env.timeout(1.0, value="a")
-            both = yield env.all_of([first, env.timeout(2.0, value="b")])
-            return set(both.values())
-
-        process = env.process(body(env))
-        assert env.run(until=process) == {"a", "b"}
-
 
 class TestSchedulingDiscipline:
     def test_zero_delay_events_run_before_later_ones(self):
@@ -140,16 +129,16 @@ class TestAllOfZeroEvents:
 
         env.process(body(env))
         env.run()
-        # The empty join fires on the same tick it was created, with an
-        # empty value dict — no time may pass.
-        assert seen == [(3.5, {})]
+        # The empty join fires on the same tick it was created, with no
+        # value — no time may pass.
+        assert seen == [(3.5, None)]
 
     def test_empty_all_of_is_already_triggered(self):
         env = Environment()
         join = env.all_of([])
         assert join.triggered and not join.processed
         env.run()
-        assert join.processed and join.value == {}
+        assert join.processed and join.value is None
 
 
 class TestSameInstantTimeoutFIFO:
