@@ -38,7 +38,9 @@ def run_variant(rotate_parity):
     )
     workload.run(duration_ms=20_000.0)
     env.run(until=20_000.0)
-    utilizations = [disk.stats.busy_ms / env.now for disk in controller.disks]
+    utilizations = [
+        disk.stats.busy_window.total_ms / env.now for disk in controller.disks
+    ]
     parity_counts = parity_units_per_disk(layout)
     return {
         "rotated": rotate_parity,

@@ -42,7 +42,9 @@ def run_variant(stripe_size):
     workload = TraceWorkload(controller, trace)
     workload.run()
     env.run(until=workload.drained())
-    report = balance_report([disk.stats.busy_ms / env.now for disk in controller.disks])
+    report = balance_report(
+        [disk.stats.busy_window.total_ms / env.now for disk in controller.disks]
+    )
     return {
         "layout": f"G={stripe_size}",
         "mean_util": round(report["mean"], 3),

@@ -209,15 +209,14 @@ class DiskStats:
 
     completed: int = 0
     completed_by_kind: typing.Dict[str, int] = field(default_factory=dict)
-    busy_ms: float = 0.0
     total_queue_wait_ms: float = 0.0
     total_seek_ms: float = 0.0
     total_rotation_ms: float = 0.0
     total_transfer_ms: float = 0.0
     #: Busy time clipped to the measurement window: the controller sets
     #: ``busy_window.since_ms`` to the scenario's warmup boundary, so
-    #: utilization excludes the warm-up ramp (``busy_ms`` above remains
-    #: the raw whole-run total).
+    #: utilization excludes the warm-up ramp. With ``since_ms`` 0 (a
+    #: bare ``Disk``) it is the whole-run busy total.
     busy_window: WindowedDuration = field(default_factory=WindowedDuration)
 
     def record(self, request: DiskRequest, seek_ms: float, rotation_ms: float,
@@ -234,7 +233,6 @@ class DiskStats:
         self.completed_by_kind[kind] = self.completed_by_kind.get(kind, 0) + 1
         start = request.start_service_ms
         end = request.complete_ms
-        self.busy_ms += end - start
         window = self.busy_window
         since = window.since_ms
         clipped = end - (start if start > since else since)

@@ -89,7 +89,7 @@ class TestServiceProperties:
         for u in units:
             disk.access(u * 8, 8, is_write=False)
         env.run()
-        assert disk.stats.busy_ms <= env.now + 1e-9
+        assert disk.stats.busy_window.total_ms <= env.now + 1e-9
 
     @given(
         st.lists(

@@ -132,7 +132,7 @@ class TestStats:
         env = Environment()
         disk = Disk(env, IBM_0661, policy="fifo")
         run_accesses(disk, env, [(0, 8, False), (96, 8, False)])
-        assert disk.stats.busy_ms == pytest.approx(env.now)
+        assert disk.stats.busy_window.total_ms == pytest.approx(env.now)
 
     @pytest.mark.parametrize("since_ms", [0, 0.0, 3.7, 100.0, 1e9])
     def test_busy_window_clips_like_windowed_duration(self, since_ms):
