@@ -54,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "whole-program mode: build the cross-module project context "
-            "and also run the interprocedural rules "
-            "(DET010/DET011/LOCK010/LOCK011)"
+            "and also run the interprocedural rules (DET010/LOCK010)"
         ),
     )
     parser.add_argument(

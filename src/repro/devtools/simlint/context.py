@@ -35,7 +35,7 @@ _SUPPRESS_RE = re.compile(
 #: (reason)`` on (or directly above) a ``def`` line forces the
 #: function's taint summary clean; ``assume=nondeterministic`` marks it
 #: as a source even though its body looks harmless. Used by the
-#: interprocedural DET010/DET011 analysis (see
+#: interprocedural DET010 analysis (see
 #: :mod:`repro.devtools.simlint.project.taint`).
 _ASSUME_RE = re.compile(
     r"#\s*simlint:\s*assume\s*=\s*(?P<value>deterministic|nondeterministic)"
@@ -141,16 +141,6 @@ class ModuleContext:
                 names.append(current.name)
             current = self._parents.get(current)
         return ".".join(reversed(names)) or "<module>"
-
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> typing.Optional[typing.Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
-        current = self._parents.get(node)
-        while current is not None:
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return current
-            current = self._parents.get(current)
-        return None
 
     def snippet(self, node: ast.AST) -> str:
         line = getattr(node, "lineno", 0)

@@ -75,7 +75,7 @@ def lint_paths(
     """Lint every file under ``paths`` and classify the findings.
 
     With ``project=True`` a :class:`ProjectContext` is built over the
-    whole file set and whole-program rules (DET010/011, LOCK010/011)
+    whole file set and whole-program rules (DET010, LOCK010)
     run in addition to the per-module ones; their findings honour the
     same inline suppressions.
     """

@@ -1,7 +1,7 @@
 """Whole-program analysis layer: module graph, call graph, flow analyses.
 
-The per-module rules (DET001–004, LOCK001, …) see one file at a time;
-everything in this package sees the whole tree at once:
+The per-module rules (DET001, DET002, DET004, LOCK001, ERR001) see one
+file at a time; everything in this package sees the whole tree at once:
 
 - :mod:`~repro.devtools.simlint.project.modules` — the
   :class:`ProjectContext`: every module parsed, functions and classes
@@ -10,14 +10,13 @@ everything in this package sees the whole tree at once:
 - :mod:`~repro.devtools.simlint.project.callgraph` — call sites
   resolved against that index into a project-wide call graph.
 - :mod:`~repro.devtools.simlint.project.taint` — interprocedural
-  nondeterminism taint (rules DET010/DET011).
+  nondeterminism taint (rule DET010).
 - :mod:`~repro.devtools.simlint.project.lockflow` — interprocedural
-  stripe-lock discipline and the acquired-while-holding lock-order
-  graph (rules LOCK010/LOCK011).
+  stripe-lock discipline (rule LOCK010) and the closer spans simsan
+  reads.
 
-Analyses are memoized on the :class:`ProjectContext`, so the rules
-that share an analysis (and the simsan runtime cross-check) pay for it
-once per lint run.
+Analyses are memoized on the :class:`ProjectContext`, so the call
+graph both flow analyses read is built once per lint run.
 """
 
 from repro.devtools.simlint.project.callgraph import CallGraph, CallSite

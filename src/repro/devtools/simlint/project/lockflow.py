@@ -1,5 +1,4 @@
-"""Interprocedural stripe-lock discipline (LOCK010) and the
-acquired-while-holding lock-order graph (LOCK011).
+"""Interprocedural stripe-lock discipline (LOCK010).
 
 LOCK001 is local: *this* acquire must sit under *this* try/finally.
 What it cannot see is ownership that crosses a function boundary — the
@@ -11,10 +10,10 @@ the stripe under fault injection, and no per-module rule can tell.
 
 The analysis walks every project function with an abstract "held
 locks" state over the statement tree (both branches of an ``if``,
-``finally`` applied to every exit, loop bodies twice so
-acquired-while-holding edges inside loops are seen). Locks are keyed
-by ``(base, argument text)`` — ``self.locks.acquire(stripe)`` holds
-``(locks, stripe)``. Per-function summaries feed call sites:
+``finally`` applied to every exit, loop bodies twice so a lock carried
+into the next iteration is seen). Locks are keyed by ``(base, argument
+text)`` — ``self.locks.acquire(stripe)`` holds ``(locks, stripe)``.
+Per-function summaries feed call sites:
 
 - **closers** release a parameter-keyed lock they did not acquire
   (``_piggyback_write`` releasing ``stripe``). A closer is ``always``
@@ -29,15 +28,9 @@ call, or an ``always``-closer handed to ``env.process(...)``
 ``handoff``-flag / conditional-release correlation is invisible to
 branch-insensitive flow). Anything still held at a normal exit is a
 LOCK010 leak; a call that reaches a ``sometimes``-closer while holding
-the matching lock is a LOCK010 at the call site.
-
-Every acquire observed while other locks are held adds an edge
-``held-site -> new-site`` to the lock-order graph, including across
-calls: caller-held locks propagate to callee entry to a fixed point.
-Cycles in that graph are LOCK011 — two code paths that take the same
-locks in opposite orders can deadlock under the right interleaving.
-The runtime sanitizer (simsan) cross-checks this same graph against
-orders actually observed in macro scenarios.
+the matching lock is a LOCK010 at the call site. The runtime sanitizer
+(simsan) reads the closer spans: a cross-process release inside one is
+declared protocol.
 """
 
 from __future__ import annotations
@@ -62,7 +55,7 @@ SOMETIMES = "sometimes"
 
 
 class LockSite(typing.NamedTuple):
-    """One static acquire site, the node of the lock-order graph."""
+    """One static acquire site, named in leak messages."""
 
     path: str
     line: int
@@ -90,8 +83,8 @@ class Held:
 
     key: LockKey
     #: "local" (acquired in this function), "open" (acquired by a
-    #: callee on our behalf), "entry" (held by a caller at our entry),
-    #: "param" (synthetic probe for closer detection).
+    #: callee on our behalf), "param" (synthetic probe for closer
+    #: detection).
     origin: str
     site: typing.Optional[LockSite]
     param_index: int = -1
@@ -125,13 +118,6 @@ class LockLeak:
     func: FunctionInfo
     node_id: int
     message: str
-
-
-@dataclass(frozen=True)
-class LockCycle:
-    """A LOCK011 candidate: acquire sites forming an order cycle."""
-
-    sites: typing.Tuple[LockSite, ...]
 
 
 def _state_sort_key(state: State) -> typing.Tuple:
@@ -298,16 +284,9 @@ class _FunctionFlow:
             call.col_offset,
             f"{key.base}.acquire({key.arg})",
         )
-        self.analysis.site_nodes.setdefault(site, (self.func, call))
         held = Held(key, "local", site, node_id=id(call))
         self.local_nodes[id(call)] = call
-        out = set()
-        for state in states:
-            for prior in state:
-                if prior.site is not None:
-                    self.analysis.edges.setdefault(prior.site, set()).add(site)
-            out.add(state | {held})
-        return out
+        return {state | {held} for state in states}
 
     def _release(
         self, call: ast.Call, chain: str, states: typing.Set[State]
@@ -330,17 +309,6 @@ class _FunctionFlow:
         callee = self.analysis.project.functions.get(site.callee)
         if callee is None:
             return states
-        # Caller-held locks are live at callee entry: propagate for the
-        # lock-order graph (spawned processes run concurrently with the
-        # holder, so spawn edges propagate too).
-        carried = {
-            held
-            for state in states
-            for held in state
-            if held.site is not None
-        }
-        if carried:
-            self.analysis.record_entry(site.callee, carried)
         summary = self.analysis.summaries.get(site.callee)
         if summary is None:
             return states
@@ -394,45 +362,29 @@ class _FunctionFlow:
 
 
 class LockFlowAnalysis:
-    """Whole-program lock flow: summaries, leaks, and the order graph."""
+    """Whole-program lock flow: summaries and leaks."""
 
     def __init__(self, project: ProjectContext):
         self.project = project
         self.graph: CallGraph = build_call_graph(project)
         self.summaries: typing.Dict[str, LockSummary] = {}
-        self.entries: typing.Dict[str, typing.Set[Held]] = {}
-        self._next_entries: typing.Dict[str, typing.Set[Held]] = {}
-        self.edges: typing.Dict[LockSite, typing.Set[LockSite]] = {}
-        self.site_nodes: typing.Dict[
-            LockSite, typing.Tuple[FunctionInfo, ast.Call]
-        ] = {}
         self.leaks: typing.List[LockLeak] = []
         self.leak_nodes: typing.Dict[int, ast.Call] = {}
         self._run()
-        self.cycles: typing.List[LockCycle] = self._find_cycles()
 
     # ------------------------------------------------------------------
-    def record_entry(self, callee: str, helds: typing.Iterable[Held]) -> None:
-        bucket = self._next_entries.setdefault(callee, set())
-        for held in helds:
-            bucket.add(
-                Held(held.key, "entry", held.site, node_id=held.node_id)
-            )
-
-    def _entry_for(self, func: FunctionInfo) -> typing.Set[Held]:
-        entry = set(self.entries.get(func.qualname, ()))
-        for index, param in enumerate(func.params):
-            entry.add(
-                Held(LockKey("*", param.arg), "param", None, param_index=index)
-            )
-        return entry
+    @staticmethod
+    def _entry_for(func: FunctionInfo) -> typing.Set[Held]:
+        return {
+            Held(LockKey("*", param.arg), "param", None, param_index=index)
+            for index, param in enumerate(func.params)
+        }
 
     def _run(self) -> None:
         for qualname in self.project.functions:
             self.summaries[qualname] = LockSummary()
         for round_index in range(_MAX_ROUNDS):
             collect = round_index == _MAX_ROUNDS - 1
-            self.edges = {}
             self.leaks = []
             self.leak_nodes = {}
             changed = False
@@ -445,16 +397,9 @@ class LockFlowAnalysis:
                     self.summaries[qualname] = summary
                     changed = True
                 self.leak_nodes.update(flow.local_nodes)
-            entries_changed = False
-            for callee, helds in self._next_entries.items():
-                known = self.entries.setdefault(callee, set())
-                if not helds <= known:
-                    known |= helds
-                    entries_changed = True
-            self._next_entries = {}
             if collect:
                 break
-            if not changed and not entries_changed:
+            if not changed:
                 # Converged early: one more pass, collecting findings.
                 self._collect_final()
                 break
@@ -467,7 +412,6 @@ class LockFlowAnalysis:
         )
 
     def _collect_final(self) -> None:
-        self.edges = {}
         self.leaks = []
         self.leak_nodes = {}
         for qualname in sorted(self.project.functions):
@@ -476,7 +420,6 @@ class LockFlowAnalysis:
             flow.run()
             self._summarize(func, flow, collect=True)
             self.leak_nodes.update(flow.local_nodes)
-        self._next_entries = {}
 
     # ------------------------------------------------------------------
     def _summarize(
@@ -539,70 +482,6 @@ class LockFlowAnalysis:
                 )
             )
         return summary
-
-    # ------------------------------------------------------------------
-    # Lock-order cycles (Tarjan SCC over the site graph)
-    # ------------------------------------------------------------------
-    def _find_cycles(self) -> typing.List[LockCycle]:
-        sites = sorted(
-            set(self.edges) | {s for targets in self.edges.values() for s in targets}
-        )
-        index_of: typing.Dict[LockSite, int] = {}
-        lowlink: typing.Dict[LockSite, int] = {}
-        on_stack: typing.Set[LockSite] = set()
-        stack: typing.List[LockSite] = []
-        counter = [0]
-        components: typing.List[typing.List[LockSite]] = []
-
-        def strongconnect(root: LockSite) -> None:
-            work = [(root, iter(sorted(self.edges.get(root, ()))))]
-            index_of[root] = lowlink[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for succ in successors:
-                    if succ not in index_of:
-                        index_of[succ] = lowlink[succ] = counter[0]
-                        counter[0] += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(sorted(self.edges.get(succ, ())))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index_of[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index_of[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(component)
-
-        for site in sites:
-            if site not in index_of:
-                strongconnect(site)
-
-        cycles = []
-        for component in components:
-            ordered = tuple(sorted(component))
-            if len(ordered) > 1:
-                cycles.append(LockCycle(ordered))
-            elif ordered[0] in self.edges.get(ordered[0], ()):
-                cycles.append(LockCycle(ordered))
-        cycles.sort(key=lambda cycle: cycle.sites)
-        return cycles
 
 
 def lockflow_analysis(project: ProjectContext) -> LockFlowAnalysis:

@@ -1,4 +1,4 @@
-"""Interprocedural nondeterminism taint (rules DET010/DET011).
+"""Interprocedural nondeterminism taint (rule DET010).
 
 The per-module rules flag *direct* nondeterminism (``time.time()`` on
 this line); this analysis follows it across function boundaries. Every
@@ -8,10 +8,7 @@ project function gets a summary, computed to a fixed point:
   a global-random draw, directory order, ``id()``, or a call to
   another function whose summary is tainted;
 - ``param_flow``: parameter indices that flow into the return value
-  (so a caller's taint rides through a clean helper);
-- ``param_kernel``: parameter indices that reach the event kernel
-  (``env.timeout``/``schedule``/``run``/``process`` or an event's
-  ``succeed``/``fail``) inside the function or its callees.
+  (so a caller's taint rides through a clean helper).
 
 Taint *kinds* matter: ``sorted(...)`` pins iteration order, so it
 kills ``order`` taint (the canonical DET004 fix) while ``value`` taint
@@ -19,7 +16,7 @@ kills ``order`` taint (the canonical DET004 fix) while ``value`` taint
 
 Seeding respects the human record: a source whose line carries a
 ``# simlint: disable=`` for its intraprocedural rule (or for
-DET010/DET011) is *not* a seed — orchestration code that already
+DET010) is *not* a seed — orchestration code that already
 justified its wall-clock read does not taint its callers. A
 ``# simlint: assume=deterministic (reason)`` on a def forces the
 summary clean; ``assume=nondeterministic`` forces it tainted.
@@ -32,11 +29,7 @@ import typing
 from dataclasses import dataclass
 
 from repro.devtools.simlint.context import ModuleContext
-from repro.devtools.simlint.project.callgraph import (
-    CallGraph,
-    build_call_graph,
-    is_env_chain,
-)
+from repro.devtools.simlint.project.callgraph import CallGraph, build_call_graph
 from repro.devtools.simlint.project.modules import FunctionInfo, ProjectContext
 from repro.devtools.simlint.rules.determinism import (
     UNSEEDED_RANDOM_ALLOWED,
@@ -62,11 +55,6 @@ UNIQUE_VALUE_CALLS = frozenset(
         "secrets.randbelow",
     }
 )
-
-#: Environment methods that put work on the event queue.
-KERNEL_SCHEDULING_METHODS = frozenset({"timeout", "schedule", "run", "process"})
-#: Event-completion methods (any receiver: events are kernel objects).
-EVENT_COMPLETION_METHODS = frozenset({"succeed", "fail"})
 
 _MAX_ITERATIONS = 25
 #: Longest reported call chain; prepending stops past this so summaries
@@ -99,20 +87,9 @@ TaintSet = typing.Set[object]
 class TaintSummary:
     returns: typing.FrozenSet[SourceTaint]
     param_flow: typing.FrozenSet[int]
-    param_kernel: typing.FrozenSet[int]
 
 
-EMPTY_SUMMARY = TaintSummary(frozenset(), frozenset(), frozenset())
-
-
-@dataclass(frozen=True)
-class KernelHit:
-    """One tainted value observed reaching the event kernel."""
-
-    func: FunctionInfo
-    node: ast.Call
-    taint: SourceTaint
-    via: str  # "env.timeout(...)" or "helper(delay=...)"
+EMPTY_SUMMARY = TaintSummary(frozenset(), frozenset())
 
 
 @dataclass(frozen=True)
@@ -142,7 +119,7 @@ def source_at(ctx: ModuleContext, call: ast.Call) -> typing.Optional[SourceTaint
     line = call.lineno
 
     def live(*rules: str) -> bool:
-        for rule in rules + ("DET010", "DET011"):
+        for rule in rules + ("DET010",):
             if ctx.suppression_for(rule, line) is not None:
                 return False
         return True
@@ -170,7 +147,7 @@ def source_at(ctx: ModuleContext, call: ast.Call) -> typing.Optional[SourceTaint
         isinstance(call.func, ast.Name)
         and call.func.id == "id"
         and len(call.args) == 1
-        and live("DET003")
+        and live()
     ):
         return SourceTaint("value", (f"id() [memory address] at {where}",))
     if (
@@ -200,10 +177,6 @@ class _FunctionEval:
             for index, param in enumerate(func.params)
         }
         self.returns: TaintSet = set()
-        self.param_kernel: typing.Set[int] = set()
-        self.kernel_hits: typing.Dict[
-            typing.Tuple[int, SourceTaint], KernelHit
-        ] = {}
         # Expression-taint memo, cleared per statement (the statement is
         # the unit that mutates variable state); without it the repeated
         # sub-expression visits in call handling go exponential.
@@ -335,7 +308,6 @@ class _FunctionEval:
         source = source_at(self.ctx, call)
         if source is not None:
             result.add(source)
-        self._check_kernel_feed(call)
         if isinstance(call.func, ast.Name) and call.func.id == "sorted":
             inner = self._call_args_taint(call)
             return result | {
@@ -361,20 +333,6 @@ class _FunctionEval:
             for index in summary.param_flow:
                 for taint in arg_taints.get(index, ()):
                     result.add(taint)
-            for index in summary.param_kernel:
-                for taint in arg_taints.get(index, ()):
-                    if isinstance(taint, SourceTaint):
-                        self._record_kernel_hit(
-                            call,
-                            taint,
-                            f"{callee.name}(…) "
-                            f"[parameter {callee.params[index].arg!r} reaches "
-                            "the kernel]",
-                        )
-                    elif isinstance(taint, ParamTaint):
-                        self.param_kernel.add(taint.index)
-            # Still evaluate raw argument expressions for nested calls.
-            self._call_args_taint(call)
             return result
         # Unknown callee: taint flows through arguments and receiver.
         result |= self._call_args_taint(call)
@@ -404,34 +362,6 @@ class _FunctionEval:
                 mapped[index] = self._expr(keyword.value)
         return mapped
 
-    def _check_kernel_feed(self, call: ast.Call) -> None:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return
-        if func.attr in KERNEL_SCHEDULING_METHODS:
-            if not is_env_chain(self.analysis.project, self.types, func.value):
-                return
-            via = f"env.{func.attr}(…)"
-        elif func.attr in EVENT_COMPLETION_METHODS:
-            via = f"<event>.{func.attr}(…)"
-        else:
-            return
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            if isinstance(arg, ast.Starred):
-                arg = arg.value
-            for taint in self._expr(arg):
-                if isinstance(taint, SourceTaint):
-                    self._record_kernel_hit(call, taint, via)
-                elif isinstance(taint, ParamTaint):
-                    self.param_kernel.add(taint.index)
-
-    def _record_kernel_hit(
-        self, call: ast.Call, taint: SourceTaint, via: str
-    ) -> None:
-        key = (id(call), taint)
-        if key not in self.kernel_hits:
-            self.kernel_hits[key] = KernelHit(self.func, call, taint, via)
-
 
 class TaintAnalysis:
     """Whole-program taint: summaries to fixed point, then findings."""
@@ -444,7 +374,6 @@ class TaintAnalysis:
         }
         self._fixed_point()
         self.tainted_calls: typing.List[TaintedCall] = []
-        self.kernel_hits: typing.List[KernelHit] = []
         self._collect_findings()
 
     def _summarize(self, func: FunctionInfo) -> TaintSummary:
@@ -466,7 +395,6 @@ class TaintAnalysis:
                     }
                 ),
                 frozenset(),
-                frozenset(),
             )
         evaluation = _FunctionEval(self, func)
         evaluation.run()
@@ -484,9 +412,7 @@ class TaintAnalysis:
             for taint in evaluation.returns
             if isinstance(taint, ParamTaint)
         )
-        return TaintSummary(
-            returns_sources, param_flow, frozenset(evaluation.param_kernel)
-        )
+        return TaintSummary(returns_sources, param_flow)
 
     def _fixed_point(self) -> None:
         for _ in range(_MAX_ITERATIONS):
@@ -503,9 +429,6 @@ class TaintAnalysis:
     def _collect_findings(self) -> None:
         for qualname in sorted(self.project.functions):
             func = self.project.functions[qualname]
-            evaluation = _FunctionEval(self, func)
-            evaluation.run()
-            self.kernel_hits.extend(evaluation.kernel_hits.values())
             for site in self.graph.calls_from.get(qualname, ()):
                 summary = self.summaries.get(site.callee, EMPTY_SUMMARY)
                 if not summary.returns:
@@ -516,14 +439,6 @@ class TaintAnalysis:
                 )
         self.tainted_calls.sort(
             key=lambda item: (item.func.ctx.path, item.node.lineno, item.node.col_offset)
-        )
-        self.kernel_hits.sort(
-            key=lambda item: (
-                item.func.ctx.path,
-                item.node.lineno,
-                item.node.col_offset,
-                item.taint.steps,
-            )
         )
 
 

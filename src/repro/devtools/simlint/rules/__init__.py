@@ -6,23 +6,18 @@ Per-module (always run):
 
 - ``DET001`` — no wall-clock reads in simulation code
 - ``DET002`` — no module-level or unseeded random draws
-- ``DET003`` — no id()-based ordering
 - ``DET004`` — no iteration over hash-ordered collections
 - ``LOCK001`` — stripe-lock acquire must release in try/finally
-- ``TIME001`` — no ==/!= between float simulated timestamps
-- ``MUT001`` — no mutation of frozen configs outside constructors
 - ``ERR001`` — no broad except that can swallow DataLossError
 
 Whole-program (``repro lint --project``):
 
 - ``DET010`` — call returns transitive nondeterminism
-- ``DET011`` — nondeterministic value reaches the event kernel
 - ``LOCK010`` — stripe lock escapes its cross-function release protocol
-- ``LOCK011`` — lock acquisition sites form an order cycle
 
 Runtime sanitizer (``repro simsan``):
 
-- ``SAN001``–``SAN006`` — lock-protocol violations observed while a
+- ``SAN001``–``SAN005`` — lock-protocol violations observed while a
   macro scenario actually runs (see
   :mod:`repro.devtools.simsan.monitor`)
 """
@@ -30,9 +25,8 @@ Runtime sanitizer (``repro simsan``):
 from repro.devtools.simlint.rules import (
     determinism,
     errors,
-    hygiene,
     interprocedural,
     locks,
 )
 
-__all__ = ["determinism", "errors", "hygiene", "interprocedural", "locks"]
+__all__ = ["determinism", "errors", "interprocedural", "locks"]

@@ -1,11 +1,11 @@
-"""Determinism rules: DET001-DET004.
+"""Determinism rules: DET001, DET002 and DET004.
 
 The simulator's contract is that one :class:`ScenarioConfig` replays
 bit-identically: the sweep cache is content-addressed on the config, so
 any nondeterminism silently corrupts cache reuse and figure parity.
 These rules flag the classic ways Python code goes nondeterministic:
-reading the wall clock, drawing from a global RNG, ordering by ``id()``,
-and iterating hash-ordered collections.
+reading the wall clock, drawing from a global RNG, and iterating
+hash-ordered collections.
 """
 
 from __future__ import annotations
@@ -124,65 +124,6 @@ class UnseededRandomRule(Rule):
                         ctx, node,
                         f"{name}() draws from numpy's global random stream",
                     )
-
-
-def _contains_id_call(node: ast.AST) -> typing.Optional[ast.Call]:
-    for child in ast.walk(node):
-        if (
-            isinstance(child, ast.Call)
-            and isinstance(child.func, ast.Name)
-            and child.func.id == "id"
-        ):
-            return child
-    return None
-
-
-@register
-class IdOrderingRule(Rule):
-    id = "DET003"
-    title = "no id()-based ordering"
-    rationale = (
-        "id() is a memory address: it changes run to run, so any order "
-        "derived from it replays differently every time"
-    )
-    hint = "order by a stable domain key (disk number, stripe index, name)"
-
-    _ORDERED_CALLS = frozenset({"sorted", "min", "max"})
-    _ORDER_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
-
-    def check(self, ctx: ModuleContext) -> typing.Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                is_sorter = (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id in self._ORDERED_CALLS
-                ) or (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "sort"
-                )
-                if not is_sorter:
-                    continue
-                for keyword in node.keywords:
-                    if keyword.arg != "key":
-                        continue
-                    if isinstance(keyword.value, ast.Name) and keyword.value.id == "id":
-                        yield self.finding(
-                            ctx, node, "sort key is id() — memory-address ordering"
-                        )
-                    elif _contains_id_call(keyword.value) is not None:
-                        yield self.finding(
-                            ctx, node, "sort key calls id() — memory-address ordering"
-                        )
-            elif isinstance(node, ast.Compare):
-                if not any(isinstance(op, self._ORDER_OPS) for op in node.ops):
-                    continue
-                for operand in [node.left] + list(node.comparators):
-                    if _contains_id_call(operand) is not None:
-                        yield self.finding(
-                            ctx, node,
-                            "ordering comparison on id() — memory-address ordering",
-                        )
-                        break
 
 
 def _is_hash_ordered(node: ast.AST) -> bool:

@@ -1,5 +1,5 @@
-"""Whole-program rules: DET010/DET011, LOCK010/LOCK011, and the
-runtime sanitizer rule IDs (SAN001–SAN006).
+"""Whole-program rules DET010 and LOCK010, and the runtime sanitizer
+rule IDs (SAN001–SAN005).
 
 These run only under ``repro lint --project``: they need the
 :class:`~repro.devtools.simlint.project.modules.ProjectContext` (every
@@ -60,38 +60,6 @@ class TransitiveNondeterminismRule(ProjectRule):
 
 
 @register
-class TaintedKernelFeedRule(ProjectRule):
-    id = "DET011"
-    title = "nondeterministic value reaches the event kernel"
-    rationale = (
-        "a wall-clock or unseeded-random value used as a timeout, "
-        "schedule time, or event payload perturbs the event order and "
-        "breaks bit-identical replay — the property every golden-trace "
-        "test and the sweep cache depend on"
-    )
-    hint = (
-        "derive delays from env.now and parameters from the seeded "
-        "ScenarioConfig; if the value is deliberately external, justify "
-        "the source inline so the taint is discharged there"
-    )
-    severity = "error"
-
-    def check_project(
-        self, project: "ProjectContext"
-    ) -> typing.Iterator[Finding]:
-        from repro.devtools.simlint.project.taint import taint_analysis
-
-        analysis = taint_analysis(project)
-        for hit in analysis.kernel_hits:
-            yield self.finding(
-                hit.func.ctx,
-                hit.node,
-                f"{hit.taint.kind}-nondeterministic value flows into "
-                f"{hit.via}: {hit.taint.describe()}",
-            )
-
-
-@register
 class InterproceduralLockLeakRule(ProjectRule):
     id = "LOCK010"
     title = "stripe lock escapes its cross-function release protocol"
@@ -122,44 +90,6 @@ class InterproceduralLockLeakRule(ProjectRule):
             yield self.finding(leak.func.ctx, node, leak.message)
 
 
-@register
-class LockOrderCycleRule(ProjectRule):
-    id = "LOCK011"
-    title = "lock acquisition sites form an order cycle"
-    rationale = (
-        "two code paths taking the same locks in opposite orders can "
-        "deadlock under exactly the concurrent interleaving that "
-        "degraded-mode reconstruction creates; the cycle is a property "
-        "of the whole call graph, not any one function"
-    )
-    hint = (
-        "impose a global acquisition order (e.g. ascending stripe "
-        "index) or collapse the nested acquire into a single critical "
-        "section; simsan verifies the order actually holds at runtime"
-    )
-    severity = "warning"
-
-    def check_project(
-        self, project: "ProjectContext"
-    ) -> typing.Iterator[Finding]:
-        from repro.devtools.simlint.project.lockflow import lockflow_analysis
-
-        analysis = lockflow_analysis(project)
-        for cycle in analysis.cycles:
-            anchor_site = cycle.sites[0]
-            anchored = analysis.site_nodes.get(anchor_site)
-            if anchored is None:  # pragma: no cover - defensive
-                continue
-            func, node = anchored
-            chain = " -> ".join(site.describe() for site in cycle.sites)
-            yield self.finding(
-                func.ctx,
-                node,
-                f"potential deadlock: acquired-while-holding edges form "
-                f"a cycle: {chain} -> {cycle.sites[0].label}",
-            )
-
-
 def _runtime_rule(
     rule_id: str, rule_title: str, rule_rationale: str, rule_hint: str
 ) -> None:
@@ -185,7 +115,7 @@ _runtime_rule(
     "SAN002",
     "stripe locks acquired in inconsistent order at runtime",
     "an observed ABBA order over concrete stripes is one unlucky "
-    "interleaving away from a deadlock the static graph only suspects",
+    "interleaving away from a deadlock",
     "acquire stripes in ascending order everywhere",
 )
 _runtime_rule(
@@ -211,14 +141,4 @@ _runtime_rule(
     "releasing — the runtime twin of LOCK010",
     "find the exit path that skips the release; simsan reports the "
     "acquire site",
-)
-_runtime_rule(
-    "SAN006",
-    "runtime lock-order edge missing from the static graph",
-    "simsan observed an acquired-while-holding pair the LOCK011 graph "
-    "does not contain, so the static analysis has a blind spot "
-    "(dynamic dispatch, getattr, or a lock object aliased past "
-    "name-based matching)",
-    "add type annotations or rename the alias so the static pass can "
-    "see the lock; the runtime edge is the ground truth",
 )

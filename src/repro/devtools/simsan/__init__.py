@@ -7,10 +7,10 @@ hangs off :class:`~repro.array.locks.StripeLockTable` (opt-in, None in
 every normal run, observation only — an instrumented scenario is
 bit-identical to an uninstrumented one) and records who acquires which
 stripe from where, in what order, and who releases it. Violations
-(SAN001–SAN006) come out as ordinary simlint findings, honouring the
-same inline suppressions, and the observed lock-order graph is
-cross-checked against the static LOCK011 graph so each layer audits
-the other's blind spots.
+(SAN001–SAN005) come out as ordinary simlint findings, honouring the
+same inline suppressions. The static lock-flow analysis supplies the
+closer spans (functions that release a lock on a caller's behalf)
+inside which a cross-process release is declared protocol, not SAN004.
 
 Run it with ``python -m repro simsan``.
 """

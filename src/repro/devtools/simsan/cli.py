@@ -100,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "simsan: runtime stripe-lock sanitizer. Runs macro scenarios "
             "with an instrumented lock table (observation only — results "
-            "stay bit-identical) and reports SAN001-SAN006 violations, "
-            "cross-checked against the static LOCK011 lock-order graph."
+            "stay bit-identical) and reports SAN001-SAN005 violations."
         ),
     )
     parser.add_argument(
@@ -109,19 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=[],
         help=f"scenarios to run (default: all of {', '.join(SCENARIOS)})",
-    )
-    parser.add_argument(
-        "--no-static",
-        action="store_true",
-        help=(
-            "skip the static lock-flow cross-check (SAN004 closer spans "
-            "and the SAN006 graph comparison need it)"
-        ),
-    )
-    parser.add_argument(
-        "--src",
-        default="src/repro",
-        help="source tree for the static cross-check (default: src/repro)",
     )
     parser.add_argument(
         "--format",
@@ -142,14 +128,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _static_model(src: str) -> typing.Optional[StaticLockModel]:
+def _static_model() -> StaticLockModel:
+    """Closer spans of the ``repro`` package this process imported.
+
+    Read from the package's own directory, so the model describes the
+    code that actually runs whatever the working directory is.
+    """
+    import repro
     from repro.devtools.simlint.project.modules import ProjectContext
 
-    root = pathlib.Path(src)
-    if not root.is_dir():
-        return None
-    files = sorted(root.rglob("*.py"))
-    return StaticLockModel.from_project(ProjectContext(files))
+    root = pathlib.Path(repro.__file__).parent
+    return StaticLockModel.from_project(ProjectContext(sorted(root.rglob("*.py"))))
 
 
 def run_scenarios(
@@ -193,7 +182,6 @@ def run_scenarios(
         stream.write(
             f"simsan: {name}: {monitor.acquires} acquires, "
             f"{monitor.releases} releases, "
-            f"{len(monitor.site_edges)} order edge(s), "
             f"{len(monitor.violations)} violation(s)\n"
         )
         report.files_checked += 1  # one scenario ~ one "file" in the summary
@@ -217,14 +205,8 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    static = None if args.no_static else _static_model(args.src)
-    if static is None and not args.no_static:
-        print(
-            f"simsan: note: {args.src} not found, static cross-check off",
-            file=sys.stderr,
-        )
     report = run_scenarios(
-        names, static, measure_overhead=args.measure_overhead
+        names, _static_model(), measure_overhead=args.measure_overhead
     )
     if args.format == "json":
         sys.stdout.write(format_json(report))

@@ -55,18 +55,16 @@ class Violation:
 
 @dataclass
 class StaticLockModel:
-    """What the static lock-flow analysis predicts, for cross-checking.
+    """What the static lock-flow analysis declares, for SAN004.
 
-    ``edges`` is the LOCK011 acquired-while-holding graph projected to
-    ``(path, line)`` pairs; ``closer_spans`` are the line spans of
-    functions the analysis recognised as closers (they release a
-    parameter-keyed lock on behalf of a caller), where a cross-process
-    release is declared protocol rather than a SAN004 violation.
+    ``closer_spans`` are the line spans of functions the analysis
+    recognised as closers (they release a parameter-keyed lock on
+    behalf of a caller), where a cross-process release is declared
+    protocol rather than a SAN004 violation. Paths are in the
+    monitor's form (:func:`_normalize`), so they match runtime sites
+    whatever the working directory.
     """
 
-    edges: typing.Set[
-        typing.Tuple[typing.Tuple[str, int], typing.Tuple[str, int]]
-    ] = field(default_factory=set)
     closer_spans: typing.List[typing.Tuple[str, int, int]] = field(
         default_factory=list
     )
@@ -76,19 +74,14 @@ class StaticLockModel:
         from repro.devtools.simlint.project.lockflow import lockflow_analysis
 
         analysis = lockflow_analysis(project)
-        edges = {
-            ((source.path, source.line), (target.path, target.line))
-            for source, targets in analysis.edges.items()
-            for target in targets
-        }
         spans = []
         for qualname, summary in sorted(analysis.summaries.items()):
             if not summary.closes:
                 continue
             func = project.functions[qualname]
             first, last = func.span()
-            spans.append((func.ctx.path, first, last))
-        return cls(edges=edges, closer_spans=spans)
+            spans.append((_normalize(func.ctx.path), first, last))
+        return cls(closer_spans=spans)
 
     def in_closer_span(self, site: Site) -> bool:
         return any(
@@ -128,9 +121,6 @@ class LockMonitor:
         self._stripe_pairs: typing.Dict[
             typing.Tuple[int, int], typing.Tuple[Site, Site]
         ] = {}
-        self.site_edges: typing.Set[
-            typing.Tuple[typing.Tuple[str, int], typing.Tuple[str, int]]
-        ] = set()
         self.violations: typing.List[Violation] = []
         self._path_cache: typing.Dict[str, str] = {}
 
@@ -216,9 +206,6 @@ class LockMonitor:
         self._holders[stripe] = Hold(stripe, site, frame)
 
     def _record_edge(self, held: Hold, stripe: int, site: Site) -> None:
-        self.site_edges.add(
-            ((held.site.path, held.site.line), (site.path, site.line))
-        )
         pair = (held.stripe, stripe)
         if pair in self._stripe_pairs:
             return
@@ -251,19 +238,6 @@ class LockMonitor:
                         f"stripe {stripe} still held at end of scenario "
                         "(acquired here) — some exit path skipped the "
                         "release",
-                    )
-                )
-        if self.static is not None:
-            for edge in sorted(self.site_edges - self.static.edges):
-                (src_path, src_line), (dst_path, dst_line) = edge
-                self.violations.append(
-                    Violation(
-                        "SAN006",
-                        Site(dst_path, dst_line, "<runtime>"),
-                        "acquired-while-holding edge observed at runtime "
-                        f"({src_path}:{src_line} -> {dst_path}:{dst_line}) "
-                        "is missing from the static LOCK011 graph — the "
-                        "static analysis has a blind spot here",
                     )
                 )
 

@@ -11,6 +11,7 @@ import pytest
 from repro.cli import main as repro_main
 from repro.devtools.simlint import all_rules
 from repro.devtools.simlint.cli import main as lint_main
+from repro.devtools.simsan.cli import main as simsan_main
 
 from tests.devtools.test_simlint_rules import FIXTURES
 
@@ -169,10 +170,22 @@ class TestSimsanEntryPoint:
 
     def test_degraded_scenario_runs_clean(self, monkeypatch, capsys):
         # The cheapest real scenario end to end through the dispatcher:
-        # instrumented run, static cross-check, zero violations.
+        # instrumented run, static closer spans, zero violations.
         monkeypatch.chdir(REPO_ROOT)
         assert repro_main(["simsan", "degraded"]) == 0
         captured = capsys.readouterr()
         assert "degraded:" in captured.err
         assert "0 violation(s)" in captured.err
         assert "0 finding(s)" in captured.out
+
+    @pytest.mark.parametrize("where", ["checkout", "elsewhere"])
+    def test_recon_runs_clean_from_any_directory(
+        self, monkeypatch, tmp_path, capsys, where
+    ):
+        # recon is the scenario with the piggyback handoff. The closer
+        # spans come from the imported package, not from a source tree
+        # under the working directory, and are compared with runtime
+        # sites in the same path form, relative under the working
+        # directory and absolute outside it.
+        monkeypatch.chdir(REPO_ROOT if where == "checkout" else tmp_path)
+        assert simsan_main(["recon"]) == 0, capsys.readouterr().out

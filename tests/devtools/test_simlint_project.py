@@ -1,6 +1,6 @@
-"""Whole-program rule tests: DET010/DET011 taint, LOCK010 lock-flow,
-LOCK011 lock-order cycles, and the regression fixture for the cross-
-function lock-handoff bug that motivated the analysis.
+"""Whole-program rule tests: DET010 taint, LOCK010 lock-flow, and the
+regression fixture for the cross-function lock-handoff bug that
+motivated the analysis.
 
 Each fixture is a miniature project written to ``tmp_path``; the
 positive variant must produce exactly the expected finding and the
@@ -62,6 +62,16 @@ TAINT_CHAIN_ASSUMED = """
         yield env.timeout(delay_for())
 """
 
+#: A helper returns ``id(obj)``, a memory address that differs run to
+#: run; no per-module rule flags ``id()`` itself.
+ID_CHAIN = """
+    def key_of(obj):
+        return id(obj)
+
+    def order_key(obj):
+        return key_of(obj) + 1
+"""
+
 #: Clean control: values derive from parameters only.
 TAINT_CLEAN = """
     def delay_for(config):
@@ -111,53 +121,6 @@ HANDOFF_SAFE = """
             finally:
                 self.locks.release(stripe)
 """
-
-#: Two opener helpers taken in opposite orders by two callers: the
-#: acquired-while-holding edges form a cycle between the two acquire
-#: sites even though each function looks locally consistent.
-ORDER_CYCLE = """
-    class Controller:
-        def take_data(self, stripe):
-            yield self.locks.acquire(stripe)
-
-        def take_parity(self, stripe):
-            yield self.locks.acquire(stripe)
-
-        def forward(self):
-            yield from self.take_data(1)
-            yield from self.take_parity(2)
-            self.locks.release(2)
-            self.locks.release(1)
-
-        def backward(self):
-            yield from self.take_parity(2)
-            yield from self.take_data(1)
-            self.locks.release(1)
-            self.locks.release(2)
-"""
-
-#: Same helpers, but every caller uses the same global order.
-ORDER_CONSISTENT = """
-    class Controller:
-        def take_data(self, stripe):
-            yield self.locks.acquire(stripe)
-
-        def take_parity(self, stripe):
-            yield self.locks.acquire(stripe)
-
-        def forward(self):
-            yield from self.take_data(1)
-            yield from self.take_parity(2)
-            self.locks.release(2)
-            self.locks.release(1)
-
-        def also_forward(self):
-            yield from self.take_data(3)
-            yield from self.take_parity(4)
-            self.locks.release(4)
-            self.locks.release(3)
-"""
-
 
 def write_project(tmp_path, **modules):
     paths = []
@@ -218,11 +181,26 @@ class TestTransitiveNondeterminism:
 
     def test_inline_source_suppression_kills_the_taint(self, tmp_path):
         paths = write_project(tmp_path, chain=TAINT_CHAIN_SUPPRESSED)
-        assert project_findings(paths, "DET010", "DET011") == []
+        assert project_findings(paths, "DET010") == []
 
     def test_assume_deterministic_pragma_clears_summary(self, tmp_path):
         paths = write_project(tmp_path, chain=TAINT_CHAIN_ASSUMED)
-        assert project_findings(paths, "DET010", "DET011") == []
+        assert project_findings(paths, "DET010") == []
+
+    def test_id_is_a_value_source(self, tmp_path):
+        paths = write_project(tmp_path, ids=ID_CHAIN)
+        (finding,) = project_findings(paths, "DET010")
+        assert finding.symbol == "order_key"
+        assert "key_of()" in finding.message
+        assert "id() [memory address]" in finding.message
+
+    def test_det010_suppression_at_id_source_kills_the_taint(self, tmp_path):
+        code = ID_CHAIN.replace(
+            "return id(obj)",
+            "return id(obj)  # simlint: disable=DET010 (debug label only)",
+        )
+        paths = write_project(tmp_path, ids=code)
+        assert project_findings(paths, "DET010") == []
 
     def test_clean_project_is_clean(self, tmp_path):
         paths = write_project(tmp_path, clean=TAINT_CLEAN)
@@ -241,52 +219,6 @@ class TestTransitiveNondeterminism:
         )
         findings = project_findings(paths, "DET010")
         assert any("read_sensor()" in f.message for f in findings)
-
-
-# ---------------------------------------------------------------------------
-# DET011: nondeterministic values reaching the event kernel
-# ---------------------------------------------------------------------------
-class TestTaintedKernelFeed:
-    def test_tainted_timeout_flagged(self, tmp_path):
-        paths = write_project(tmp_path, chain=TAINT_CHAIN)
-        findings = project_findings(paths, "DET011")
-        assert findings, "wall clock flowing into env.timeout must be DET011"
-        (finding,) = [f for f in findings if "env.timeout" in f.message]
-        assert finding.symbol.endswith("schedule")
-        assert "wall clock" in finding.message
-
-    def test_parameter_derived_timeout_is_clean(self, tmp_path):
-        paths = write_project(tmp_path, clean=TAINT_CLEAN)
-        assert project_findings(paths, "DET011") == []
-
-    def test_sorted_sanitizes_order_taint(self, tmp_path):
-        paths = write_project(
-            tmp_path,
-            ordered="""
-                def names():
-                    return list({"a", "b", "c"})
-
-                def schedule(env, table):
-                    for name in sorted(names()):
-                        yield env.timeout(table[name])
-            """,
-        )
-        assert project_findings(paths, "DET011") == []
-
-    def test_unsorted_order_taint_reaches_kernel(self, tmp_path):
-        paths = write_project(
-            tmp_path,
-            ordered="""
-                def names():
-                    return list({"a", "b", "c"})
-
-                def schedule(env, table):
-                    for name in names():
-                        yield env.timeout(table[name])
-            """,
-        )
-        findings = project_findings(paths, "DET011")
-        assert any("order" in f.message for f in findings)
 
 
 # ---------------------------------------------------------------------------
@@ -340,39 +272,6 @@ class TestInterproceduralLockLeak:
 
 
 # ---------------------------------------------------------------------------
-# LOCK011: lock-order cycles
-# ---------------------------------------------------------------------------
-class TestLockOrderCycle:
-    def test_opposite_orders_form_a_cycle(self, tmp_path):
-        paths = write_project(tmp_path, cycle=ORDER_CYCLE)
-        findings = project_findings(paths, "LOCK011")
-        assert findings, "opposite acquisition orders must report a cycle"
-        assert all(f.rule == "LOCK011" for f in findings)
-        assert "cycle" in findings[0].message
-
-    def test_consistent_order_is_clean(self, tmp_path):
-        paths = write_project(tmp_path, cycle=ORDER_CONSISTENT)
-        assert project_findings(paths, "LOCK011") == []
-
-    def test_cycle_findings_are_suppressible(self, tmp_path):
-        code = ORDER_CYCLE.replace(
-            "def take_data(self, stripe):\n"
-            "            yield self.locks.acquire(stripe)",
-            "def take_data(self, stripe):\n"
-            "            # simlint: disable=LOCK011 (ordered by caller convention)\n"
-            "            yield self.locks.acquire(stripe)",
-        )
-        paths = write_project(tmp_path, cycle=code)
-        report = lint_paths(paths, select=["LOCK011"], project=True)
-        # Whether the anchor lands on this site depends on cycle
-        # ordering; what must hold is that a suppression at the anchor
-        # line moves the finding out of the active list.
-        if report.active:
-            anchored = report.active[0]
-            assert "acquire" in anchored.snippet
-
-
-# ---------------------------------------------------------------------------
 # Determinism of the whole-program pass itself
 # ---------------------------------------------------------------------------
 class TestProjectDeterminism:
@@ -381,7 +280,6 @@ class TestProjectDeterminism:
             tmp_path,
             chain=TAINT_CHAIN,
             handoff=HANDOFF_LEAK,
-            cycle=ORDER_CYCLE,
         )
         first = lint_paths([tmp_path], project=True)
         second = lint_paths([tmp_path], project=True)

@@ -115,33 +115,6 @@ FIXTURES = [
         ],
     ),
     (
-        "DET003",
-        [
-            """
-            def order(xs):
-                return sorted(xs, key=id)
-            """,
-            """
-            def order(xs):
-                xs.sort(key=lambda x: id(x))
-            """,
-            """
-            def first(a, b):
-                return a if id(a) < id(b) else b
-            """,
-        ],
-        [
-            """
-            def order(xs):
-                return sorted(xs, key=lambda x: x.disk)
-            """,
-            """
-            def describe(x):
-                return f"<obj at {id(x):#x}>"
-            """,
-        ],
-    ),
-    (
         "DET004",
         [
             """
@@ -233,63 +206,6 @@ FIXTURES = [
             def not_a_generator(self, stripe):
                 self.locks.acquire(stripe)
                 self.locks.release(stripe)
-            """,
-        ],
-    ),
-    (
-        "TIME001",
-        [
-            """
-            def due(env, deadline_ms):
-                return env.now == deadline_ms
-            """,
-            """
-            def same(start_ms, end_ms):
-                return start_ms != end_ms
-            """,
-        ],
-        [
-            """
-            def due(env, deadline_ms):
-                return env.now >= deadline_ms
-            """,
-            """
-            def check(count):
-                return count == 3
-            """,
-        ],
-    ),
-    (
-        "MUT001",
-        [
-            """
-            def tweak(config: ScenarioConfig):
-                config.seed = 1
-            """,
-            """
-            def tweak(profile: "FaultProfile"):
-                profile.disk_mttf_hours += 1.0
-            """,
-            """
-            def tweak(profile):
-                object.__setattr__(profile, "disk_mttf_hours", 0.0)
-            """,
-        ],
-        [
-            """
-            import dataclasses
-
-            def tweak(config: ScenarioConfig):
-                return dataclasses.replace(config, seed=1)
-            """,
-            """
-            class Design:
-                def __post_init__(self):
-                    object.__setattr__(self, "tuples", ())
-            """,
-            """
-            def tweak(options):
-                options.jobs = 2
             """,
         ],
     ),

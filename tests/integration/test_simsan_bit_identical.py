@@ -77,12 +77,15 @@ class TestScenarioProtocolClean:
         # must produce zero violations once the static model declares
         # the piggyback closers (the CI smoke job runs the same check
         # at full scenario scale via `repro simsan`).
-        from repro.devtools.simlint.project.modules import ProjectContext
-        from repro.devtools.simsan import StaticLockModel
         import pathlib
 
-        files = sorted(pathlib.Path("src/repro/array").rglob("*.py")) + sorted(
-            pathlib.Path("src/repro/recon").rglob("*.py")
+        import repro
+        from repro.devtools.simlint.project.modules import ProjectContext
+        from repro.devtools.simsan import StaticLockModel
+
+        package = pathlib.Path(repro.__file__).parent
+        files = sorted((package / "array").rglob("*.py")) + sorted(
+            (package / "recon").rglob("*.py")
         )
         static = StaticLockModel.from_project(ProjectContext(files))
         # The micro mission ends with requests in flight, so drained-
