@@ -1,8 +1,8 @@
 """Atomic JSON file persistence.
 
 One idiom, shared by every subsystem that persists JSON next to
-concurrent readers (the sweep result cache, the job service's job
-store and campaign checkpoints): serialize to a temp file in the
+concurrent readers (the sweep result cache and the job service's job
+store): serialize to a temp file in the
 target directory, then ``os.replace`` onto the final path. ``replace``
 is atomic on POSIX and Windows, so a reader opening the path sees
 either the complete previous document or the complete new one — never

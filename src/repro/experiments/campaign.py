@@ -88,8 +88,8 @@ def campaign_spec(
     Enumeration is row-major with stripe size slowest, so the trials of
     one stripe size are contiguous — the ordering contract
     :func:`rows_from_summaries` aggregates by. This is the same grid
-    for the CLI run and the job service's trial-granular execution, so
-    both address identical cache entries.
+    for the CLI run and the job service, so both address identical
+    cache entries.
     """
     trials = trials if trials is not None else TRIALS.get(scale, 3)
     profiles = [campaign_profile(seed + trial) for trial in range(trials)]
@@ -113,9 +113,8 @@ def campaign_spec(
 def trial_summary(result) -> dict:
     """The JSON-safe per-trial facts campaign aggregation needs.
 
-    Persisted verbatim in service checkpoints, so a resumed campaign
-    aggregates finished trials from the checkpoint alone — no re-run,
-    no cache read — and cannot drift from an uninterrupted run.
+    The CLI and the job service both aggregate these, and the service
+    lists them per trial in a campaign's result document.
     """
     return {
         "g": result.config.stripe_size,
@@ -151,12 +150,11 @@ def rows_from_summaries(
         analytic_mttdl_h = None
         analytic_loss_p = None
         if mean_repair_ms is not None:
-            # Old checkpoints predate the syndromes key: single-fault.
             inputs = ReliabilityInputs(
                 num_disks=group[0]["num_disks"],
                 disk_mttf_hours=disk_mttf_hours,
                 repair_hours=mean_repair_ms / MS_PER_HOUR,
-                fault_tolerance=group[0].get("syndromes", 1),
+                fault_tolerance=group[0]["syndromes"],
             )
             analytic_mttdl_h = mttdl_hours(inputs)
             analytic_loss_p = data_loss_probability(inputs, mission_hours)
@@ -164,7 +162,7 @@ def rows_from_summaries(
             {
                 "g": group[0]["g"],
                 "alpha": round(group[0]["alpha"], 3),
-                "syndromes": group[0].get("syndromes", 1),
+                "syndromes": group[0]["syndromes"],
                 "trials": trials,
                 "losses": losses,
                 "loss_fraction": round(losses / trials, 3),

@@ -10,12 +10,11 @@ The rest of the package turns "a script that runs experiments" into
 - :mod:`repro.service.jobs` — the persistent job store: one atomic
   JSON document per job, states ``queued → running → done`` (or
   ``failed``/``cancelled``), crash recovery on startup;
-- :mod:`repro.service.checkpoint` — trial-granular campaign
-  checkpoints, so a killed service resumes a Monte Carlo campaign
-  without rerunning finished trials;
 - :mod:`repro.service.engine` — blocking job execution over
   :func:`~repro.sweep.run_sweep` (cache dedup, sharded worker
-  processes, progress events, cancellation);
+  processes, progress events, cancellation). The result cache is the
+  only resume state: a killed service reruns its interrupted jobs, and
+  every point finished before the kill comes back as a cache hit;
 - :mod:`repro.service.server` — the asyncio HTTP server
   (``python -m repro serve``): submit/status/result endpoints plus a
   streaming NDJSON progress feed;
@@ -23,7 +22,6 @@ The rest of the package turns "a script that runs experiments" into
   ``python -m repro job submit/list/status/watch/result/cancel``.
 """
 
-from repro.service.checkpoint import CampaignCheckpoint
 from repro.service.engine import EngineOptions, JobCancelled, execute_job
 from repro.service.jobs import (
     CANCELLED,
@@ -39,7 +37,6 @@ from repro.service.spec import JobSpec, SpecError, parse_spec
 
 __all__ = [
     "CANCELLED",
-    "CampaignCheckpoint",
     "DONE",
     "EngineOptions",
     "FAILED",

@@ -1,20 +1,21 @@
 """Blocking job execution: the engine the server drives from a thread.
 
 :func:`execute_job` turns one persisted :class:`~repro.service.jobs.Job`
-into a result document. All heavy lifting goes through
-:func:`~repro.sweep.run_sweep` — content-addressed cache dedup first,
-then sharding of the misses across worker processes — so the service
-inherits exactly the execution semantics of the CLI, including the
-guarantee that a warm resubmission touches no worker process at all.
+into a result document. Every job kind is one
+:func:`~repro.sweep.run_sweep` over the job's points — content-addressed
+cache dedup first, then sharding of the misses across worker processes
+— so the service inherits exactly the execution semantics of the CLI,
+including the guarantee that a warm resubmission touches no worker
+process at all.
 
-Campaign jobs run trial-granular: every completed trial is recorded in
-the job's :class:`~repro.service.checkpoint.CampaignCheckpoint` the
-moment its result lands (via the sweep's ``on_event`` stream), so a
-kill at any instant loses at most the trials still in flight. On
-resume, checkpointed trials are skipped entirely and the final rows
-are aggregated from checkpoint summaries through the same
-:func:`~repro.experiments.campaign.rows_from_summaries` path the CLI
-uses — interrupted and uninterrupted campaigns cannot diverge.
+The result cache is the only resume state. ``run_sweep`` writes each
+point's result to the cache before it announces it, so when a killed
+service reruns a job, every point finished before the kill comes back
+as a cache hit and only the rest are simulated. A campaign's rows are
+aggregated from the :func:`~repro.experiments.campaign.trial_summary`
+of every trial through the same
+:func:`~repro.experiments.campaign.rows_from_summaries` the CLI uses, so
+interrupted and uninterrupted campaigns cannot diverge.
 
 Per-point reports come from
 :func:`repro.metrics.report.document_report`, the same function behind
@@ -28,14 +29,15 @@ from dataclasses import dataclass
 
 from repro.experiments.campaign import rows_from_summaries, trial_summary
 from repro.metrics.report import document_report
-from repro.service.checkpoint import CampaignCheckpoint
 from repro.service.jobs import Job, JobStore
 from repro.service.spec import JobSpec, spec_from_normalized
 from repro.sweep import (
     ResultCache,
     SweepCancelled,
+    SweepEvent,
     SweepOptions,
     result_from_dict,
+    result_to_dict,
     run_sweep,
 )
 
@@ -53,8 +55,6 @@ class EngineOptions:
     cache: typing.Optional[ResultCache] = None
     #: Worker processes per job; 1 runs points in the engine thread.
     workers: int = 1
-    retries: int = 2
-    timeout_s: typing.Optional[float] = None
     #: Test hook: replaces the simulation (key dict -> result dict),
     #: forwarded to :func:`run_sweep`'s ``execute``.
     execute: typing.Optional[typing.Callable[[dict], dict]] = None
@@ -87,185 +87,52 @@ def condense_metrics(
     }
 
 
-def all_cached(spec: JobSpec, cache: typing.Optional[ResultCache]) -> bool:
+def all_cached(spec: JobSpec, cache: ResultCache) -> bool:
     """Would this job be served entirely from cache, with no workers?"""
-    if cache is None:
-        return False
     return all(cache.get_dict(config) is not None for config in spec.configs)
 
 
-def _sweep_options(
-    options: EngineOptions,
-    on_event: typing.Callable,
-    cancel: typing.Optional[typing.Any],
-) -> SweepOptions:
-    return SweepOptions(
-        jobs=options.workers,
-        cache=options.cache,
-        retries=options.retries,
-        timeout_s=options.timeout_s,
-        strict=True,
-        on_event=on_event,
-        cancel=cancel,
-    )
+def _event_line(event: SweepEvent, campaign: bool) -> dict:
+    """The progress-stream line for one sweep event.
 
-
-def _point_report(result) -> dict:
-    from repro.sweep import result_to_dict
-
+    A campaign announces each finished trial with its data-loss outcome
+    and condensed metrics; every other event is a ``point`` line.
+    """
+    if campaign and event.result is not None:
+        result = result_from_dict(event.result)
+        return {
+            "event": "trial",
+            "kind": event.kind,
+            "index": event.index,
+            "completed": event.completed,
+            "total": event.total,
+            "data_lost": bool(result.fault_summary["data_lost"]),
+            "metrics": condense_metrics(result.metrics),
+        }
     return {
-        "config": result.config.to_key(),
-        "report": document_report(result_to_dict(result)),
+        "event": "point",
+        "kind": event.kind,
+        "index": event.index,
+        "completed": event.completed,
+        "total": event.total,
+        "message": event.message,
     }
 
 
-def _run_points(
-    spec: JobSpec,
-    job: Job,
-    options: EngineOptions,
-    progress: ProgressFn,
-    cancel: typing.Optional[typing.Any],
-) -> dict:
-    """Scenario/sweep jobs: one run_sweep over every point."""
-
-    def on_event(event) -> None:
-        job.progress.update(completed=event.completed, total=event.total)
-        progress(
-            {
-                "event": "point",
-                "kind": event.kind,
-                "index": event.index,
-                "completed": event.completed,
-                "total": event.total,
-                "message": event.message,
-            }
-        )
-
-    try:
-        outcome = run_sweep(
-            spec.configs,
-            _sweep_options(options, on_event, cancel),
-            execute=options.execute,
-        )
-    except SweepCancelled as error:
-        raise JobCancelled(str(error)) from error
-    summary = outcome.summary
-    return {
-        "kind": spec.kind,
-        "points": [_point_report(result) for result in outcome.results],
-        "sweep": {
-            "total": summary.total,
-            "executed": summary.executed,
-            "cache_hits": summary.cache_hits,
-            "failures": summary.failures,
-            "retries": summary.retries,
-        },
-    }
-
-
-def _run_campaign(
-    spec: JobSpec,
-    job: Job,
-    store: JobStore,
-    options: EngineOptions,
-    progress: ProgressFn,
-    cancel: typing.Optional[typing.Any],
-) -> dict:
-    """Campaign jobs: trial-granular execution with checkpoint/resume."""
+def _campaign_document(spec: JobSpec, results: typing.Sequence) -> dict:
+    """Campaign rows and per-trial summaries, in grid order."""
     assert spec.campaign is not None
-    total = len(spec.configs)
-    checkpoint = CampaignCheckpoint.load(
-        store.checkpoint_path(job.id), job.id, total
-    )
-    resumed = len(checkpoint.completed)
-    job.progress.update(
-        total=total, completed=resumed, trials_from_checkpoint=resumed
-    )
-    if resumed:
-        progress(
-            {
-                "event": "resume",
-                "trials_from_checkpoint": resumed,
-                "total": total,
-            }
-        )
-
-    remaining = [
-        (index, config)
-        for index, config in enumerate(spec.configs)
-        if index not in checkpoint.done_indices
-    ]
-    original_index = [index for index, _config in remaining]
-    counts = {"executed": 0, "cache_hits": 0}
-
-    def on_event(event) -> None:
-        if (
-            event.kind in ("executed", "cache-hit")
-            and event.result is not None
-            and event.index is not None
-        ):
-            index = original_index[event.index]
-            result = result_from_dict(event.result)
-            summary = trial_summary(result)
-            # Checkpoint BEFORE announcing: once a trial is visible on
-            # the progress stream it survives any kill.
-            checkpoint.record(index, result.config.to_key(), summary)
-            counts["executed" if event.kind == "executed" else "cache_hits"] += 1
-            job.progress.update(completed=len(checkpoint.completed))
-            progress(
-                {
-                    "event": "trial",
-                    "kind": event.kind,
-                    "index": index,
-                    "completed": len(checkpoint.completed),
-                    "total": total,
-                    "data_lost": summary["data_lost"],
-                    "metrics": condense_metrics(result.metrics),
-                }
-            )
-        elif event.kind in ("failed", "retried", "note"):
-            progress(
-                {
-                    "event": "point",
-                    "kind": event.kind,
-                    "index": (
-                        original_index[event.index]
-                        if event.index is not None
-                        else None
-                    ),
-                    "completed": len(checkpoint.completed),
-                    "total": total,
-                    "message": event.message,
-                }
-            )
-
-    if remaining:
-        try:
-            run_sweep(
-                [config for _index, config in remaining],
-                _sweep_options(options, on_event, cancel),
-                execute=options.execute,
-            )
-        except SweepCancelled as error:
-            raise JobCancelled(str(error)) from error
-
-    summaries = checkpoint.summaries_in_order()
-    rows = rows_from_summaries(
-        summaries,
-        spec.campaign["trials"],
-        spec.campaign["mission_hours"],
-    )
+    summaries = [trial_summary(result) for result in results]
     return {
-        "kind": "campaign",
-        "rows": rows,
-        "trials": [checkpoint.completed[index] for index in range(total)],
-        "sweep": {
-            "total": total,
-            "executed": counts["executed"],
-            "cache_hits": counts["cache_hits"],
-            "trials_from_checkpoint": resumed,
-            "failures": 0,
-        },
+        "rows": rows_from_summaries(
+            summaries,
+            spec.campaign["trials"],
+            spec.campaign["mission_hours"],
+        ),
+        "trials": [
+            {"index": index, "config": result.config.to_key(), "summary": summary}
+            for index, (result, summary) in enumerate(zip(results, summaries))
+        ],
     }
 
 
@@ -285,10 +152,46 @@ def execute_job(
     """
     progress = progress or (lambda event: None)
     spec = spec_from_normalized(job.spec)
+    campaign = spec.kind == "campaign"
     job.progress.setdefault("total", len(spec.configs))
-    if spec.kind == "campaign":
-        document = _run_campaign(spec, job, store, options, progress, cancel)
+
+    def on_event(event: SweepEvent) -> None:
+        job.progress.update(completed=event.completed, total=event.total)
+        progress(_event_line(event, campaign))
+
+    try:
+        outcome = run_sweep(
+            spec.configs,
+            SweepOptions(
+                jobs=options.workers,
+                cache=options.cache,
+                on_event=on_event,
+                cancel=cancel,
+            ),
+            execute=options.execute,
+        )
+    except SweepCancelled as error:
+        raise JobCancelled(str(error)) from error
+    summary = outcome.summary
+    document: typing.Dict[str, typing.Any] = {
+        "kind": spec.kind,
+        "sweep": {
+            "total": summary.total,
+            "executed": summary.executed,
+            "cache_hits": summary.cache_hits,
+            "failures": summary.failures,
+            "retries": summary.retries,
+        },
+    }
+    if campaign:
+        document.update(_campaign_document(spec, outcome.results))
     else:
-        document = _run_points(spec, job, options, progress, cancel)
+        document["points"] = [
+            {
+                "config": result.config.to_key(),
+                "report": document_report(result_to_dict(result)),
+            }
+            for result in outcome.results
+        ]
     store.save_result(job.id, document)
     return document

@@ -9,9 +9,11 @@ recovers exactly the jobs that were in flight.
 
 The store is a directory::
 
-    <data_dir>/jobs/<id>.json             job record
-    <data_dir>/jobs/<id>.result.json      result document (terminal jobs)
-    <data_dir>/jobs/<id>.checkpoint.json  campaign trial checkpoint
+    <data_dir>/jobs/<id>.json         job record
+    <data_dir>/jobs/<id>.result.json  result document (terminal jobs)
+
+A job keeps no resume state of its own: the points it finished before
+a kill are in the sweep result cache.
 
 Submission order is a persisted sequence number, not a wall-clock
 timestamp, so recovery replays the queue in the original order without
@@ -48,8 +50,7 @@ class Job:
     state: str = QUEUED
     seq: int = 0
     error: typing.Optional[str] = None
-    #: Running counters: total/completed/executed/cache_hits/failures,
-    #: plus trials_from_checkpoint for resumed campaigns.
+    #: Running counters: total and completed points.
     progress: typing.Dict[str, typing.Any] = field(default_factory=dict)
     #: True once a cancel was requested (the state flips to
     #: ``cancelled`` at the next point boundary).
@@ -97,9 +98,6 @@ class JobStore:
     def result_path(self, job_id: str) -> pathlib.Path:
         return self.jobs_dir / f"{job_id}.result.json"
 
-    def checkpoint_path(self, job_id: str) -> pathlib.Path:
-        return self.jobs_dir / f"{job_id}.checkpoint.json"
-
     # ------------------------------------------------------------------
     # Job records
     # ------------------------------------------------------------------
@@ -122,7 +120,7 @@ class JobStore:
         jobs = []
         if self.jobs_dir.is_dir():
             for path in sorted(self.jobs_dir.glob("*.json")):
-                if path.name.endswith((".result.json", ".checkpoint.json")):
+                if path.name.endswith(".result.json"):
                     continue
                 document = read_json(path)
                 if (
@@ -157,9 +155,9 @@ class JobStore:
         """Requeue interrupted jobs; return everything runnable.
 
         A job found in ``running`` state was interrupted by a kill: it
-        goes back to ``queued`` (its campaign checkpoint, if any, keeps
-        the finished trials). The returned list is every queued job in
-        submission order, ready to enqueue.
+        goes back to ``queued`` (the result cache keeps the points it
+        finished). The returned list is every queued job in submission
+        order, ready to enqueue.
         """
         runnable = []
         for job in self.list():

@@ -30,8 +30,8 @@ Execution: queued jobs feed ``--max-jobs`` concurrent runner tasks;
 each drives :func:`repro.service.engine.execute_job` in a thread, and
 the engine shards cache misses over ``--workers`` worker processes.
 On startup the store is recovered: jobs found ``running`` (a previous
-process was killed) are requeued and — for campaigns — resume from
-their trial checkpoint.
+process was killed) are requeued, and the points they finished before
+the kill come back from the result cache.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from repro.service.jobs import (
     Job,
     JobStore,
 )
-from repro.service.spec import JobSpec, SpecError, parse_spec
+from repro.service.spec import SpecError, parse_spec
 from repro.sweep import ResultCache
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -123,13 +123,13 @@ class Service:
     def __init__(
         self,
         data_dir: typing.Union[str, os.PathLike],
-        cache_dir: typing.Union[str, os.PathLike, None] = None,
+        cache_dir: typing.Union[str, os.PathLike],
         workers: int = 1,
         max_jobs: int = 1,
         execute: typing.Optional[typing.Callable[[dict], dict]] = None,
     ):
         self.store = JobStore(data_dir)
-        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
+        self.cache = ResultCache(cache_dir)
         self.engine_options = EngineOptions(
             cache=self.cache, workers=workers, execute=execute
         )
@@ -589,8 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Run the simulation job service: an HTTP API that accepts "
             "scenario/sweep/campaign specs, dedups them against the "
             "content-addressed result cache, shards misses across worker "
-            "processes, streams progress, and checkpoints campaigns for "
-            "kill-safe resume."
+            "processes, and streams progress. The cache is also what a "
+            "restarted service resumes killed jobs from."
         ),
     )
     parser.add_argument("--host", default="127.0.0.1")
@@ -609,8 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help=(
-            "sweep result cache shared with CLI runs (default: "
-            "$REPRO_SWEEP_CACHE or results/sweep-cache; 'none' disables)"
+            "sweep result cache, shared with CLI runs and read back when "
+            "a killed job resumes (default: $REPRO_SWEEP_CACHE or "
+            "results/sweep-cache)"
         ),
     )
     parser.add_argument(
@@ -648,8 +649,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         from repro.sweep import default_cache_dir
 
         args.cache_dir = str(default_cache_dir())
-    elif args.cache_dir.lower() == "none":
-        args.cache_dir = None
     try:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:

@@ -15,8 +15,8 @@ A client submits one of three spec kinds:
 
 ``{"kind": "campaign", "stripe_sizes": [...], "trials": N, ...}``
     A Monte Carlo fault campaign (the grid of
-    :func:`repro.experiments.campaign.campaign_spec`), executed
-    trial-granular with checkpoint/resume.
+    :func:`repro.experiments.campaign.campaign_spec`): one sweep over
+    its trials, whose rows aggregate the per-trial summaries.
 
 Validation is strict and total: any malformed document raises
 :class:`SpecError` with a human-readable message — the service maps it

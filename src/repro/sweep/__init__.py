@@ -8,9 +8,10 @@ owns that execution shape end to end:
   that enumerate config points deterministically;
 - :mod:`repro.sweep.cache` — a content-addressed on-disk result cache
   (:class:`ResultCache`) so repeated runs are near-instant;
-- :mod:`repro.sweep.pool` — :func:`run_sweep`, the front door: a
-  process-pool executor with per-point timeout, bounded retry, and a
-  serial in-process fallback;
+- :mod:`repro.sweep.pool` — :func:`run_sweep`, the front door: runs
+  each uncached point once, over a process pool or in-process, and
+  writes each result to the cache before announcing it, so a killed
+  sweep resumes from the cache;
 - :mod:`repro.sweep.progress` — throughput/ETA reporting and the
   per-sweep :class:`SweepSummary`.
 
@@ -26,7 +27,7 @@ from repro.sweep.cache import (
     result_from_dict,
     result_to_dict,
 )
-from repro.sweep.grid import SweepPoint, SweepSpec, point_seed
+from repro.sweep.grid import SweepPoint, SweepSpec
 from repro.sweep.pool import (
     SweepCancelled,
     SweepError,
@@ -49,7 +50,6 @@ __all__ = [
     "SweepSummary",
     "config_cache_key",
     "default_cache_dir",
-    "point_seed",
     "result_from_dict",
     "result_to_dict",
     "run_sweep",

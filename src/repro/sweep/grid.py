@@ -5,44 +5,24 @@ figure's grid": ordered parameter axes crossed into
 :class:`~repro.experiments.runner.ScenarioConfig` points. Enumeration
 is row-major with the first axis slowest — the same order as the
 nested loops the figure modules used to hand-roll — so a sweep's point
-order, row order, and per-point seeds are a pure function of the spec.
+order and row order are a pure function of the spec.
 
-Per-point seeds come in two flavours. By default every point carries
-the spec's base seed (each point is an independent simulation with its
-own environment, so reuse is harmless and keeps historical figure
-outputs bit-identical). With ``vary_seed=True`` each point instead
-gets a seed derived by :func:`point_seed` from the base seed and the
-point's coordinates — deterministic across processes and runs (it
-hashes with SHA-256, not Python's randomized ``hash``), so replicated
-sweeps disagree only where they should.
+Every point carries the spec's base seed: each point is an independent
+simulation with its own environment, so reuse is harmless and keeps the
+figure outputs bit-identical. A grid that needs distinct seeds puts
+them on an axis, as the fault campaign does with its per-trial fault
+profiles.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import typing
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 from repro.experiments.runner import ScenarioConfig
 
 _CONFIG_FIELDS = tuple(f.name for f in dataclass_fields(ScenarioConfig))
-_DEFAULT_SEED = ScenarioConfig.__dataclass_fields__["seed"].default
-
-
-def point_seed(base_seed: int, coords: typing.Mapping[str, typing.Any]) -> int:
-    """Deterministic seed for one grid point.
-
-    Stable across processes, platforms, and ``PYTHONHASHSEED``: the
-    coordinates are canonicalized to strings and digested with SHA-256.
-    """
-    payload = json.dumps(
-        [int(base_seed), {name: str(value) for name, value in coords.items()}],
-        sort_keys=True,
-    )
-    digest = hashlib.sha256(payload.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 @dataclass(frozen=True)
@@ -66,14 +46,10 @@ class SweepSpec:
         ``ScenarioConfig`` field.
     base:
         Fixed ``ScenarioConfig`` fields shared by every point.
-    vary_seed:
-        Derive a distinct deterministic seed per point (see
-        :func:`point_seed`) instead of reusing the base seed.
     """
 
     axes: typing.Sequence[typing.Tuple[str, typing.Sequence[typing.Any]]]
     base: typing.Mapping[str, typing.Any] = field(default_factory=dict)
-    vary_seed: bool = False
 
     def __post_init__(self):
         self.axes = tuple((name, tuple(values)) for name, values in self.axes)
@@ -97,8 +73,6 @@ class SweepSpec:
                 raise ValueError(
                     f"base field {name!r} is not a ScenarioConfig field"
                 )
-        if self.vary_seed and "seed" in seen:
-            raise ValueError("vary_seed conflicts with an explicit seed axis")
 
     @property
     def size(self) -> int:
@@ -106,11 +80,6 @@ class SweepSpec:
         for _name, values in self.axes:
             n *= len(values)
         return n
-
-    def describe(self) -> str:
-        """One-line human summary, e.g. ``stripe_size×4 · mode×2 = 8 points``."""
-        parts = [f"{name}×{len(values)}" for name, values in self.axes]
-        return f"{' · '.join(parts) or 'fixed point'} = {self.size} points"
 
     def points(self) -> typing.List[SweepPoint]:
         """Enumerate every grid point, in deterministic order."""
@@ -120,13 +89,8 @@ class SweepSpec:
             itertools.product(*(values for _name, values in self.axes))
         ):
             coords = dict(zip(names, combo))
-            kwargs = {**self.base, **coords}
-            if self.vary_seed:
-                base_seed = kwargs.pop("seed", _DEFAULT_SEED)
-                kwargs["seed"] = point_seed(base_seed, coords)
-            points.append(
-                SweepPoint(index=index, coords=coords, config=ScenarioConfig(**kwargs))
-            )
+            config = ScenarioConfig(**self.base, **coords)
+            points.append(SweepPoint(index=index, coords=coords, config=config))
         return points
 
     def configs(self) -> typing.List[ScenarioConfig]:

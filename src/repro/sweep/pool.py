@@ -1,11 +1,22 @@
-"""Sweep execution: process pool, retries, timeouts, serial fallback.
+"""Sweep execution: a process pool or the calling process, each point once.
 
 :func:`run_sweep` is the subsystem's front door. It resolves cache
 hits, fans the remaining points out over a ``ProcessPoolExecutor``
 (``jobs > 1``) or runs them in-process (``jobs == 1``, or whenever a
-pool cannot be created), retries failed points within a bounded
-budget, and returns results in point order plus a
+pool cannot be created), and returns results in point order plus a
 :class:`~repro.sweep.progress.SweepSummary`.
+
+A point's result is a pure function of its config key, so each point
+runs once: a point whose simulation raises would raise again, and the
+sweep raises :class:`SweepError` once the other points are done. Only a
+worker process that died under a point (``BrokenProcessPool``) says
+nothing about the point; it is requeued on a fresh pool, at most
+:data:`WORKER_DEATH_RETRIES` times.
+
+Each result is written to the cache before ``on_event`` announces it,
+so a sweep killed at any instant loses only the points in flight: a
+rerun gets every announced point back as a cache hit. That is how the
+job service resumes a killed job.
 
 Work crosses the process boundary as plain dicts — the config's
 canonical key in, the serialized result out — so the worker payload is
@@ -13,11 +24,6 @@ picklable regardless of what objects (algorithm, scale preset) the
 config holds, and the parallel path exercises exactly the
 serialization the cache relies on: a cached rerun cannot differ from
 the run that populated it.
-
-Per-point timeouts are enforced only in pool mode. A busy worker
-process cannot be preempted, so an expired point tears the pool down
-(``cancel_futures``) and a fresh pool resumes the queue; the expired
-point is charged a retry, innocent in-flight points are not.
 """
 
 from __future__ import annotations
@@ -25,20 +31,22 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import os
-import time
 import typing
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.array.faults import DataLossError
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
 from repro.sweep.cache import ResultCache, result_from_dict, result_to_dict
 from repro.sweep.grid import SweepPoint, SweepSpec
 from repro.sweep.progress import ProgressReporter, SweepEvent, SweepSummary
 
+#: Requeues a point gets when the worker process running it dies. A
+#: dead interpreter is no verdict on the point; a raised exception is.
+WORKER_DEATH_RETRIES = 2
+
 
 class SweepError(RuntimeError):
-    """A sweep point still failed after its retry budget was spent."""
+    """A sweep point raised; that exception is the ``__cause__``."""
 
 
 class SweepCancelled(RuntimeError):
@@ -51,29 +59,10 @@ class SweepCancelled(RuntimeError):
     """
 
 
-class PointTimeout(Exception):
-    """A point exceeded the per-point timeout and its worker was discarded."""
-
-
 def execute_config_key(key: typing.Dict[str, typing.Any]) -> dict:
     """Worker entry point: canonical config key in, result dict out."""
     config = ScenarioConfig.from_key(key)
     return result_to_dict(run_scenario(config))
-
-
-def _attach_scenario_key(
-    error: BaseException, point: SweepPoint
-) -> BaseException:
-    """Tag ``error`` with the scenario that raised it.
-
-    The sweep runs many points; an exception that escapes (or lands in
-    the failure log) must say *which* config produced it, or the report
-    is undebuggable. The key is attached once — retries of the same
-    point reuse the tag.
-    """
-    if getattr(error, "scenario_key", None) is None:
-        error.scenario_key = point.config.to_key()  # type: ignore[attr-defined]
-    return error
 
 
 @dataclass
@@ -81,28 +70,22 @@ class SweepOptions:
     """How a sweep runs, as opposed to what it runs.
 
     ``cache`` accepts a ready :class:`ResultCache`, a directory path,
-    or None (caching off). ``retries`` is per point: a point is
-    attempted at most ``1 + retries`` times. With ``strict`` (the
-    default) a point that exhausts its budget raises
-    :class:`SweepError`; otherwise its result slot is left None and the
-    summary's failure count records it.
+    or None (caching off).
 
     ``on_event`` and ``cancel`` are the embeddable-engine surface: an
     ``on_event`` callable receives a
     :class:`~repro.sweep.progress.SweepEvent` for every cache hit,
-    completed point (with its serialized result), failure, retry, and
-    note, in the order they happen; ``cancel`` is any object with an
-    ``is_set()`` method (e.g. ``threading.Event``) — once set,
-    :func:`run_sweep` stops at the next point boundary and raises
-    :class:`SweepCancelled`. A long-running single point is not
-    preempted; cancellation granularity is one point.
+    completed point (with its serialized result), failure, requeue
+    after a dead worker, and note, in the order they happen; ``cancel``
+    is any object with an ``is_set()`` method (e.g.
+    ``threading.Event``) — once set, :func:`run_sweep` stops at the
+    next point boundary and raises :class:`SweepCancelled`. A
+    long-running single point is not preempted; cancellation
+    granularity is one point.
     """
 
     jobs: int = 1
     cache: typing.Union[ResultCache, str, os.PathLike, None] = None
-    timeout_s: typing.Optional[float] = None
-    retries: int = 2
-    strict: bool = True
     progress: bool = False
     stream: typing.Optional[typing.TextIO] = None
     on_event: typing.Optional[typing.Callable[[SweepEvent], None]] = None
@@ -116,9 +99,9 @@ class SweepOptions:
 
 @dataclass
 class SweepOutcome:
-    """Results in point order (None for non-strict failures) + accounting."""
+    """Results in point order + accounting."""
 
-    results: typing.List[typing.Optional[ScenarioResult]]
+    results: typing.List[ScenarioResult]
     summary: SweepSummary
 
 
@@ -130,6 +113,10 @@ def run_sweep(
 ) -> SweepOutcome:
     """Run every point of ``spec`` — a :class:`SweepSpec` or an iterable
     of configs — honoring ``options``; see :class:`SweepOptions`.
+
+    If any point raised, :class:`SweepError` is raised after the other
+    points ran, naming the first failed point and carrying its
+    ``scenario_key``.
 
     A custom ``execute`` (key dict → result dict) replaces the
     simulation itself; in pool mode it must be picklable (a module-level
@@ -150,7 +137,7 @@ def run_sweep(
         total=len(points), enabled=options.progress, stream=options.stream
     )
     cache = options.resolve_cache()
-    results: typing.List[typing.Optional[ScenarioResult]] = [None] * len(points)
+    results: typing.List[typing.Any] = [None] * len(points)
     failures: typing.List[typing.Tuple[SweepPoint, BaseException]] = []
 
     def emit(
@@ -192,6 +179,9 @@ def run_sweep(
         emit("executed", point, result=result)
 
     def on_fail(point: SweepPoint, error: BaseException) -> None:
+        # The sweep runs many points: the error must say which config
+        # produced it, or the report is undebuggable.
+        error.scenario_key = point.config.to_key()  # type: ignore[attr-defined]
         failures.append((point, error))
         reporter.failed()
         emit("failed", point, message=repr(error))
@@ -200,20 +190,17 @@ def run_sweep(
         if options.jobs > 1:
             _pool_run(to_run, options, execute, reporter, emit, on_done, on_fail)
         else:
-            _serial_run(to_run, options, execute, reporter, emit, on_done, on_fail)
+            _serial_run(to_run, options, execute, on_done, on_fail)
 
     summary = reporter.finish()
-    if failures and options.strict:
+    if failures:
         point, error = failures[0]
         where = point.coords or point.config
         sweep_error = SweepError(
-            f"sweep point #{point.index} ({where}) failed after "
-            f"{options.retries} retries: {error!r}"
+            f"sweep point #{point.index} ({where}) failed: {error!r}"
             + (f" (+{len(failures) - 1} more failed points)" if len(failures) > 1 else "")
         )
-        sweep_error.scenario_key = (
-            getattr(error, "scenario_key", None) or point.config.to_key()
-        )
+        sweep_error.scenario_key = point.config.to_key()  # type: ignore[attr-defined]
         raise sweep_error from error
     return SweepOutcome(results=results, summary=summary)
 
@@ -222,33 +209,16 @@ def _cancelled(options: SweepOptions) -> bool:
     return options.cancel is not None and options.cancel.is_set()
 
 
-def _serial_run(points, options, execute, reporter, emit, on_done, on_fail) -> None:
-    """In-process execution. Timeouts cannot preempt here; they are ignored."""
+def _serial_run(points, options, execute, on_done, on_fail) -> None:
     for point in points:
         if _cancelled(options):
             raise SweepCancelled("sweep cancelled between points")
-        key = point.config.to_key()
-        error: typing.Optional[BaseException] = None
-        for attempt in range(1 + options.retries):
-            if attempt:
-                reporter.retried()
-                emit("retried", point)
-            try:
-                result = execute(key)
-            except DataLossError as exc:
-                # Data loss is a deterministic *result* of this config,
-                # not a flake: retrying replays it bit-identically, so
-                # fail the point immediately and keep the full context.
-                error = _attach_scenario_key(exc, point)
-                break
-            except Exception as exc:
-                error = _attach_scenario_key(exc, point)
-            else:
-                on_done(point, result)
-                error = None
-                break
-        if error is not None:
-            on_fail(point, error)
+        try:
+            result = execute(point.config.to_key())
+        except Exception as exc:  # simlint: disable=ERR001 (recorded, then raised as the SweepError's cause)
+            on_fail(point, exc)
+        else:
+            on_done(point, result)
 
 
 def _pool_run(points, options, execute, reporter, emit, on_done, on_fail) -> None:
@@ -257,29 +227,14 @@ def _pool_run(points, options, execute, reporter, emit, on_done, on_fail) -> Non
     except (ImportError, NotImplementedError, OSError) as exc:
         reporter.note(f"process pool unavailable ({exc!r}); running serially")
         emit("note", message="process pool unavailable; running serially")
-        _serial_run(points, options, execute, reporter, emit, on_done, on_fail)
+        _serial_run(points, options, execute, on_done, on_fail)
         return
 
-    # (point, attempts_remaining) queue; outstanding maps a future to
-    # its point, remaining attempts, and absolute deadline.
-    pending = collections.deque((point, options.retries) for point in points)
+    # (point, requeues left) queue; outstanding maps a future to its entry.
+    pending = collections.deque((point, WORKER_DEATH_RETRIES) for point in points)
     outstanding: typing.Dict[
-        concurrent.futures.Future,
-        typing.Tuple[SweepPoint, int, typing.Optional[float]],
+        concurrent.futures.Future, typing.Tuple[SweepPoint, int]
     ] = {}
-
-    def charge(point: SweepPoint, budget: int, error: BaseException) -> None:
-        if budget > 0:
-            reporter.retried()
-            emit("retried", point)
-            pending.append((point, budget - 1))
-        else:
-            on_fail(point, error)
-
-    def replace_pool():
-        pool.shutdown(wait=False, cancel_futures=True)
-        return concurrent.futures.ProcessPoolExecutor(max_workers=options.jobs)
-
     try:
         while pending or outstanding:
             if _cancelled(options):
@@ -289,86 +244,42 @@ def _pool_run(points, options, execute, reporter, emit, on_done, on_fail) -> Non
             while pending and len(outstanding) < options.jobs:
                 point, budget = pending.popleft()
                 future = pool.submit(execute, point.config.to_key())
-                deadline = (
-                    # simlint: disable=DET001 (wall-clock bounds worker runtime, never feeds results)
-                    time.monotonic() + options.timeout_s if options.timeout_s else None
-                )
-                outstanding[future] = (point, budget, deadline)
+                outstanding[future] = (point, budget)
 
-            deadlines = [d for _p, _b, d in outstanding.values() if d is not None]
-            wait_s = (
-                # simlint: disable=DET001 (wall-clock bounds worker runtime, never feeds results)
-                max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
-            )
-            if options.cancel is not None:
-                # Wake up periodically so a cancellation set while every
-                # worker is busy is noticed within a bounded delay.
-                wait_s = 0.25 if wait_s is None else min(wait_s, 0.25)
+            # With a cancel token, wake up periodically so a cancellation
+            # set while every worker is busy is noticed within a bounded
+            # delay.
             done, _not_done = concurrent.futures.wait(
                 set(outstanding),
-                timeout=wait_s,
+                timeout=None if options.cancel is None else 0.25,
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
-
-            if done:
-                broken = False
-                for future in done:
-                    point, budget, _deadline = outstanding.pop(future)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = True
-                        charge(point, budget, exc)
-                    except DataLossError as exc:
-                        # Deterministic result, not a flake: no retry
-                        # budget is spent re-simulating the same loss.
-                        on_fail(point, _attach_scenario_key(exc, point))
-                    except Exception as exc:
-                        charge(point, budget, _attach_scenario_key(exc, point))
+            broken = False
+            for future in done:
+                point, budget = outstanding.pop(future)
+                try:
+                    result = future.result()
+                except BrokenProcessPool as exc:
+                    broken = True
+                    if budget > 0:
+                        reporter.retried()
+                        emit("retried", point)
+                        pending.append((point, budget - 1))
                     else:
-                        on_done(point, result)
-                if broken:
-                    # The pool died; everything still in flight is doomed.
-                    # Requeue survivors without charging their budgets.
-                    reporter.note("worker pool broke; restarting it")
-                    emit("note", message="worker pool broke; restarting it")
-                    for point, budget, _deadline in outstanding.values():
-                        pending.appendleft((point, budget))
-                    outstanding.clear()
-                    pool = replace_pool()
-                continue
-
-            # Nothing finished within the nearest deadline: expire points.
-            now = time.monotonic()  # simlint: disable=DET001 (wall-clock bounds worker runtime, never feeds results)
-            expired = {
-                future
-                for future, (_p, _b, deadline) in outstanding.items()
-                if deadline is not None and deadline <= now
-            }
-            if not expired:
-                continue
-            # A running worker cannot be interrupted, so discard the
-            # whole pool: expired points are charged, the rest requeue.
-            reporter.note(
-                f"{len(expired)} point(s) exceeded the {options.timeout_s:.1f}s "
-                "timeout; restarting the worker pool"
-            )
-            emit(
-                "note",
-                message=f"{len(expired)} point(s) timed out; pool restarted",
-            )
-            for future, (point, budget, _deadline) in outstanding.items():
-                if future in expired:
-                    charge(
-                        point,
-                        budget,
-                        PointTimeout(
-                            f"point exceeded per-point timeout of {options.timeout_s}s"
-                        ),
-                    )
+                        on_fail(point, exc)
+                except Exception as exc:  # simlint: disable=ERR001 (recorded, then raised as the SweepError's cause)
+                    on_fail(point, exc)
                 else:
+                    on_done(point, result)
+            if broken:
+                # The pool died; everything still in flight is doomed.
+                # Requeue survivors without charging their budgets.
+                reporter.note("worker pool broke; restarting it")
+                emit("note", message="worker pool broke; restarting it")
+                for point, budget in outstanding.values():
                     pending.appendleft((point, budget))
-            outstanding.clear()
-            pool = replace_pool()
+                outstanding.clear()
+                pool.shutdown(wait=False, cancel_futures=True)
+                pool = concurrent.futures.ProcessPoolExecutor(max_workers=options.jobs)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)

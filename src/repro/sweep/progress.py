@@ -24,13 +24,14 @@ class SweepEvent:
     Emitted through ``SweepOptions.on_event`` so an embedding caller (a
     progress bar, the job service's streaming endpoint) can follow a
     sweep without polling. ``kind`` is one of ``"cache-hit"``,
-    ``"executed"``, ``"failed"``, ``"retried"``, or ``"note"``.
+    ``"executed"``, ``"failed"``, ``"retried"`` (requeued after its
+    worker process died), or ``"note"``.
 
     For completed points (``cache-hit``/``executed``) ``result`` holds
-    the serialized result document — the same dict the cache stores —
-    so a consumer can checkpoint or summarize each point as it lands
-    without waiting for the whole sweep. ``completed``/``total`` give
-    running progress including failures.
+    the serialized result document — the same dict the cache stores,
+    already written there — so a consumer can summarize each point as
+    it lands without waiting for the whole sweep. ``completed``/``total``
+    give running progress including failures.
     """
 
     kind: str

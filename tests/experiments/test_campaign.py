@@ -222,14 +222,3 @@ class TestDualCampaignSpec:
         assert len(configs) == 2
         assert all(config.syndromes == 2 for config in configs)
         assert all(config.to_key()["syndromes"] == 2 for config in configs)
-
-    def test_summary_without_syndromes_key_aggregates_as_single(self):
-        # Checkpoints written before the dual campaign existed lack the
-        # syndromes key; they must aggregate with the one-fault chain.
-        legacy = {
-            "g": 4, "alpha": 0.15, "num_disks": 21, "data_lost": True,
-            "simulated_ms": 3_600_000.0, "mean_repair_ms": 2_000.0,
-        }
-        row = campaign.rows_from_summaries([legacy], trials=1)[0]
-        assert row["syndromes"] == 1
-        assert row["analytic_mttdl_h"] is not None

@@ -138,7 +138,7 @@ def test_job_unreachable_server_exits_1(tmp_path, capsys):
 
 def test_sweep_error_exits_1_with_message(monkeypatch, capsys):
     def exploding_runner(scale, options):
-        raise SweepError("injected: point #0 failed after 2 retries")
+        raise SweepError("injected: point #0 failed")
 
     monkeypatch.setitem(
         cli.EXPERIMENTS, "fig6-1", ("patched", exploding_runner)

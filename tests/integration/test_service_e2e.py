@@ -5,15 +5,16 @@ scale) simulations:
 
 1. submit a Monte Carlo campaign job, let at least one trial finish,
    then SIGKILL the service;
-2. restart it over the same data directory: the job must resume from
-   its trial checkpoint (not rerun finished trials) and complete;
+2. restart it over the same data directory and result cache: the job
+   must resume itself, read every trial finished before the kill back
+   from the cache (not rerun it), and complete;
 3. the resumed result must be identical — same rows, same per-trial
    summaries — to an uninterrupted run of the same spec;
 4. an identical resubmission against a warm cache must be served
    entirely from cache, with no trial executed.
 
-Cache is disabled for the kill/resume halves so the checkpoint — not
-the sweep cache — is what carries the finished trials across the kill.
+The result cache is the only state that carries finished trials across
+the kill, so the killed run and the reference run use separate caches.
 """
 
 import json
@@ -28,6 +29,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+
+from repro.sweep import ResultCache
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -115,13 +118,14 @@ def terminal(body):
 @pytest.mark.slow
 def test_kill_resume_identity_and_warm_cache(tmp_path):
     data_dir = tmp_path / "data"
+    resume_cache_dir = tmp_path / "resume-cache"
     ref_dir = tmp_path / "data-reference"
     warm_dir = tmp_path / "data-warm"
     cache_dir = tmp_path / "cache"
     total = len(CAMPAIGN_SPEC["stripe_sizes"]) * CAMPAIGN_SPEC["trials"]
 
     # -- 1: start, submit, kill mid-campaign ---------------------------
-    serve = ServeProcess(data_dir, "none", tmp_path / "port1.json")
+    serve = ServeProcess(data_dir, resume_cache_dir, tmp_path / "port1.json")
     try:
         status, job = serve.request("POST", "/jobs", CAMPAIGN_SPEC)
         assert status == 201 and job["state"] in ("queued", "running")
@@ -133,13 +137,11 @@ def test_kill_resume_identity_and_warm_cache(tmp_path):
     finally:
         serve.kill()  # SIGKILL: no shutdown handler runs
 
-    checkpoint_path = data_dir / "jobs" / f"{job_id}.checkpoint.json"
-    checkpoint = json.loads(checkpoint_path.read_text(encoding="utf-8"))
-    finished_before_kill = len(checkpoint["completed"])
+    finished_before_kill = len(ResultCache(resume_cache_dir))
     assert 1 <= finished_before_kill <= total
 
     # -- 2: restart over the same store; the job resumes itself --------
-    serve = ServeProcess(data_dir, "none", tmp_path / "port2.json")
+    serve = ServeProcess(data_dir, resume_cache_dir, tmp_path / "port2.json")
     try:
         resumed_job = serve.wait_until(f"/jobs/{job_id}", terminal)
         assert resumed_job["state"] == "done"
@@ -148,7 +150,7 @@ def test_kill_resume_identity_and_warm_cache(tmp_path):
         resumed = body["result"]
     finally:
         serve.terminate()
-    assert resumed["sweep"]["trials_from_checkpoint"] == finished_before_kill
+    assert resumed["sweep"]["cache_hits"] == finished_before_kill
     assert resumed["sweep"]["executed"] == total - finished_before_kill
 
     # -- 3: uninterrupted reference run of the same spec ---------------
@@ -199,9 +201,10 @@ def test_watch_reconnects_across_a_server_restart(tmp_path):
     notices on stderr.
     """
     data_dir = tmp_path / "data"
+    cache_dir = tmp_path / "cache"
     port = free_port()
 
-    serve = ServeProcess(data_dir, "none", tmp_path / "port1.json", port=port)
+    serve = ServeProcess(data_dir, cache_dir, tmp_path / "port1.json", port=port)
     watcher = None
     try:
         status, job = serve.request("POST", "/jobs", CAMPAIGN_SPEC)
@@ -233,7 +236,7 @@ def test_watch_reconnects_across_a_server_restart(tmp_path):
         # connection-refused, not just a torn stream.
         time.sleep(1.0)
         serve = ServeProcess(
-            data_dir, "none", tmp_path / "port2.json", port=port
+            data_dir, cache_dir, tmp_path / "port2.json", port=port
         )
         out, err = watcher.communicate(timeout=DEADLINE_S)
     finally:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import pathlib
 import threading
 import urllib.error
 import urllib.request
@@ -62,9 +63,15 @@ def fake_campaign_execute(key: dict) -> dict:
 
 
 class LiveService:
-    """The real Service + HTTP server, on a thread, with sync helpers."""
+    """The real Service + HTTP server, on a thread, with sync helpers.
+
+    Without ``cache_dir`` the result cache is ``cache`` next to
+    ``data_dir``, so a test never writes into a shared cache.
+    """
 
     def __init__(self, data_dir, cache_dir=None, execute=None, max_jobs=1):
+        if cache_dir is None:
+            cache_dir = pathlib.Path(data_dir).parent / "cache"
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="live-service", daemon=True

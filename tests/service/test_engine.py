@@ -1,9 +1,9 @@
-"""Engine-level tests: checkpoint/resume identity and metric condensing.
+"""Engine-level tests: resume-from-cache identity and metric condensing.
 
 The acceptance property pinned here: a campaign interrupted mid-run
-and resumed (fresh process, same store) produces a result document
-identical — same rows, same per-trial summaries — to an uninterrupted
-run of the same spec.
+and resumed (fresh process, same store, same result cache) produces a
+result document identical — same rows, same per-trial summaries — to
+an uninterrupted run of the same spec.
 """
 
 import threading
@@ -11,7 +11,6 @@ import threading
 import pytest
 
 from repro.experiments.campaign import rows_from_summaries, trial_summary
-from repro.experiments.runner import ScenarioConfig
 from repro.service.engine import (
     EngineOptions,
     JobCancelled,
@@ -20,6 +19,7 @@ from repro.service.engine import (
 )
 from repro.service.jobs import RUNNING, Job, JobStore
 from repro.service.spec import parse_spec
+from repro.sweep import ResultCache, SweepError
 
 from tests.service.conftest import fake_campaign_execute, fake_campaign_result
 
@@ -39,7 +39,7 @@ def make_campaign_job():
 
 
 class CrashAfter:
-    """Execute hook that dies after N successful trials — a simulated kill."""
+    """Execute hook that fails every trial after the first N."""
 
     def __init__(self, successes):
         self.successes = successes
@@ -61,30 +61,32 @@ class TestCampaignResume:
             ref_job, ref_store, EngineOptions(execute=fake_campaign_execute)
         )
 
-        # Interrupted run: crashes after 2 of 4 trials...
+        # Interrupted run: only 2 of 4 trials finish...
+        cache = ResultCache(tmp_path / "cache")
         store = JobStore(tmp_path / "real")
         job = make_campaign_job()
         job.state = RUNNING
         store.save(job)
-        with pytest.raises(RuntimeError, match="simulated kill"):
+        with pytest.raises(SweepError, match="simulated kill"):
             execute_job(
-                job, store,
-                EngineOptions(execute=CrashAfter(2), retries=0),
+                job, store, EngineOptions(cache=cache, execute=CrashAfter(2))
             )
-        # ...the kill left the job RUNNING on disk; restart recovery
-        # requeues it with the checkpoint intact.
+        assert len(cache) == 2
+        # ...the job was left RUNNING on disk; restart recovery requeues
+        # it, and the finished trials come back from the cache.
         recovered = JobStore(tmp_path / "real").recover()
         assert [j.id for j in recovered] == [job.id]
         resumed_job = recovered[0]
         assert resumed_job.resumes == 1
         resumed = execute_job(
-            resumed_job, store, EngineOptions(execute=fake_campaign_execute),
+            resumed_job, store,
+            EngineOptions(cache=cache, execute=fake_campaign_execute),
             progress=lambda event: None,
         )
 
         assert resumed["rows"] == reference["rows"]
         assert resumed["trials"] == reference["trials"]
-        assert resumed["sweep"]["trials_from_checkpoint"] == 2
+        assert resumed["sweep"]["cache_hits"] == 2
         assert resumed["sweep"]["executed"] == 2  # only the missing trials ran
 
     def test_rows_match_the_cli_aggregation_path(self, tmp_path):

@@ -1,10 +1,7 @@
-"""Tests for the persistent job store and campaign checkpoints."""
+"""Tests for the persistent job store."""
 
 import json
 
-import pytest
-
-from repro.service.checkpoint import CampaignCheckpoint
 from repro.service.jobs import (
     DONE,
     QUEUED,
@@ -58,7 +55,6 @@ class TestJobStore:
         store.save(second)
         store.save(first)
         store.save_result("bbb", {"kind": "scenario"})
-        CampaignCheckpoint(store.checkpoint_path("bbb"), "bbb", 1).save()
         assert [job.id for job in store.list()] == ["aaa", "bbb"]
 
     def test_next_seq_monotonic(self, tmp_path):
@@ -85,45 +81,3 @@ class TestJobStore:
         assert recovered.resumes == 1  # persisted, so restarts accumulate
         assert store.load("done1").state == DONE
 
-
-class TestCampaignCheckpoint:
-    def test_record_and_reload(self, tmp_path):
-        path = tmp_path / "job.checkpoint.json"
-        checkpoint = CampaignCheckpoint(path, "job1", total_trials=3)
-        checkpoint.record(1, {"stripe_size": 4}, {"data_lost": False})
-        checkpoint.record(0, {"stripe_size": 4}, {"data_lost": True})
-        reloaded = CampaignCheckpoint.load(path, "job1", total_trials=3)
-        assert reloaded.done_indices == {0, 1}
-        assert not reloaded.complete
-        assert reloaded.completed[0]["summary"] == {"data_lost": True}
-
-    def test_mismatched_identity_starts_fresh(self, tmp_path):
-        path = tmp_path / "job.checkpoint.json"
-        CampaignCheckpoint(path, "job1", 2).record(0, {}, {"data_lost": False})
-        assert CampaignCheckpoint.load(path, "other", 2).completed == {}
-        assert CampaignCheckpoint.load(path, "job1", 3).completed == {}
-        assert CampaignCheckpoint.load(path, "job1", 2).done_indices == {0}
-
-    def test_out_of_range_entries_are_dropped(self, tmp_path):
-        path = tmp_path / "job.checkpoint.json"
-        checkpoint = CampaignCheckpoint(path, "job1", 5)
-        checkpoint.record(4, {}, {"data_lost": False})
-        assert CampaignCheckpoint.load(path, "job1", 3).completed == {}
-
-    def test_summaries_in_order_requires_completeness(self, tmp_path):
-        path = tmp_path / "job.checkpoint.json"
-        checkpoint = CampaignCheckpoint(path, "job1", 2)
-        checkpoint.record(1, {}, {"data_lost": False})
-        with pytest.raises(ValueError, match="trials \\[0\\]"):
-            checkpoint.summaries_in_order()
-        checkpoint.record(0, {}, {"data_lost": True})
-        assert checkpoint.summaries_in_order() == [
-            {"data_lost": True}, {"data_lost": False},
-        ]
-
-    def test_record_is_idempotent(self, tmp_path):
-        path = tmp_path / "job.checkpoint.json"
-        checkpoint = CampaignCheckpoint(path, "job1", 1)
-        checkpoint.record(0, {}, {"data_lost": False})
-        checkpoint.record(0, {}, {"data_lost": False})
-        assert CampaignCheckpoint.load(path, "job1", 1).done_indices == {0}

@@ -176,8 +176,6 @@ class TestDedup:
 
         service = LiveService(tmp_path / "data", execute=flaky)
         try:
-            # retries are spent inside run_sweep; exhaust them first.
-            service.service.engine_options.retries = 0
             _status, job = service.post("/jobs", micro_scenario_spec())
             final, _events = service.wait_for(job["id"])
             assert final["state"] == "failed"
@@ -209,7 +207,6 @@ class TestDedup:
         service = LiveService(tmp_path / "data", execute=fail_then_gate)
         releaser = threading.Timer(0.5, release.set)
         try:
-            service.service.engine_options.retries = 0
             _status, job = service.post("/jobs", micro_scenario_spec())
             final, _events = service.wait_for(job["id"])
             assert final["state"] == "failed"
@@ -371,8 +368,9 @@ class TestCampaignOverHttp:
             assert result["kind"] == "campaign"
             assert [row["g"] for row in result["rows"]] == [4, 6]
             assert result["sweep"]["executed"] == 4
-            # Checkpoint sidecar exists and is complete.
-            checkpoint = service.service.store.checkpoint_path(job["id"])
-            assert checkpoint.exists()
+            assert [trial["index"] for trial in result["trials"]] == [0, 1, 2, 3]
+            # Every trial is in the cache, which is what a resumed job
+            # would read back.
+            assert len(service.service.cache) == 4
         finally:
             service.stop()

@@ -2,7 +2,7 @@
 
 Most orchestration tests substitute :func:`fake_execute` for the real
 simulation: a deterministic result document derived from the config
-key alone, so cache/pool/retry behaviour is tested in milliseconds.
+key alone, so cache/pool/failure behaviour is tested in milliseconds.
 The handful of end-to-end equivalence tests run real (micro-sized)
 simulations. Helpers that cross the process boundary in pool-mode
 tests must stay module-level so they pickle.
@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 import tempfile
-import time
 
 from repro.experiments.runner import ScenarioConfig, ScenarioResult
 from repro.experiments.scales import ScalePreset
@@ -67,31 +67,46 @@ def fake_execute(key: dict) -> dict:
     return result_to_dict(fake_result(ScenarioConfig.from_key(key)))
 
 
-def _marker_path(key: dict) -> pathlib.Path:
+def _marker_path(key: dict, kind: str) -> pathlib.Path:
     digest = hashlib.sha1(
         json.dumps(key, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()
-    return pathlib.Path(tempfile.gettempdir()) / f"repro-sweep-flaky-{digest}"
+    return pathlib.Path(tempfile.gettempdir()) / f"repro-sweep-{kind}-{digest}"
 
 
 def clear_markers(spec) -> None:
     for point in spec.points():
-        marker = _marker_path(point.config.to_key())
-        if marker.exists():
-            marker.unlink()
+        for kind in ("flaky", "dying"):
+            marker = _marker_path(point.config.to_key(), kind)
+            if marker.exists():
+                marker.unlink()
 
 
 def fail_once_execute(key: dict) -> dict:
-    """Fails the first attempt per key (marker file), succeeds after.
+    """Raises on the first attempt per key (marker file), succeeds after.
 
     The marker lives on disk so the behaviour holds across worker
-    processes — this is the injected "worker failure" the retry tests
-    exercise.
+    processes. A sweep runs each point once, so the first raise fails
+    the point.
     """
-    marker = _marker_path(key)
+    marker = _marker_path(key, "flaky")
     if not marker.exists():
         marker.write_text("attempted")
         raise RuntimeError("injected worker failure")
+    return fake_execute(key)
+
+
+def die_once_execute(key: dict) -> dict:
+    """Kills its worker process on the first attempt per key.
+
+    ``os._exit`` skips every handler, as a crashed interpreter would:
+    the pool breaks with ``BrokenProcessPool``, the one failure a sweep
+    requeues. Pool mode only — in-process it would end the test run.
+    """
+    marker = _marker_path(key, "dying")
+    if not marker.exists():
+        marker.write_text("attempted")
+        os._exit(1)
     return fake_execute(key)
 
 
@@ -103,8 +118,3 @@ def data_loss_execute(key: dict) -> dict:
     from repro.array.faults import DataLossError
 
     raise DataLossError("array lost data", failed_disks=(1, 3))
-
-
-def sleepy_execute(key: dict) -> dict:
-    time.sleep(3.0)
-    return fake_execute(key)

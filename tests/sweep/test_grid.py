@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.runner import ScenarioConfig
-from repro.sweep import SweepSpec, point_seed
+from repro.sweep import SweepSpec
 
 from tests.sweep.conftest import MICRO, micro_spec_base
 
@@ -41,15 +41,12 @@ class TestEnumeration:
         ]
         assert spec.configs() == expected
 
-    def test_size_and_describe(self):
-        spec = make_spec()
-        assert spec.size == 4
-        assert spec.describe() == "stripe_size×2 · mode×2 = 4 points"
+    def test_size(self):
+        assert make_spec().size == 4
 
     def test_no_axes_is_a_single_fixed_point(self):
         spec = SweepSpec(axes=[], base=dict(micro_spec_base(), stripe_size=4))
         assert spec.size == 1
-        assert spec.describe() == "fixed point = 1 points"
         (point,) = spec.points()
         assert point.coords == {}
         assert point.config.stripe_size == 4
@@ -62,41 +59,6 @@ class TestSeeds:
     def test_default_reuses_base_seed(self):
         spec = make_spec()
         assert {p.config.seed for p in spec.points()} == {7}
-
-    def test_vary_seed_gives_each_point_its_own_seed(self):
-        spec = make_spec(vary_seed=True)
-        seeds = [p.config.seed for p in spec.points()]
-        assert len(set(seeds)) == len(seeds)
-
-    def test_vary_seed_is_deterministic(self):
-        first = [p.config.seed for p in make_spec(vary_seed=True).points()]
-        second = [p.config.seed for p in make_spec(vary_seed=True).points()]
-        assert first == second
-
-    def test_vary_seed_depends_on_base_seed(self):
-        lo = make_spec(vary_seed=True, base=micro_spec_base(seed=1))
-        hi = make_spec(vary_seed=True, base=micro_spec_base(seed=2))
-        lo_seeds = [p.config.seed for p in lo.points()]
-        hi_seeds = [p.config.seed for p in hi.points()]
-        assert lo_seeds != hi_seeds
-
-    def test_point_seed_is_a_pinned_function(self):
-        # Regression pin: the derivation must never drift across
-        # platforms or releases, or caches and replications break.
-        assert point_seed(1992, {"stripe_size": 4}) == point_seed(
-            1992, {"stripe_size": 4}
-        )
-        assert point_seed(1992, {"stripe_size": 4}) != point_seed(
-            1992, {"stripe_size": 5}
-        )
-        assert point_seed(1992, {"stripe_size": 4}) != point_seed(
-            1993, {"stripe_size": 4}
-        )
-
-    def test_point_seed_ignores_coordinate_order(self):
-        a = point_seed(7, {"x": 1, "y": 2})
-        b = point_seed(7, {"y": 2, "x": 1})
-        assert a == b
 
 
 class TestValidation:
@@ -119,10 +81,6 @@ class TestValidation:
     def test_unknown_base_field_rejected(self):
         with pytest.raises(ValueError, match="not a ScenarioConfig field"):
             SweepSpec(axes=[("stripe_size", (4,))], base={"warp_factor": 9})
-
-    def test_vary_seed_conflicts_with_seed_axis(self):
-        with pytest.raises(ValueError, match="vary_seed"):
-            SweepSpec(axes=[("seed", (1, 2))], vary_seed=True)
 
     def test_scale_preset_in_base_is_accepted(self):
         spec = make_spec()

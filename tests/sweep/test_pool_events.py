@@ -2,8 +2,8 @@
 
 ``SweepOptions.on_event`` must narrate every observable step (with the
 serialized result attached to completed points, so a consumer can
-checkpoint as points land), and ``SweepOptions.cancel`` must stop the
-sweep at the next point boundary with :class:`SweepCancelled`.
+summarize points as they land), and ``SweepOptions.cancel`` must stop
+the sweep at the next point boundary with :class:`SweepCancelled`.
 """
 
 import threading
@@ -12,6 +12,7 @@ import pytest
 
 from repro.sweep import (
     SweepCancelled,
+    SweepError,
     SweepOptions,
     SweepSpec,
     result_from_dict,
@@ -59,15 +60,16 @@ class TestEvents:
         for event, config in zip(events, spec.configs()):
             assert result_from_dict(event.result) == fake_result(config)
 
-    def test_failures_emit_retried_then_failed(self):
+    def test_failures_emit_failed_once(self):
         events = []
-        run_sweep(
-            tiny_spec(),
-            SweepOptions(retries=1, strict=False, on_event=events.append),
-            execute=always_fail_execute,
-        )
+        with pytest.raises(SweepError):
+            run_sweep(
+                tiny_spec(),
+                SweepOptions(on_event=events.append),
+                execute=always_fail_execute,
+            )
         per_point = [e.kind for e in events if e.index == 0]
-        assert per_point == ["retried", "failed"]
+        assert per_point == ["failed"]
         failed = [e for e in events if e.kind == "failed"]
         assert len(failed) == 3
         assert all("never succeeds" in e.message for e in failed)
