@@ -736,6 +736,7 @@ class ArrayController:
             self._ds_write(address, value)
             status.mark_built(address.offset)
         finally:
+            # simlint: disable=SAN004 (_read_unit hands its stripe lock to this piggyback process, which releases it)
             self.locks.release(stripe)
 
     def _repair_read(self, request: UserRequest, unit_index: int, logical: int,

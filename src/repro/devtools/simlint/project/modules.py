@@ -57,11 +57,6 @@ class FunctionInfo:
                 return index
         return None
 
-    def span(self) -> typing.Tuple[int, int]:
-        """(first, last) source line of the definition."""
-        end = getattr(self.node, "end_lineno", None) or self.node.lineno
-        return self.node.lineno, end
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FunctionInfo {self.qualname}>"
 

@@ -128,11 +128,11 @@ _runtime_rule(
 _runtime_rule(
     "SAN004",
     "lock released by a process that did not acquire it",
-    "cross-process release outside a declared closer is an ownership "
-    "handoff the static analysis cannot see — either undeclared "
-    "protocol or a stripe-key collision",
-    "route the handoff through a closer function (one that releases a "
-    "parameter-keyed lock) so LOCK010 can track it",
+    "a cross-process release is an ownership handoff: either protocol "
+    "that must be declared where it happens, or a stripe-key collision",
+    "release in a closer function (one that releases a parameter-keyed "
+    "lock) so LOCK010 tracks it, and declare the handoff with "
+    "`# simlint: disable=SAN004 (reason)` on the release",
 )
 _runtime_rule(
     "SAN005",

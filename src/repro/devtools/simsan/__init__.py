@@ -8,13 +8,13 @@ every normal run, observation only — an instrumented scenario is
 bit-identical to an uninstrumented one) and records who acquires which
 stripe from where, in what order, and who releases it. Violations
 (SAN001–SAN005) come out as ordinary simlint findings, honouring the
-same inline suppressions. The static lock-flow analysis supplies the
-closer spans (functions that release a lock on a caller's behalf)
-inside which a cross-process release is declared protocol, not SAN004.
+same inline suppressions: an intended cross-process handoff is
+declared by a ``# simlint: disable=SAN004 (reason)`` on its release,
+which simsan reads from the source of the package it imported.
 
 Run it with ``python -m repro simsan``.
 """
 
-from repro.devtools.simsan.monitor import LockMonitor, StaticLockModel
+from repro.devtools.simsan.monitor import LockMonitor
 
-__all__ = ["LockMonitor", "StaticLockModel"]
+__all__ = ["LockMonitor"]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.devtools.simlint.findings import Finding
 
@@ -53,43 +53,6 @@ class Violation:
     message: str
 
 
-@dataclass
-class StaticLockModel:
-    """What the static lock-flow analysis declares, for SAN004.
-
-    ``closer_spans`` are the line spans of functions the analysis
-    recognised as closers (they release a parameter-keyed lock on
-    behalf of a caller), where a cross-process release is declared
-    protocol rather than a SAN004 violation. Paths are in the
-    monitor's form (:func:`_normalize`), so they match runtime sites
-    whatever the working directory.
-    """
-
-    closer_spans: typing.List[typing.Tuple[str, int, int]] = field(
-        default_factory=list
-    )
-
-    @classmethod
-    def from_project(cls, project) -> "StaticLockModel":
-        from repro.devtools.simlint.project.lockflow import lockflow_analysis
-
-        analysis = lockflow_analysis(project)
-        spans = []
-        for qualname, summary in sorted(analysis.summaries.items()):
-            if not summary.closes:
-                continue
-            func = project.functions[qualname]
-            first, last = func.span()
-            spans.append((_normalize(func.ctx.path), first, last))
-        return cls(closer_spans=spans)
-
-    def in_closer_span(self, site: Site) -> bool:
-        return any(
-            site.path == path and first <= site.line <= last
-            for path, first, last in self.closer_spans
-        )
-
-
 def _normalize(filename: str) -> str:
     path = filename.replace("\\", "/")
     try:
@@ -102,12 +65,7 @@ def _normalize(filename: str) -> str:
 class LockMonitor:
     """Observes one scenario's stripe-lock traffic; judges it at the end."""
 
-    def __init__(
-        self,
-        static: typing.Optional[StaticLockModel] = None,
-        expect_drained: bool = True,
-    ):
-        self.static = static
+    def __init__(self, expect_drained: bool = True):
         #: Whether the scenario is expected to end with no locks held
         #: (recon/degraded drain; a campaign cut off mid-mission is not).
         self.expect_drained = expect_drained
@@ -177,18 +135,15 @@ class LockMonitor:
                     "double release or release of a never-acquired stripe",
                 )
             )
-        elif hold.owner is not frame and not (
-            self.static is not None and self.static.in_closer_span(site)
-        ):
+        elif hold.owner is not frame:
             self.violations.append(
                 Violation(
                     "SAN004",
                     site,
                     f"stripe {stripe} released by a different process than "
-                    f"acquired it (acquired at {hold.site.describe()}), and "
-                    "the release site is not inside any statically-declared "
-                    "closer — an ownership handoff the lock-flow analysis "
-                    "cannot see",
+                    f"acquired it (acquired at {hold.site.describe()}) — an "
+                    "ownership handoff that must be declared at the release "
+                    "site",
                 )
             )
         if next_event is not None:

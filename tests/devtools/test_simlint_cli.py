@@ -170,7 +170,7 @@ class TestSimsanEntryPoint:
 
     def test_degraded_scenario_runs_clean(self, monkeypatch, capsys):
         # The cheapest real scenario end to end through the dispatcher:
-        # instrumented run, static closer spans, zero violations.
+        # instrumented run, zero violations.
         monkeypatch.chdir(REPO_ROOT)
         assert repro_main(["simsan", "degraded"]) == 0
         captured = capsys.readouterr()
@@ -182,10 +182,12 @@ class TestSimsanEntryPoint:
     def test_recon_runs_clean_from_any_directory(
         self, monkeypatch, tmp_path, capsys, where
     ):
-        # recon is the scenario with the piggyback handoff. The closer
-        # spans come from the imported package, not from a source tree
-        # under the working directory, and are compared with runtime
-        # sites in the same path form, relative under the working
-        # directory and absolute outside it.
+        # recon is the scenario with the piggyback handoff. Its inline
+        # SAN004 declaration is read from the source of the imported
+        # package, at the runtime site's path: relative under the
+        # working directory and absolute outside it.
         monkeypatch.chdir(REPO_ROOT if where == "checkout" else tmp_path)
         assert simsan_main(["recon"]) == 0, capsys.readouterr().out
+        err = capsys.readouterr().err
+        assert "0 violation(s)" in err
+        assert " 0 suppressed" not in err

@@ -74,24 +74,12 @@ class TestBitIdentical:
 class TestScenarioProtocolClean:
     def test_degraded_scenario_passes_the_sanitizer(self):
         # Beyond bit-identity: the real degraded-mode lock protocol
-        # must produce zero violations once the static model declares
-        # the piggyback closers (the CI smoke job runs the same check
-        # at full scenario scale via `repro simsan`).
-        import pathlib
-
-        import repro
-        from repro.devtools.simlint.project.modules import ProjectContext
-        from repro.devtools.simsan import StaticLockModel
-
-        package = pathlib.Path(repro.__file__).parent
-        files = sorted((package / "array").rglob("*.py")) + sorted(
-            (package / "recon").rglob("*.py")
-        )
-        static = StaticLockModel.from_project(ProjectContext(files))
+        # must produce zero violations (the CI smoke job runs the same
+        # check at full scenario scale via `repro simsan`).
         # The micro mission ends with requests in flight, so drained-
         # at-end is not expected here (the CI smoke job asserts it on
         # full-length scenarios, which do drain).
-        monitor = LockMonitor(static=static, expect_drained=False)
+        monitor = LockMonitor(expect_drained=False)
         run_scenario(micro_config(mode="degraded"), lock_monitor=monitor)
         monitor.finish()
         assert [v.message for v in monitor.violations] == []
