@@ -35,6 +35,7 @@ from repro.devtools.simlint.rules.determinism import (
     UNSEEDED_RANDOM_ALLOWED,
     WALL_CLOCK_CALLS,
     _is_hash_ordered,
+    random_source,
 )
 
 #: Calls whose result depends on filesystem enumeration order.
@@ -131,14 +132,12 @@ def source_at(ctx: ModuleContext, call: ast.Call) -> typing.Optional[SourceTaint
             return SourceTaint("value", (f"{name}() [wall clock] at {where}",))
         return None
     if name is not None:
-        parts = name.split(".")
         if (
-            parts[0] == "random"
-            and len(parts) > 1
+            random_source(name, call) is not None
             and not ctx.path.endswith(UNSEEDED_RANDOM_ALLOWED)
             and live("DET002")
         ):
-            return SourceTaint("value", (f"{name}() [global random] at {where}",))
+            return SourceTaint("value", (f"{name}() [unseeded random] at {where}",))
         if name in DIRECTORY_ORDER_CALLS and live("DET004"):
             return SourceTaint("order", (f"{name}() [directory order] at {where}",))
         if name in UNIQUE_VALUE_CALLS and live():
@@ -273,17 +272,24 @@ class _FunctionEval:
         if isinstance(
             expr, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
         ):
-            for generator in expr.generators:
-                self._bind(generator.target, self._expr(generator.iter))
-                for condition in generator.ifs:
-                    self._expr(condition)
-            result: TaintSet = set()
-            for field_name in ("elt", "key", "value"):
-                part = getattr(expr, field_name, None)
-                if part is not None:
-                    result |= self._expr(part)
-            for generator in expr.generators:
-                result |= self._expr(generator.iter)
+            # Comprehension targets live in their own scope: binding
+            # them must not rebind the function's variables.
+            enclosing = self.tainted
+            self.tainted = dict(enclosing)
+            try:
+                for generator in expr.generators:
+                    self._bind(generator.target, self._expr(generator.iter))
+                    for condition in generator.ifs:
+                        self._expr(condition)
+                result: TaintSet = set()
+                for field_name in ("elt", "key", "value"):
+                    part = getattr(expr, field_name, None)
+                    if part is not None:
+                        result |= self._expr(part)
+                for generator in expr.generators:
+                    result |= self._expr(generator.iter)
+            finally:
+                self.tainted = enclosing
             self._memo[id(expr)] = set(result)
             return result
         result = set()

@@ -43,11 +43,36 @@ UNSEEDED_RANDOM_ALLOWED = (
     "repro/faults/state.py",
 )
 
-#: RNG constructors that are fine when given an explicit seed.
+#: RNG constructors whose stream an explicit seed fixes. ``SystemRandom``
+#: is not one: it reads the OS entropy pool and ignores its seed.
 SEEDABLE_CONSTRUCTORS = frozenset(
-    {"Random", "SystemRandom", "default_rng", "Generator", "SeedSequence",
-     "PCG64", "Philox", "MT19937"}
+    {"Random", "default_rng", "Generator", "SeedSequence", "PCG64",
+     "Philox", "MT19937"}
 )
+
+
+def random_source(name: str, call: ast.Call) -> typing.Optional[str]:
+    """Why the call ``call``, resolved to ``name``, draws unreplayable
+    randomness; None if it does not.
+
+    A ``random.*`` or ``numpy.random.*`` call is a source unless it
+    builds a seedable generator with an explicit seed. DET002 reports
+    the reason at the call; DET010 taints the call's value with it.
+    """
+    parts = name.split(".")
+    if parts[0] == "random" and len(parts) > 1:
+        stream = "the global random stream"
+    elif len(parts) > 2 and parts[0] == "numpy" and parts[1] == "random":
+        stream = "numpy's global random stream"
+    else:
+        return None
+    if parts[-1] == "SystemRandom":
+        return f"{name}() reads the OS entropy pool and ignores any seed"
+    if parts[-1] not in SEEDABLE_CONSTRUCTORS:
+        return f"{name}() draws from {stream}"
+    if call.args or call.keywords:
+        return None
+    return f"{name}() constructed without an explicit seed"
 
 
 @register
@@ -97,33 +122,9 @@ class UnseededRandomRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.resolve(node.func)
-            if name is None:
-                continue
-            parts = name.split(".")
-            if parts[0] == "random" and len(parts) > 1:
-                if parts[-1] in SEEDABLE_CONSTRUCTORS:
-                    if not node.args and not node.keywords:
-                        yield self.finding(
-                            ctx, node,
-                            f"{name}() constructed without an explicit seed",
-                        )
-                else:
-                    yield self.finding(
-                        ctx, node,
-                        f"{name}() draws from the global random stream",
-                    )
-            elif len(parts) > 2 and parts[0] == "numpy" and parts[1] == "random":
-                if parts[-1] in SEEDABLE_CONSTRUCTORS:
-                    if not node.args and not node.keywords:
-                        yield self.finding(
-                            ctx, node,
-                            f"{name}() constructed without an explicit seed",
-                        )
-                else:
-                    yield self.finding(
-                        ctx, node,
-                        f"{name}() draws from numpy's global random stream",
-                    )
+            reason = None if name is None else random_source(name, node)
+            if reason is not None:
+                yield self.finding(ctx, node, reason)
 
 
 def _is_hash_ordered(node: ast.AST) -> bool:

@@ -72,7 +72,7 @@ class SamplePlan:
     windows: int = 128
 
     def rng(self) -> random.Random:
-        return random.Random(self.seed)  # simlint: disable=DET002 (explicitly seeded from the plan; sample selection is reproducible run to run and never feeds the simulation)
+        return random.Random(self.seed)
 
 
 def sample_plan(

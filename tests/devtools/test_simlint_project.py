@@ -72,6 +72,33 @@ ID_CHAIN = """
         return key_of(obj) + 1
 """
 
+#: A helper builds an explicitly seeded generator: DET002 accepts it,
+#: so DET010 must not read it as a random source either.
+SEEDED_RNG = """
+    import random
+
+    def make_rng(seed):
+        return random.Random(seed)
+
+    def first_draw(seed):
+        return make_rng(seed).random()
+"""
+
+#: A comprehension reuses the name of a wall-clock variable; its target
+#: is scoped to the comprehension, so the function still returns the
+#: wall-clock value.
+COMPREHENSION_SHADOW = """
+    import time
+
+    def stamp():
+        now = time.time()
+        labels = [now for now in range(3)]
+        return now
+
+    def delay_for():
+        return stamp() * 2.0
+"""
+
 #: Clean control: values derive from parameters only.
 TAINT_CLEAN = """
     def delay_for(config):
@@ -201,6 +228,21 @@ class TestTransitiveNondeterminism:
         )
         paths = write_project(tmp_path, ids=code)
         assert project_findings(paths, "DET010") == []
+
+    def test_seeded_generator_is_not_a_source(self, tmp_path):
+        paths = write_project(tmp_path, rng=SEEDED_RNG)
+        assert project_findings(paths, "DET010") == []
+        unseedable = SEEDED_RNG.replace("random.Random(", "random.SystemRandom(")
+        paths = write_project(tmp_path, rng=unseedable)
+        (finding,) = project_findings(paths, "DET010")
+        assert finding.symbol == "first_draw"
+        assert "SystemRandom() [unseeded random]" in finding.message
+
+    def test_comprehension_target_does_not_clear_the_taint(self, tmp_path):
+        paths = write_project(tmp_path, shadow=COMPREHENSION_SHADOW)
+        (finding,) = project_findings(paths, "DET010")
+        assert finding.symbol == "delay_for"
+        assert "wall clock" in finding.message
 
     def test_clean_project_is_clean(self, tmp_path):
         paths = write_project(tmp_path, clean=TAINT_CLEAN)

@@ -89,6 +89,13 @@ FIXTURES = [
                 return random.Random()
             """,
             """
+            import random
+
+            def entropy_rng():
+                # SystemRandom ignores its seed.
+                return random.SystemRandom(42)
+            """,
+            """
             import numpy as np
 
             def noise(n):
