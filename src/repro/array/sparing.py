@@ -14,7 +14,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass
 
-from repro.faults.log import SPARES_EXHAUSTED
+from repro.faults.log import REPAIR_COMPLETE, SPARES_EXHAUSTED
 from repro.recon.algorithms import ReconAlgorithm
 from repro.recon.sweeper import Reconstructor
 
@@ -85,15 +85,6 @@ class SparePool:
         #: degraded, via its syndromes, indefinitely. Restocking helps
         #: only *future* failures.
         self.degraded_disks: typing.List[int] = []
-        #: Callback ``(RepairRecord) -> None`` invoked *synchronously*
-        #: the instant a repair record lands in ``repairs`` — before
-        #: the completion event fires. A FaultInjector installs its
-        #: counter here so the two can never disagree, even when the
-        #: simulation stops on the very tick a repair completes (an
-        #: event-driven listener would still be waiting on the heap).
-        self.on_repair: typing.Optional[
-            typing.Callable[[RepairRecord], None]
-        ] = None
 
     @property
     def exhausted(self) -> bool:
@@ -163,6 +154,11 @@ class SparePool:
             repair_completed_at_ms=env.now,
         )
         self.repairs.append(record)
-        if self.on_repair is not None:
-            self.on_repair(record)
+        if controller.fault_log is not None:
+            controller.fault_log.record(
+                REPAIR_COMPLETE,
+                env.now,
+                disk=disk,
+                detail=f"repair took {record.total_repair_ms:.1f} ms",
+            )
         done.succeed(record)

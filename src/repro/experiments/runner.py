@@ -321,19 +321,11 @@ def run_scenario(
         if workload is not None:
             workload.run(duration_ms=mission)
         env.run(until=env.any_of([env.timeout(mission), injector.data_loss_event]))
-        # mean_repair_ms averages spare_pool.repairs, and
-        # injector.repairs_completed counts the same completions: the
-        # injector installs a synchronous SparePool.on_repair callback,
-        # so the two sources agree at every instant — including a
-        # mission that ends on the exact tick a repair finishes (an
-        # event-driven count would still be one behind on the heap).
-        # With no spare pool there are no repairs and the count is 0.
         repairs = spare_pool.repairs if spare_pool is not None else []
-        assert injector.repairs_completed == len(repairs)
         fault_extra = {
             "mission_ms": mission,
             "disk_failures": injector.disk_failures,
-            "repairs_completed": injector.repairs_completed,
+            "repairs_completed": len(repairs),
             "spares_remaining": (
                 spare_pool.spares_remaining if spare_pool is not None else 0
             ),

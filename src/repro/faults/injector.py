@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.faults.log import LATENT_ERROR, REPAIR_COMPLETE, FaultLog
+from repro.faults.log import LATENT_ERROR, FaultLog
 from repro.faults.profile import FaultProfile
 from repro.layout.base import UnitAddress
 from repro.sim.rng import RandomStreams
@@ -72,17 +72,10 @@ class FaultInjector:
         #: Fires with the simulated time of the first data-loss event.
         self.data_loss_event = self.env.event()
         self.disk_failures = 0
-        self.repairs_completed = 0
         self._started = False
         # Escalations discovered by the controller's retry path feed the
         # same failure handling as lifetime-clock failures.
         controller.on_disk_failure = self.inject_disk_failure
-        # Count repairs through the pool's synchronous callback, not an
-        # event listener: a listener process resumes one heap step after
-        # the record lands, so a campaign stopping on that exact tick
-        # would report repairs_completed < len(monitor.repairs).
-        if monitor is not None:
-            monitor.on_repair = self._repair_completed
 
     # ------------------------------------------------------------------
     # Campaign control
@@ -128,17 +121,6 @@ class FaultInjector:
         if faults.data_lost and not self.data_loss_event.triggered:
             self.data_loss_event.succeed(self.env.now)
 
-    def _repair_completed(self, record) -> None:
-        """Synchronous spare-pool callback: one repair fully finished."""
-        self.repairs_completed += 1
-        if self.log is not None:
-            self.log.record(
-                REPAIR_COMPLETE,
-                self.env.now,
-                disk=record.failed_disk,
-                detail=f"repair took {record.total_repair_ms:.1f} ms",
-            )
-
     # ------------------------------------------------------------------
     # Fault source processes
     # ------------------------------------------------------------------
@@ -178,5 +160,5 @@ class FaultInjector:
     def __repr__(self) -> str:
         return (
             f"<FaultInjector failures={self.disk_failures} "
-            f"repairs={self.repairs_completed} data_lost={self.data_lost}>"
+            f"data_lost={self.data_lost}>"
         )
