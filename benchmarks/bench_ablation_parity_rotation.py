@@ -18,8 +18,8 @@ from repro.array import ArrayAddressing, ArrayController
 from repro.designs import complete_design
 from repro.experiments.reporting import format_table
 from repro.experiments.scales import get_scale
-from repro.layout import DeclusteredLayout
-from repro.layout.criteria import parity_units_per_disk
+from repro.layout import PARITY_ROLE, DeclusteredLayout
+from repro.layout.criteria import role_units_per_disk
 from repro.sim import Environment
 from repro.workload import SyntheticWorkload, WorkloadConfig
 
@@ -41,7 +41,7 @@ def run_variant(rotate_parity):
     utilizations = [
         disk.stats.busy_window.total_ms / env.now for disk in controller.disks
     ]
-    parity_counts = parity_units_per_disk(layout)
+    parity_counts = role_units_per_disk(layout, PARITY_ROLE)
     return {
         "rotated": rotate_parity,
         "parity_min": min(parity_counts),

@@ -18,7 +18,6 @@ from repro.layout.arithmetic import CyclicArithmeticLayout, PermutationStripingL
 from repro.layout.base import LayoutError, ParityLayout
 from repro.layout.criteria import SAMPLING_THRESHOLD_DISKS
 from repro.layout.declustered import DeclusteredLayout
-from repro.layout.dual import CyclicDualRaid6Layout, DualDeclusteredLayout
 from repro.layout.raid5 import LeftSymmetricRaid5Layout
 
 #: The paper's array width (Table 5-1(c)).
@@ -45,33 +44,41 @@ LAYOUT_CHOICES = ("auto", "table", "prime", "cyclic")
 MAX_NUM_DISKS = 10_000
 
 
-def design_for(num_disks: int, stripe_size: int) -> BlockDesign:
-    """The block design backing a declustered layout for (C, G).
+def _pair_balanced_design(
+    num_disks: int, stripe_size: int
+) -> typing.Optional[typing.Callable[[], BlockDesign]]:
+    """The builder of a triple-balanced design for (C, G), or None.
 
-    Uses the shared catalog (paper appendix designs first, then
-    programmatic families, then small complete designs, then the
-    closest feasible alpha).
-    """
-    return default_catalog().select(num_disks, stripe_size)
-
-
-def dual_design_for(num_disks: int, stripe_size: int) -> BlockDesign:
-    """The block design backing a *dual-syndrome* layout for (C, G).
-
-    Prefers triple-balanced families (uniform rebuild load across
-    failed *pairs*): the boolean Steiner quadruple systems for G=4 on
-    power-of-two widths, then the cyclic planar-difference-set designs,
-    then whatever the shared catalog offers (correct placement, merely
-    without the pair-balance guarantee).
+    Triple balance makes the rebuild load uniform across failed
+    *pairs*. Two families have it: the boolean Steiner quadruple
+    systems for G=4 on power-of-two widths, and the cyclic
+    planar-difference-set designs at C = G(G-1)+1. Only the builder is
+    returned, so asking costs nothing at any width.
     """
     if stripe_size == 4 and num_disks >= 8 and num_disks & (num_disks - 1) == 0:
-        return boolean_quadruple_system(num_disks.bit_length() - 1)
+        return lambda: boolean_quadruple_system(num_disks.bit_length() - 1)
     if (
         stripe_size in PLANAR_DIFFERENCE_SETS
         and num_disks == stripe_size * (stripe_size - 1) + 1
     ):
-        return cyclic_pq_design(stripe_size)
-    return design_for(num_disks, stripe_size)
+        return lambda: cyclic_pq_design(stripe_size)
+    return None
+
+
+def design_for(num_disks: int, stripe_size: int, syndromes: int = 1) -> BlockDesign:
+    """The block design backing a declustered layout for (C, G).
+
+    With two syndromes, a triple-balanced design comes first where one
+    exists. Otherwise the shared catalog serves (paper appendix
+    designs first, then programmatic families, then small complete
+    designs, then the closest feasible alpha); for P+Q that gives
+    correct placement, merely without the pair-balance guarantee.
+    """
+    if syndromes == 2:
+        build = _pair_balanced_design(num_disks, stripe_size)
+        if build is not None:
+            return build()
+    return default_catalog().select(num_disks, stripe_size)
 
 
 def _arithmetic_family(
@@ -127,15 +134,9 @@ def _catalog_serves_exact(num_disks: int, stripe_size: int, syndromes: int) -> b
     it there (see :func:`check_layout`).
     """
     if stripe_size == num_disks:
-        return True  # RAID 5 / cyclic RAID 6: no block design involved
-    if syndromes == 2:
-        if stripe_size == 4 and num_disks >= 8 and num_disks & (num_disks - 1) == 0:
-            return True  # boolean Steiner quadruple system
-        if (
-            stripe_size in PLANAR_DIFFERENCE_SETS
-            and num_disks == stripe_size * (stripe_size - 1) + 1
-        ):
-            return True  # cyclic planar P+Q design
+        return True  # RAID 5 / RAID 6: no block design involved
+    if syndromes == 2 and _pair_balanced_design(num_disks, stripe_size):
+        return True  # a triple-balanced P+Q design
     catalog = default_catalog()
     if catalog.exact(num_disks, stripe_size) is not None:
         return True
@@ -146,13 +147,11 @@ def _table_layout(
     num_disks: int, stripe_size: int, syndromes: int
 ) -> ParityLayout:
     """The historical table-based selection (RAID 5 when G == C)."""
-    if syndromes == 2:
-        if stripe_size == num_disks:
-            return CyclicDualRaid6Layout(num_disks)
-        return DualDeclusteredLayout(dual_design_for(num_disks, stripe_size))
     if stripe_size == num_disks:
-        return LeftSymmetricRaid5Layout(num_disks)
-    return DeclusteredLayout(design_for(num_disks, stripe_size))
+        return LeftSymmetricRaid5Layout(num_disks, num_syndromes=syndromes)
+    return DeclusteredLayout(
+        design_for(num_disks, stripe_size, syndromes), num_syndromes=syndromes
+    )
 
 
 def check_layout(
@@ -202,8 +201,10 @@ def build_layout(
 ) -> ParityLayout:
     """A parity layout for ``G`` on ``C`` disks (RAID 5 when G == C).
 
-    ``syndromes=2`` selects the dual (P+Q) variants: the cyclic RAID-6
-    rotation when G == C, the block-design dual layout otherwise.
+    ``syndromes=2`` gives P+Q stripes through the same constructors:
+    the RAID-6 rotation when G == C, a declustered layout otherwise
+    (over a triple-balanced design where one exists, see
+    :func:`design_for`).
 
     ``layout`` picks the implementation family (:data:`LAYOUT_CHOICES`):
     ``"auto"`` keeps the historical table-based selection wherever the

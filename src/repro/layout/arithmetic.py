@@ -26,7 +26,7 @@ array maps any unit with zero table allocation:
   the base blocks.
 
 Both support single and dual (P+Q) syndromes with the same rotating
-check-slot convention as the table builders. Only the "stripe" data
+check-slot convention as ``build_full_table``. Only the "stripe" data
 mapping is available: the row-major mapping is defined by an explicit
 index over a materialized table, which is exactly what these layouts
 exist to avoid.
@@ -39,7 +39,12 @@ import typing
 from repro.designs.design import DesignError
 from repro.designs.difference import BaseBlock, difference_family_lambda
 from repro.designs.families import is_prime
-from repro.layout.base import LayoutError, ParityLayout, UnitAddress
+from repro.layout.base import (
+    LayoutError,
+    ParityLayout,
+    UnitAddress,
+    syndrome_positions,
+)
 
 
 class ArithmeticLayout(ParityLayout):
@@ -92,8 +97,8 @@ class PermutationStripingLayout(ArithmeticLayout):
     with no rotation of duplications needed.
 
     Requires ``C`` prime and ``G < C`` (at ``G == C`` every stripe of a
-    rotation parks its parity on the same disk; that case is RAID 5 /
-    cyclic RAID 6 anyway).
+    rotation parks its parity on the same disk; that case is
+    :class:`~repro.layout.raid5.LeftSymmetricRaid5Layout` anyway).
     """
 
     def __init__(
@@ -110,7 +115,7 @@ class PermutationStripingLayout(ArithmeticLayout):
         if stripe_size >= num_disks:
             raise LayoutError(
                 f"permutation striping needs G < C, got G={stripe_size} on "
-                f"C={num_disks}; use the RAID 5 / cyclic RAID 6 layouts at G == C"
+                f"C={num_disks}; use LeftSymmetricRaid5Layout at G == C"
             )
         super().__init__(
             num_disks,
@@ -155,13 +160,13 @@ class CyclicArithmeticLayout(ArithmeticLayout):
     develop: tuple ``(block_i, shift)`` is block ``block_i`` plus
     ``shift``, ordered block-major then shift. One period makes ``G``
     duplications of the ``b = m*v`` tuples, rotating the check
-    positions exactly like ``build_full_table`` /
-    ``build_dual_full_table`` (P at element ``G-1-dup``, Q at
-    ``G-2-dup``), and the greedy lowest-free-offset assignment is
-    closed-form: disk ``d`` appears in block ``block_i`` exactly once
-    per element, at shift ``(d - element) mod v``, so its offset is
-    ``dup*m*k + block_i*k + rank`` where ``rank`` counts this block's
-    earlier shifts containing ``d``.
+    positions exactly like ``build_full_table`` (both use
+    :func:`~repro.layout.base.syndrome_positions`: P at element
+    ``G-1-dup``, Q at ``G-2-dup``), and the greedy lowest-free-offset
+    assignment is closed-form: disk ``d`` appears in block ``block_i``
+    exactly once per element, at shift ``(d - element) mod v``, so its
+    offset is ``dup*m*k + block_i*k + rank`` where ``rank`` counts this
+    block's earlier shifts containing ``d``.
 
     ``validate=True`` (default) verifies difference-family balance in
     O(m·k²) — the streamed equivalent of validating the developed
@@ -188,7 +193,7 @@ class CyclicArithmeticLayout(ArithmeticLayout):
         k = sizes.pop()
         if k == modulus:
             raise LayoutError(
-                "G == C is RAID 5 / cyclic RAID 6; use those layouts instead"
+                "G == C is RAID 5 / RAID 6; use LeftSymmetricRaid5Layout instead"
             )
         if validate:
             try:
@@ -212,15 +217,11 @@ class CyclicArithmeticLayout(ArithmeticLayout):
         self.table_depth = k * m * k
 
     # ------------------------------------------------------------------
-    # Check-position rotation (shared with the table builders)
+    # Check-position rotation (shared with ``build_full_table``)
     # ------------------------------------------------------------------
     def _special_positions(self, dup: int) -> typing.Tuple[int, ...]:
         """Element positions of the check units in duplication ``dup``."""
-        g = self.stripe_size
-        parity_position = (g - 1 - dup) % g
-        if self.num_syndromes == 1:
-            return (parity_position,)
-        return (parity_position, (g - 2 - dup) % g)
+        return syndrome_positions(self.stripe_size, dup, self.num_syndromes)
 
     def _element_of_pos(self, dup: int, pos: int) -> int:
         """Element position of table-row position ``pos`` in ``dup``."""

@@ -36,6 +36,22 @@ class LayoutError(ValueError):
     """Raised for malformed layout tables or out-of-range addresses."""
 
 
+def syndrome_positions(
+    stripe_size: int, dup: int, num_syndromes: int = 1
+) -> typing.Tuple[int, ...]:
+    """Element positions of the check units in duplication ``dup``.
+
+    The rotation of the paper's full block design table (Figure 4-2):
+    parity sits at element ``G-1-dup`` and, with two syndromes, Q at
+    ``G-2-dup`` (both mod ``G``). Parity comes first, as in
+    :attr:`ParityLayout.syndrome_roles`.
+    """
+    parity_position = (stripe_size - 1 - dup) % stripe_size
+    if num_syndromes == 1:
+        return (parity_position,)
+    return (parity_position, (parity_position - 1) % stripe_size)
+
+
 class UnitAddress(typing.NamedTuple):
     """A physical stripe-unit slot: ``offset``-th unit of ``disk``.
 

@@ -199,11 +199,12 @@ def check_distributed_reconstruction(
     )
 
 
-def parity_units_per_disk(layout: ParityLayout) -> typing.List[int]:
-    """Parity units each disk holds in one full table."""
+def role_units_per_disk(layout: ParityLayout, role: int) -> typing.List[int]:
+    """Units with ``role`` (a check role or data position) each disk
+    holds in one full table."""
     counts = [0] * layout.num_disks
     for s in _table_stripes(layout):
-        counts[layout.parity_unit(s).disk] += 1
+        counts[layout.stripe_unit(s, role).disk] += 1
     return counts
 
 
@@ -225,10 +226,7 @@ def _check_distributed_role(
     metric: str,
 ) -> CriterionReport:
     if plan is None:
-        if role == PARITY_ROLE:
-            counts = parity_units_per_disk(layout)
-        else:
-            counts = q_units_per_disk(layout)
+        counts = role_units_per_disk(layout, role)
         scope = "every disk"
     else:
         sampled = _sample(layout.num_disks, plan.counted_disks, plan.rng())
@@ -253,21 +251,6 @@ def check_distributed_parity(
     layout: ParityLayout, plan: typing.Optional[SamplePlan] = None
 ) -> CriterionReport:
     """Criterion 3: parity units are spread evenly over the disks."""
-    if plan is None:
-        counts = parity_units_per_disk(layout)
-        if len(set(counts)) == 1:
-            return CriterionReport(
-                name="distributed-parity",
-                passed=True,
-                detail=f"every disk holds {counts[0]} parity units per table",
-                metrics={"parity_units_per_disk": counts[0]},
-            )
-        return CriterionReport(
-            name="distributed-parity",
-            passed=False,
-            detail=f"parity counts per disk vary: min={min(counts)}, max={max(counts)}",
-            metrics={"min": min(counts), "max": max(counts)},
-        )
     return _check_distributed_role(
         layout, plan, PARITY_ROLE, "distributed-parity", "parity",
         "parity_units_per_disk",
@@ -540,33 +523,10 @@ def check_pair_balanced_reconstruction(
     )
 
 
-def q_units_per_disk(layout: ParityLayout) -> typing.List[int]:
-    """Q syndrome units each disk holds in one full table."""
-    counts = [0] * layout.num_disks
-    for s in _table_stripes(layout):
-        counts[layout.q_unit(s).disk] += 1
-    return counts
-
-
 def check_distributed_q(
     layout: ParityLayout, plan: typing.Optional[SamplePlan] = None
 ) -> CriterionReport:
     """Dual criterion 3: Q units are spread evenly over the disks."""
-    if plan is None:
-        counts = q_units_per_disk(layout)
-        if len(set(counts)) == 1:
-            return CriterionReport(
-                name="distributed-q",
-                passed=True,
-                detail=f"every disk holds {counts[0]} Q units per table",
-                metrics={"q_units_per_disk": counts[0]},
-            )
-        return CriterionReport(
-            name="distributed-q",
-            passed=False,
-            detail=f"Q counts per disk vary: min={min(counts)}, max={max(counts)}",
-            metrics={"min": min(counts), "max": max(counts)},
-        )
     return _check_distributed_role(
         layout, plan, Q_ROLE, "distributed-q", "Q", "q_units_per_disk"
     )

@@ -13,6 +13,13 @@ Construction, exactly as the paper describes:
    the parity position across duplications (Figure 4-2). Each disk then
    holds exactly ``r`` parity units per full table.
 4. The full table tiles down the disks until every unit is mapped.
+
+P+Q stripes (``num_syndromes=2``) are declustered by the same
+procedure with two rotating check positions, P at element ``G-1-d``
+and Q at ``G-2-d`` of duplication ``d``, so every disk also holds ``r``
+Q units per full table. Any validated BIBD with ``k >= 3`` works; a
+``t = 3`` design (:mod:`repro.designs.tdesigns`) additionally balances
+the reconstruction load over survivors when *two* disks have failed.
 """
 
 from __future__ import annotations
@@ -20,15 +27,21 @@ from __future__ import annotations
 import typing
 
 from repro.designs.design import BlockDesign
-from repro.layout.base import LayoutError, TableParityLayout, UnitAddress
+from repro.layout.base import (
+    LayoutError,
+    TableParityLayout,
+    UnitAddress,
+    syndrome_positions,
+)
 
 
 def build_full_table(
-    design: BlockDesign, rotate_parity: bool = True
+    design: BlockDesign, rotate_parity: bool = True, num_syndromes: int = 1
 ) -> typing.List[typing.List[UnitAddress]]:
     """Build the full block design table as a list of stripes.
 
-    Each stripe is a list of ``G`` slots with the parity slot last.
+    Each stripe is a list of ``G`` slots: the data slots in element
+    order, then Q (with two syndromes), then parity.
 
     Parameters
     ----------
@@ -37,24 +50,27 @@ def build_full_table(
         ``k = G``.
     rotate_parity:
         When True (the paper's scheme), make ``G`` duplications of the
-        design, assigning parity to element position ``G-1-d`` in
-        duplication ``d``. When False, build a single table with parity
-        always on the last element — this deliberately violates the
+        design, assigning the check units to the element positions
+        :func:`~repro.layout.base.syndrome_positions` gives duplication
+        ``d``. When False, build a single table with parity always on
+        the last element — this deliberately violates the
         distributed-parity criterion and exists for the ablation bench.
+    num_syndromes:
+        Check units per stripe: 1 (parity) or 2 (P+Q).
     """
     g = design.k
     next_free = [0] * design.v
     table: typing.List[typing.List[UnitAddress]] = []
     duplications = range(g) if rotate_parity else (0,)
     for dup in duplications:
-        parity_position = (g - 1 - dup) % g
+        checks = syndrome_positions(g, dup, num_syndromes)
         for tup in design.tuples:
             slots = []
             for element in tup:
                 slots.append(UnitAddress(disk=element, offset=next_free[element]))
                 next_free[element] += 1
-            data_slots = [slot for pos, slot in enumerate(slots) if pos != parity_position]
-            table.append(data_slots + [slots[parity_position]])
+            data_slots = [slot for pos, slot in enumerate(slots) if pos not in checks]
+            table.append(data_slots + [slots[pos] for pos in reversed(checks)])
     return table
 
 
@@ -71,19 +87,22 @@ class DeclusteredLayout(TableParityLayout):
         design: BlockDesign,
         rotate_parity: bool = True,
         data_mapping: str = "stripe",
+        num_syndromes: int = 1,
     ):
         design.validate()
         if design.k == design.v:
             raise LayoutError(
-                "G == C is RAID 5; use LeftSymmetricRaid5Layout for that case"
+                "G == C is RAID 5 (RAID 6 with two syndromes); use "
+                "LeftSymmetricRaid5Layout for that case"
             )
         self.design = design
         self.rotate_parity = rotate_parity
-        table = build_full_table(design, rotate_parity=rotate_parity)
+        prefix = "declustered" if num_syndromes == 1 else "dual-declustered"
         super().__init__(
             num_disks=design.v,
             stripe_size=design.k,
-            table=table,
-            name=f"declustered-{design.name or f'{design.v}-{design.k}'}",
+            table=build_full_table(design, rotate_parity, num_syndromes),
+            name=f"{prefix}-{design.name or f'{design.v}-{design.k}'}",
             data_mapping=data_mapping,
+            num_syndromes=num_syndromes,
         )

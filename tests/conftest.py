@@ -15,12 +15,7 @@ import pytest
 from repro.array import ArrayAddressing, ArrayController
 from repro.designs import boolean_quadruple_system, complete_design, paper_design
 from repro.disk import scaled_spec
-from repro.layout import (
-    CyclicDualRaid6Layout,
-    DeclusteredLayout,
-    DualDeclusteredLayout,
-    LeftSymmetricRaid5Layout,
-)
+from repro.layout import DeclusteredLayout, LeftSymmetricRaid5Layout
 from repro.recon.algorithms import BASELINE
 from repro.sim import Environment
 
@@ -85,9 +80,9 @@ def build_dual_array(
     """
     env = Environment()
     if num_disks == 8:
-        layout = DualDeclusteredLayout(boolean_quadruple_system(3))
+        layout = DeclusteredLayout(boolean_quadruple_system(3), num_syndromes=2)
     else:
-        layout = CyclicDualRaid6Layout(num_disks)
+        layout = LeftSymmetricRaid5Layout(num_disks, num_syndromes=2)
     addressing = ArrayAddressing(layout, scaled_spec(cylinders))
     controller = ArrayController(
         env, addressing, policy=policy, algorithm=algorithm,

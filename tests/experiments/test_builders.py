@@ -12,11 +12,9 @@ from repro.experiments.builders import (
     build_layout,
     check_layout,
     design_for,
-    dual_design_for,
 )
 from repro.layout import DeclusteredLayout, LayoutError, LeftSymmetricRaid5Layout
 from repro.layout.arithmetic import PermutationStripingLayout
-from repro.layout.dual import CyclicDualRaid6Layout, DualDeclusteredLayout
 
 
 class TestBuildLayout:
@@ -143,13 +141,13 @@ class TestCheckLayout:
 class TestDualBuildLayout:
     def test_g_equals_c_gives_cyclic_raid6(self):
         layout = build_layout(21, 21, syndromes=2)
-        assert isinstance(layout, CyclicDualRaid6Layout)
+        assert isinstance(layout, LeftSymmetricRaid5Layout)
         assert layout.num_syndromes == 2
 
     @pytest.mark.parametrize("g", [4, 5, 6, 10])
     def test_declustered_dual_layouts_have_requested_shape(self, g):
         layout = build_layout(21, g, syndromes=2)
-        assert isinstance(layout, DualDeclusteredLayout)
+        assert isinstance(layout, DeclusteredLayout)
         assert layout.num_syndromes == 2
         assert layout.stripe_size == g
         assert layout.num_disks == 21
@@ -161,7 +159,7 @@ class TestDualBuildLayout:
         # C = G(G-1)+1 with a planar difference set: 21 = 5*4+1. The
         # projective-plane design routes every disk pair through
         # exactly one stripe (lambda_2 = 1).
-        design = dual_design_for(21, 5)
+        design = design_for(21, 5, syndromes=2)
         assert design.v == 21 and design.k == 5
         assert is_t_balanced(design, 2)
         assert t_lambda(design, 2) == 1
@@ -169,7 +167,7 @@ class TestDualBuildLayout:
     def test_power_of_two_g4_uses_the_quadruple_system(self):
         from repro.designs.tdesigns import is_t_balanced
 
-        design = dual_design_for(8, 4)
+        design = design_for(8, 4, syndromes=2)
         assert design.v == 8 and design.k == 4
         assert is_t_balanced(design, 3)
 

@@ -6,7 +6,7 @@ claim three ways:
 
 - slot-for-slot agreement with an equivalent table layout on the
   paper-grid geometries (the cyclic family against the existing
-  ``DeclusteredLayout``/``DualDeclusteredLayout`` constructions, the
+  ``DeclusteredLayout`` construction at both syndrome counts, the
   permutation family against a table materialized independently from
   the striping formula);
 - criteria verdicts that agree between the table and arithmetic twins
@@ -34,7 +34,6 @@ from repro.layout.criteria import (
     evaluate_layout,
     sample_plan,
 )
-from repro.layout.dual import DualDeclusteredLayout
 
 #: (C, G) permutation-striping geometries: prime widths spanning the
 #: paper's alpha range, both syndrome counts where G allows.
@@ -135,7 +134,7 @@ class TestCyclicArithmetic:
 
     def test_dual_matches_dual_declustered(self):
         arith = CyclicArithmeticLayout(((0, 1, 3),), 7, num_syndromes=2)
-        table = DualDeclusteredLayout(cyclic_pq_design(3))
+        table = DeclusteredLayout(cyclic_pq_design(3), num_syndromes=2)
         assert_twins(arith, table)
 
     def test_bad_family_rejected(self):
@@ -165,7 +164,7 @@ class TestCriteriaAgreement:
 
     def test_dual_criteria_agree(self):
         arith = CyclicArithmeticLayout(((0, 1, 3),), 7, num_syndromes=2)
-        table = DualDeclusteredLayout(cyclic_pq_design(3))
+        table = DeclusteredLayout(cyclic_pq_design(3), num_syndromes=2)
         for a, t in zip(evaluate_layout(arith, mode="exact"),
                         evaluate_layout(table, mode="exact")):
             assert (a.name, a.passed) == (t.name, t.passed)

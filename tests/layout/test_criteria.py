@@ -1,13 +1,13 @@
 """Unit tests for the individual criterion checks on crafted layouts."""
 
-from repro.layout import TableParityLayout, UnitAddress
+from repro.layout import PARITY_ROLE, TableParityLayout, UnitAddress
 from repro.layout.criteria import (
     check_distributed_parity,
     check_efficient_mapping,
     check_large_write_optimization,
     check_single_failure_correcting,
-    parity_units_per_disk,
     reconstruction_load_matrix,
+    role_units_per_disk,
 )
 
 
@@ -37,7 +37,7 @@ class TestDistributedParity:
             [UnitAddress(1, 2), UnitAddress(2, 2), UnitAddress(0, 2)],
         ]
         layout = make_layout(table, num_disks=3, stripe_size=3)
-        counts = parity_units_per_disk(layout)
+        counts = role_units_per_disk(layout, PARITY_ROLE)
         assert counts == [1, 0, 2]
         assert not check_distributed_parity(layout).passed
 

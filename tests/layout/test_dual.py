@@ -1,4 +1,9 @@
-"""Dual-syndrome layouts: placement, balance, and the extended criteria."""
+"""Dual-syndrome layouts: placement, balance, and the extended criteria.
+
+P+Q layouts are the single-parity constructors with ``num_syndromes=2``:
+``DeclusteredLayout`` over a block design, and ``LeftSymmetricRaid5Layout``
+for the full-width RAID-6 rotation.
+"""
 
 import pytest
 
@@ -11,23 +16,28 @@ from repro.designs import (
 from repro.layout import (
     PARITY_ROLE,
     Q_ROLE,
-    CyclicDualRaid6Layout,
-    DualDeclusteredLayout,
+    DeclusteredLayout,
     LayoutError,
+    LeftSymmetricRaid5Layout,
     evaluate_layout,
 )
 from repro.layout.criteria import (
     check_double_failure_correcting,
-    check_distributed_q,
     check_pair_balanced_reconstruction,
-    parity_units_per_disk,
-    q_units_per_disk,
+    role_units_per_disk,
 )
-from repro.layout.raid5 import LeftSymmetricRaid5Layout
+
+
+def dual_declustered(design):
+    return DeclusteredLayout(design, num_syndromes=2)
+
+
+def full_width_raid6(num_disks):
+    return LeftSymmetricRaid5Layout(num_disks, num_syndromes=2)
 
 
 def dual_paper_layout():
-    return DualDeclusteredLayout(paper_design(5))  # C=21, G=5
+    return dual_declustered(paper_design(5))  # C=21, G=5
 
 
 class TestDualDeclustered:
@@ -49,8 +59,8 @@ class TestDualDeclustered:
     def test_p_and_q_spread_evenly(self):
         layout = dual_paper_layout()
         design = layout.design
-        assert set(parity_units_per_disk(layout)) == {design.r}
-        assert set(q_units_per_disk(layout)) == {design.r}
+        assert set(role_units_per_disk(layout, PARITY_ROLE)) == {design.r}
+        assert set(role_units_per_disk(layout, Q_ROLE)) == {design.r}
 
     def test_p_and_q_on_distinct_slots(self):
         layout = dual_paper_layout()
@@ -58,7 +68,7 @@ class TestDualDeclustered:
             assert layout.parity_unit(s) != layout.q_unit(s)
 
     def test_inverse_mapping_round_trips(self):
-        layout = DualDeclusteredLayout(cyclic_pq_design(4))  # C=13, G=4
+        layout = dual_declustered(cyclic_pq_design(4))  # C=13, G=4
         seen = set()
         for s in range(layout.stripes_per_table):
             for role in [0, 1, PARITY_ROLE, Q_ROLE]:
@@ -79,11 +89,11 @@ class TestDualDeclustered:
 
     def test_full_width_design_rejected(self):
         with pytest.raises(LayoutError):
-            DualDeclusteredLayout(complete_design(4, 4))
+            dual_declustered(complete_design(4, 4))
 
     def test_too_narrow_stripe_rejected(self):
         with pytest.raises(LayoutError):
-            DualDeclusteredLayout(complete_design(5, 2))
+            dual_declustered(complete_design(5, 2))
 
     def test_single_layout_has_no_q(self):
         layout = LeftSymmetricRaid5Layout(5)
@@ -94,35 +104,35 @@ class TestDualDeclustered:
 
 class TestCyclicDualRaid6:
     def test_rotation(self):
-        layout = CyclicDualRaid6Layout(7)
+        layout = full_width_raid6(7)
         c = 7
         for s in range(c):
             assert layout.parity_unit(s).disk == (c - 1 - s) % c
             assert layout.q_unit(s).disk == (c - 2 - s) % c
-        assert set(parity_units_per_disk(layout)) == {1}
-        assert set(q_units_per_disk(layout)) == {1}
+        assert set(role_units_per_disk(layout, PARITY_ROLE)) == {1}
+        assert set(role_units_per_disk(layout, Q_ROLE)) == {1}
 
     def test_alpha_is_one(self):
-        assert CyclicDualRaid6Layout(7).declustering_ratio() == pytest.approx(1.0)
+        assert full_width_raid6(7).declustering_ratio() == pytest.approx(1.0)
 
     def test_tiny_array_rejected(self):
         with pytest.raises(LayoutError):
-            CyclicDualRaid6Layout(2)
+            full_width_raid6(2)
 
 
 class TestDualCriteria:
     def test_t3_design_passes_pair_balance(self):
-        layout = DualDeclusteredLayout(boolean_quadruple_system(3))
+        layout = dual_declustered(boolean_quadruple_system(3))
         report = check_pair_balanced_reconstruction(layout)
         assert report.passed, report.detail
 
     def test_full_width_passes_pair_balance(self):
-        report = check_pair_balanced_reconstruction(CyclicDualRaid6Layout(6))
+        report = check_pair_balanced_reconstruction(full_width_raid6(6))
         assert report.passed, report.detail
 
     def test_bibd_fails_pair_balance(self):
         # lam=1 but not triple-balanced: pairs of failures skew the load.
-        layout = DualDeclusteredLayout(cyclic_pq_design(4))
+        layout = dual_declustered(cyclic_pq_design(4))
         assert not check_pair_balanced_reconstruction(layout).passed
 
     def test_single_syndrome_fails_double_failure(self):
