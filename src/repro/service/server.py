@@ -85,7 +85,9 @@ class _EventLog:
 
     def __init__(self) -> None:
         self.history: typing.List[dict] = []
-        self.changed = asyncio.Condition()
+        #: Set by the next append, then replaced by a fresh one: a
+        #: reader that took it before catching up misses no event.
+        self.changed = asyncio.Event()
 
 
 class _Request:
@@ -187,12 +189,8 @@ class Service:
         event = dict(event)
         event["seq"] = len(log.history) + 1
         log.history.append(event)
-
-        async def _notify() -> None:
-            async with log.changed:
-                log.changed.notify_all()
-
-        asyncio.ensure_future(_notify())
+        log.changed.set()
+        log.changed = asyncio.Event()
 
     def _emit_threadsafe(self, job_id: str, event: dict) -> None:
         assert self._loop is not None
@@ -526,6 +524,7 @@ class Service:
             position = len(log.history) - 1
         try:
             while True:
+                changed = log.changed
                 while position < len(log.history):
                     event = log.history[position]
                     position += 1
@@ -545,9 +544,7 @@ class Service:
                         # later state event follows ended an earlier
                         # attempt of a resubmitted job.
                         return
-                async with log.changed:
-                    if position >= len(log.history):
-                        await log.changed.wait()
+                await changed.wait()
         except (ConnectionResetError, BrokenPipeError):
             return  # reader went away; nothing to clean up
 

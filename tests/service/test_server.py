@@ -4,9 +4,12 @@ Every test here talks to the real asyncio server over a real socket;
 only the simulation itself is replaced by an injectable execute hook.
 """
 
+import asyncio
 import threading
 
 import pytest
+
+from repro.service.server import Service
 
 from tests.service.conftest import (
     LiveService,
@@ -266,6 +269,22 @@ class TestCancel:
         status, body = live_service.post(f"/jobs/{job['id']}/cancel")
         assert status == 409
         assert "already done" in body["error"]
+
+
+class TestEventLog:
+    def test_emit_starts_no_task(self, tmp_path):
+        # An event wakes its readers through an asyncio.Event, not a
+        # task per event that nothing holds on to.
+        async def tasks_started_by_five_emits():
+            service = Service(tmp_path / "data", cache_dir=tmp_path / "cache")
+            before = asyncio.all_tasks()
+            for n in range(5):
+                service._emit("job", {"event": "progress", "n": n})
+            started = len(asyncio.all_tasks() - before)
+            await service.close()
+            return started
+
+        assert asyncio.run(tasks_started_by_five_emits()) == 0
 
 
 def stream_with_epoch(service, path):
