@@ -100,6 +100,7 @@ class ServeProcess:
     def kill(self):
         self.process.kill()
         self.process.wait(timeout=10.0)
+        self.process.stdout.close()
 
     def terminate(self):
         if self.process.poll() is None:
@@ -109,6 +110,7 @@ class ServeProcess:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait(timeout=10.0)
+        self.process.stdout.close()
 
 
 def terminal(body):

@@ -101,6 +101,7 @@ class LiveService:
         asyncio.run_coroutine_threadsafe(_stop(), self._loop).result(timeout=30.0)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10.0)
+        self._loop.close()
 
     # -- sync HTTP helpers -------------------------------------------------
     def request(self, method, path, payload=None, timeout=30.0):
@@ -116,7 +117,8 @@ class LiveService:
             with urllib.request.urlopen(request, timeout=timeout) as response:
                 return response.status, json.loads(response.read())
         except urllib.error.HTTPError as error:
-            return error.code, json.loads(error.read())
+            with error:
+                return error.code, json.loads(error.read())
 
     def get(self, path):
         return self.request("GET", path)

@@ -102,7 +102,8 @@ class TestSubmitAndResult:
         )
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=10.0)
-        assert info.value.code == 400
+        with info.value as error:
+            assert error.code == 400
 
     def test_result_before_done_is_409(self, tmp_path):
         gated = GatedExecute()
