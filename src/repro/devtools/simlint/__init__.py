@@ -39,7 +39,6 @@ from repro.devtools.simlint.registry import (
 from repro.devtools.simlint.reporters import (
     format_github,
     format_json,
-    format_sarif,
     format_text,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "all_rules",
     "format_github",
     "format_json",
-    "format_sarif",
     "format_text",
     "get_rules",
     "iter_python_files",

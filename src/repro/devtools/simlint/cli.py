@@ -16,7 +16,6 @@ from repro.devtools.simlint.registry import all_rules
 from repro.devtools.simlint.reporters import (
     format_github,
     format_json,
-    format_sarif,
     format_text,
 )
 
@@ -42,11 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif", "github"],
+        choices=["text", "json", "github"],
         default="text",
         help=(
-            "report format (default: text); 'sarif' emits SARIF 2.1.0, "
-            "'github' emits Actions problem annotations"
+            "report format (default: text); 'github' emits Actions "
+            "problem annotations"
         ),
     )
     parser.add_argument(
@@ -114,8 +113,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
 
     if args.format == "json":
         sys.stdout.write(format_json(report))
-    elif args.format == "sarif":
-        sys.stdout.write(format_sarif(report))
     elif args.format == "github":
         sys.stdout.write(format_github(report))
     else:

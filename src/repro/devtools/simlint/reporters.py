@@ -1,4 +1,4 @@
-"""Finding reporters: human text and machine JSON."""
+"""Finding reporters: human text, machine JSON and GitHub annotations."""
 
 from __future__ import annotations
 
@@ -51,69 +51,6 @@ def format_json(report: LintReport) -> str:
             "suppressed": len(report.suppressed),
             "ok": report.ok,
         },
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def format_sarif(report: LintReport) -> str:
-    """SARIF 2.1.0, the interchange format code-scanning UIs ingest.
-
-    Active findings only: suppressed findings are accepted by a human
-    with a reason, and uploading them would just re-litigate that
-    decision in another UI.
-    """
-    from repro.devtools.simlint.registry import all_rules
-
-    levels = {"note": "note", "warning": "warning", "error": "error"}
-    rules_meta = [
-        {
-            "id": rule.id,
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.rationale},
-            "help": {"text": rule.hint},
-            "defaultConfiguration": {
-                "level": levels.get(rule.severity, "warning")
-            },
-        }
-        for rule in all_rules()
-    ]
-    results = [
-        {
-            "ruleId": finding.rule,
-            "level": levels.get(finding.severity, "warning"),
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": finding.path},
-                        "region": {
-                            "startLine": max(finding.line, 1),
-                            "startColumn": finding.col + 1,
-                        },
-                    },
-                    "logicalLocations": [{"fullyQualifiedName": finding.symbol}],
-                }
-            ],
-        }
-        for finding in report.active
-    ]
-    document = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "simlint",
-                        "rules": rules_meta,
-                    }
-                },
-                "results": results,
-            }
-        ],
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 

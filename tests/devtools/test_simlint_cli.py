@@ -99,14 +99,6 @@ class TestProjectMode:
 
 
 class TestOutputFormats:
-    def test_sarif_output(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(
-            "import time\n\ndef stamp():\n    return time.time()\n"
-        )
-        assert lint_main([str(tmp_path), "--format", "sarif"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["runs"][0]["results"][0]["ruleId"] == "DET001"
-
     def test_github_output(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(
             "import time\n\ndef stamp():\n    return time.time()\n"

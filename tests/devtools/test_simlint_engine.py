@@ -10,7 +10,6 @@ from repro.devtools.simlint import (
     LintUsageError,
     format_github,
     format_json,
-    format_sarif,
     format_text,
     iter_python_files,
     lint_paths,
@@ -246,35 +245,6 @@ class TestReportersAndDeterminism:
         report = lint_paths([tmp_path])
         assert report.files_checked == 2
         assert report.ok
-
-    def test_sarif_report_shape(self, tmp_path):
-        module = write_module(tmp_path, "mod.py", WALL_CLOCK)
-        document = json.loads(format_sarif(lint_paths([module])))
-        assert document["version"] == "2.1.0"
-        (run,) = document["runs"]
-        assert run["tool"]["driver"]["name"] == "simlint"
-        rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert "DET001" in rule_ids and "LOCK010" in rule_ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "DET001"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == module.as_posix()
-        assert location["region"]["startLine"] == 5
-
-    def test_sarif_counts_only_active_findings(self, tmp_path):
-        module = write_module(
-            tmp_path,
-            "mod.py",
-            """
-            import time
-
-            def stamp():
-                return time.time()  # simlint: disable=DET001 (label)
-            """,
-        )
-        document = json.loads(format_sarif(lint_paths([module])))
-        assert document["runs"][0]["results"] == []
 
     def test_github_annotations_shape(self, tmp_path):
         module = write_module(tmp_path, "mod.py", WALL_CLOCK)
