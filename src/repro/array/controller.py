@@ -512,10 +512,12 @@ class ArrayController:
         because parity arithmetic uses values sampled before the
         failure.
 
-        Under a fault profile the access runs under the retry policy
-        (:class:`_RetryingAccess`); its event's value is the final
-        :class:`~repro.disk.drive.DiskRequest`, as is the plain disk
-        event's.
+        Without a fault profile the event is the
+        :class:`~repro.disk.drive.DiskRequest` itself. Under one the
+        access runs under the retry policy (:class:`_RetryingAccess`),
+        whose event carries the final attempt's ``error``. Either way a
+        waiter reads ``error`` on the event it holds: neither event has
+        a value.
         """
         disk = address.disk
         if self.faults.is_unreplaced(disk):
@@ -609,7 +611,7 @@ class ArrayController:
         errored: typing.List[UnitAddress] = []
         if self.fault_profile is not None:
             for index, event in zip(readable, events):
-                if event.value.error is not None:
+                if event.error is not None:
                     values[index] = None
                     errored.append(units[index])
         erasures = values.count(None)
@@ -666,8 +668,9 @@ class ArrayController:
                     < self.disks[target.disk].queue_length
                 ):
                     target = mirror
-            outcome = yield self._disk_access(target, is_write=False)
-            if self.fault_profile is not None and outcome.error is not None:
+            access = self._disk_access(target, is_write=False)
+            yield access
+            if self.fault_profile is not None and access.error is not None:
                 # Media error (or exhausted retries) on a live disk:
                 # rebuild the unit from its stripe in-line.
                 yield from self._repair_read(request, unit_index, logical, target)
@@ -942,8 +945,9 @@ class ArrayController:
 class _RetryingAccess(Event):
     """One disk access under the retry policy, driven by callbacks.
 
-    The event succeeds with the final (possibly still failed)
-    :class:`~repro.disk.drive.DiskRequest`. Transient timeouts are
+    The event succeeds with no value and carries the final (possibly
+    still failed) attempt's ``error``, as a
+    :class:`~repro.disk.drive.DiskRequest` does. Transient timeouts are
     retried with exponential backoff in simulated time up to the
     policy's bound; media errors are deterministic and not retried by
     default. An access that ends in a hard error counts toward the
@@ -955,10 +959,14 @@ class _RetryingAccess(Event):
     immediate event scheduled at construction (where a process's
     kick-off would sit), so same-instant queue entries keep their
     order, and the event succeeds in the dispatch of the disk
-    completion that ends it.
+    completion that ends it. Each of those events is fresh, so the
+    callback goes straight into its ``_callbacks`` slot, as the kernel
+    attaches its own.
     """
 
-    __slots__ = ("_controller", "_address", "_sector", "_is_write", "_kind", "_attempt")
+    __slots__ = (
+        "_controller", "_address", "_sector", "_is_write", "_kind", "_attempt", "error",
+    )
 
     def __init__(self, controller: ArrayController, address: UnitAddress,
                  sector: int, is_write: bool, kind: str):
@@ -970,26 +978,28 @@ class _RetryingAccess(Event):
         self._is_write = is_write
         self._kind = kind
         self._attempt = 0
+        #: The final attempt's error: None on success, else
+        #: ``"media"`` / ``"timeout"``.
+        self.error: typing.Optional[str] = None
         start = Event(env)
-        start.callbacks.append(self._submit)
+        start._callbacks = [self._submit]
         start.succeed()
 
     def _submit(self, _event: Event) -> None:
         controller = self._controller
         # Re-fetch the disk each attempt: a replacement may have been
         # installed in this slot while the access was backing off.
-        done = controller.disks[self._address.disk].submit(
+        request = controller.disks[self._address.disk].submit(
             DiskRequest(
                 self._sector, controller._sectors_per_unit, self._is_write, self._kind
             )
         )
-        done.callbacks.append(self._on_done)
+        request._callbacks = [self._on_done]
 
-    def _on_done(self, event: Event) -> None:
-        disk_request = event.value
-        error = disk_request.error
+    def _on_done(self, request: DiskRequest) -> None:
+        error = self.error = request.error
         if error is None:
-            self.succeed(disk_request)
+            self.succeed()
             return
         controller = self._controller
         address = self._address
@@ -1013,7 +1023,7 @@ class _RetryingAccess(Event):
                 detail=f"attempt {attempt + 1}, backoff {delay:.2f} ms",
             )
             self._attempt = attempt + 1
-            controller.env.timeout(delay).callbacks.append(self._submit)
+            controller.env.timeout(delay)._callbacks = [self._submit]
             return
         if error == ERROR_TIMEOUT:
             log.record(
@@ -1024,4 +1034,4 @@ class _RetryingAccess(Event):
                 detail=f"gave up after {attempt} retries",
             )
         controller._count_hard_error(address.disk)
-        self.succeed(disk_request)
+        self.succeed()

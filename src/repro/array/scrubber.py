@@ -106,7 +106,7 @@ class ParityScrubber:
                     errored = [
                         index
                         for index, event in enumerate(unit_events)
-                        if event.value.error is not None
+                        if event.error is not None
                     ]
                     self.report.media_errors_found += len(errored)
                     if self.repair and 1 <= len(errored) <= num_syndromes:

@@ -40,5 +40,5 @@ class ConstantRateDisk(Disk):
     def _service_time(self, request):
         # Fixed cost regardless of position; the head "moves" so the
         # inherited stats and scheduler interfaces stay meaningful.
-        self.head_cylinder = self.geometry.cylinder_of(request.start_sector)
+        self.head_cylinder = request.cylinder
         return self.service_ms, 0.0, 0.0, self.service_ms

@@ -5,7 +5,15 @@ simulation: requests are submitted to its scheduler queue; the drive
 process services one request at a time, advancing the clock by a
 physically-computed service time (seek + rotational latency + transfer,
 split per track with skew-aware head switches), then fires the
-request's completion event.
+request, which is its own completion event.
+
+A disk access is one object, a :class:`DiskRequest`, from submit to
+completion: no separate completion event and, for a transfer that fits
+its track (every stripe-unit access), no per-track run tuple. Such a
+transfer is priced in the frame that needs it, by the drive and by the
+SPTF scheduler, with :func:`service_components`' float operations in
+its order; that function prices the rare longer transfer and is the
+tests' reference.
 
 The drive is deliberately *not* work-preserving: service time depends
 on the head position left by the previous request and on the platter's
@@ -23,7 +31,7 @@ from repro.disk.scheduling.base import Scheduler, make_scheduler
 from repro.disk.seek import SeekModel
 from repro.disk.specs import DiskSpec
 from repro.metrics.accumulators import WindowedDuration
-from repro.sim.events import Event, Timeout
+from repro.sim.events import PENDING, Event, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim import Environment
@@ -46,43 +54,22 @@ def service_components(
 ) -> typing.Tuple[float, float, float, float, int, int]:
     """Pure scalar service-time math for one request's track runs.
 
-    This is the disk's only service-time arithmetic on any scenario
-    path: the drive prices the request it services here, and the SPTF
-    scheduler prices each queued candidate here. The batch path in
-    :mod:`repro.disk.vectorized` (used by no scenario) must reproduce its
-    results bit-for-bit (pinned by the property tests in
-    ``tests/disk/test_vectorized.py``), so any
-    change to the arithmetic here — including operation *order*, which
-    decides float rounding — must be mirrored there.
-
-    A one-run transfer (every stripe-unit access) takes a straight-line
-    copy of the loop's first iteration. It performs the same float
-    operations in the same order, minus the loop's ``0.0 +`` seeds,
-    which are exact, so both spellings return the same bits
-    (``tests/disk/test_fast_paths.py`` pins this against the loop).
+    The drive and the SPTF scheduler price a transfer that crosses a
+    track here. A one-track transfer (every stripe-unit access) they
+    price in their own frame, with this loop's first iteration: the
+    same float operations in the same order, minus the loop's exact
+    ``0.0 +`` seeds, so both return the same bits
+    (``tests/disk/test_fast_paths.py`` checks both against this
+    function). The batch path in :mod:`repro.disk.vectorized` (used by
+    no scenario) must reproduce this function's results bit-for-bit
+    (pinned by ``tests/disk/test_vectorized.py``). Any change to the
+    arithmetic here, including operation *order*, which decides float
+    rounding, must be mirrored in all three.
 
     Returns ``(service_ms, seek_ms, rotation_ms, transfer_ms,
     head_cylinder, direction)`` where the last two are the head state
     after the transfer.
     """
-    if len(runs) == 1:
-        cylinder, _track, rotational_start, count = runs[0]
-        if cylinder != head_cylinder:
-            seek_ms = seek_time(abs(cylinder - head_cylinder))
-            direction = 1 if cylinder > head_cylinder else -1
-            clock = start_ms + seek_ms
-        else:
-            seek_ms = 0.0
-            clock = start_ms
-        position = (clock / sector_time_ms) % sectors_per_track
-        slots_to_wait = (rotational_start - position) % sectors_per_track
-        if slots_to_wait > sectors_per_track - 1e-6:
-            slots_to_wait = 0.0
-        rotation_ms = slots_to_wait * sector_time_ms
-        clock += rotation_ms
-        transfer_ms = count * sector_time_ms
-        clock += transfer_ms
-        return clock - start_ms, seek_ms, rotation_ms, transfer_ms, cylinder, direction
     clock = start_ms
     seek_ms = rotation_ms = transfer_ms = 0.0
     current_cylinder = head_cylinder
@@ -120,17 +107,24 @@ def service_components(
     )
 
 
-class DiskRequest:
-    """One physical disk access.
+class DiskRequest(Event):
+    """One physical disk access, and the event of its completion.
 
-    ``done`` is the completion event while the request is in flight;
-    the drive clears it and succeeds the event with the request when
-    the transfer finishes.
+    :meth:`Disk.submit` binds the request to the drive's environment
+    and returns it; the drive succeeds it with no value when the
+    transfer finishes. A value of the request itself would be a
+    reference cycle, so waiters read ``error``, ``complete_ms`` and the
+    other fields on the object they hold.
 
-    A plain ``__slots__`` class rather than a dataclass: hundreds of
-    thousands are allocated per scenario, and the per-instance dict is
-    measurable. (``@dataclass(slots=True)`` needs Python 3.10; the CI
-    matrix starts at 3.9.)
+    The constructor does not run :meth:`Event.__init__`: the request
+    has no environment until it is submitted, and setting the event
+    slots here saves a call on every disk access.
+
+    A one-track transfer (every stripe-unit access) is placed by two
+    ints, ``cylinder`` and ``rotational_start``, with ``runs`` None; a
+    longer one carries its per-track ``runs`` from
+    :meth:`~repro.disk.geometry.DiskGeometry.split_by_track`. Both are
+    set at submit and read by every pricing of the request.
     """
 
     __slots__ = (
@@ -138,13 +132,12 @@ class DiskRequest:
         "sector_count",
         "is_write",
         "kind",
-        "done",
         "submit_ms",
         "start_service_ms",
         "complete_ms",
         "cylinder",
+        "rotational_start",
         "runs",
-        "priced",
         "error",
     )
 
@@ -154,34 +147,22 @@ class DiskRequest:
         sector_count: int,
         is_write: bool,
         kind: str = KIND_USER,
-        done: object = None,
-        submit_ms: float = 0.0,
-        start_service_ms: float = 0.0,
-        complete_ms: float = 0.0,
-        cylinder: int = 0,
-        error: typing.Optional[str] = None,
     ):
+        self._callbacks: typing.Optional[list] = None
+        self._state = PENDING
+        self._value = None
+        self._exception: typing.Optional[BaseException] = None
         self.start_sector = start_sector
         self.sector_count = sector_count
         self.is_write = is_write
         self.kind = kind
-        self.done = done  # Event, attached at submit time
-        self.submit_ms = submit_ms
-        self.start_service_ms = start_service_ms
-        self.complete_ms = complete_ms
-        self.cylinder = cylinder  # cached for the scheduler
-        #: Per-track runs of the transfer, derived once at submit time
-        #: and shared by every pricing of this request.
-        self.runs: typing.Sequence = ()
-        #: ``service_components`` of this request as the scheduler
-        #: priced it when popping it: at the drive's head position,
-        #: direction and clock at the moment service starts. None when
-        #: the scheduler did not price it; the drive then prices it.
-        self.priced: typing.Optional[tuple] = None
+        self.submit_ms = 0.0
+        self.start_service_ms = 0.0
+        self.complete_ms = 0.0
         #: Error outcome: None on success, else ``"media"`` / ``"timeout"``
         #: (see :mod:`repro.faults.state`). Only ever set when the disk
         #: carries a fault state.
-        self.error = error
+        self.error: typing.Optional[str] = None
 
     def __repr__(self) -> str:
         op = "write" if self.is_write else "read"
@@ -261,13 +242,15 @@ class Disk:
         self.geometry = DiskGeometry(spec)
         self.seek_model = SeekModel.for_spec(spec)
         # DiskSpec derives these on every property read; the service-time
-        # loop reads them per track run, so snapshot them once. The spec
-        # is frozen, so the snapshot cannot go stale.
+        # arithmetic reads them per request, so snapshot them once. The
+        # spec is frozen, so the snapshot cannot go stale.
         self._sector_time_ms = spec.sector_time_ms
         self._sectors_per_track = spec.sectors_per_track
         self._head_switch_ms = spec.head_switch_ms
         self._seek_time = self.seek_model.seek_time
-        self._split_by_track = self.geometry.split_by_track  # bound once for submit()
+        self._seek_table = self.seek_model.table
+        # Bound once for submit().
+        self._locate_transfer = self.geometry.locate_transfer
         self.scheduler = scheduler if scheduler is not None else make_scheduler(
             policy, spec.cylinders
         )
@@ -294,22 +277,28 @@ class Disk:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, request: DiskRequest):
-        """Queue a request; returns the request's completion event.
+    def submit(self, request: DiskRequest) -> DiskRequest:
+        """Queue a request; returns the request, which is its own
+        completion event.
 
         Every disk request of a simulation enters here, so counting
-        calls to this method counts the run's disk I/Os. The track runs
-        (which also validate the transfer) are derived once, here, and
-        shared by every pricing of the request.
+        calls to this method counts the run's disk I/Os. The transfer is
+        validated and placed once, here, for every pricing of the
+        request: one geometry call gives the cylinder and rotational
+        start of a transfer that fits its track, and only a longer one
+        gets its per-track runs.
         """
-        runs = request.runs = self._split_by_track(
-            request.start_sector, request.sector_count
-        )
-        request.cylinder = runs[0].cylinder
-        request.priced = None
-        env = self.env
-        done = request.done = Event(env)
-        request.submit_ms = env.now
+        located = self._locate_transfer(request.start_sector, request.sector_count)
+        if located is None:
+            runs = request.runs = self.geometry.split_by_track(
+                request.start_sector, request.sector_count
+            )
+            request.cylinder = runs[0].cylinder
+        else:
+            request.cylinder, request.rotational_start = located
+            request.runs = None
+        env = request.env = self.env
+        request.submit_ms = env._now
         self.scheduler.push(request)
         if self.queue_gauge is not None:
             self.queue_gauge.add(1, request.submit_ms)
@@ -318,11 +307,11 @@ class Disk:
             # The drive is parked on an empty queue: wake it once.
             self._idle_wakeup = None
             wakeup.succeed()
-        return done
+        return request
 
     def access(self, start_sector: int, sector_count: int, is_write: bool,
                kind: str = KIND_USER):
-        """Convenience: build and submit a request, returning its event."""
+        """Convenience: build and submit a request, returning it."""
         request = DiskRequest(
             start_sector=start_sector,
             sector_count=sector_count,
@@ -341,6 +330,9 @@ class Disk:
     def _run(self):
         # env / scheduler / stats never change over the drive's life;
         # the loop runs once per serviced request, so bind them once.
+        # The drive reads the clock from the kernel's ``_now`` slot, as
+        # submit() and _service_time() do: the ``now`` property is a
+        # Python call, and the disk layer reads the clock per request.
         env = self.env
         scheduler = self.scheduler
         stats = self.stats
@@ -351,7 +343,7 @@ class Disk:
                 self._idle_wakeup = wakeup = Event(env)
                 yield wakeup
             request = scheduler.pop(self.head_cylinder, self.direction)
-            request.start_service_ms = env.now
+            request.start_service_ms = env._now
             if self.queue_gauge is not None:
                 self.queue_gauge.add(-1, request.start_service_ms)
             service_ms, seek_ms, rotation_ms, transfer_ms = service_time(request)
@@ -363,13 +355,9 @@ class Disk:
                 if penalty_ms > 0:
                     yield Timeout(env, penalty_ms)
                 request.error = error
-            request.complete_ms = env.now
+            request.complete_ms = env._now
             stats.record(request, seek_ms, rotation_ms, transfer_ms)
-            # The event's value is the request: clear the request's
-            # link back first, so neither keeps the other alive.
-            done = request.done
-            request.done = None
-            done.succeed(request)
+            request.succeed()
 
     # ------------------------------------------------------------------
     # Physical timing
@@ -377,27 +365,50 @@ class Disk:
     def _service_time(self, request: DiskRequest) -> typing.Tuple[float, float, float, float]:
         """Compute service time; updates head cylinder and direction.
 
-        A request the scheduler priced when popping it (SPTF prices
-        every candidate) keeps that price: the pop and this call see the
-        same head position, direction and clock, so pricing it again
-        would repeat the identical arithmetic.
+        A one-track request is priced here, in frame, from its
+        ``cylinder`` and ``rotational_start``: the float operations and
+        their order are those of :func:`service_components`' first loop
+        iteration, so the bits are the same. A longer one goes through
+        :func:`service_components`.
         """
-        priced = request.priced
-        if priced is None:
-            priced = service_components(
-                request.runs,
-                self.head_cylinder,
-                self.direction,
-                self.env.now,
-                self._seek_time,
-                self._sector_time_ms,
-                self._sectors_per_track,
-                self._head_switch_ms,
+        now = self.env._now
+        if request.runs is not None:
+            service_ms, seek_ms, rotation_ms, transfer_ms, cylinder, direction = (
+                service_components(
+                    request.runs,
+                    self.head_cylinder,
+                    self.direction,
+                    now,
+                    self._seek_time,
+                    self._sector_time_ms,
+                    self._sectors_per_track,
+                    self._head_switch_ms,
+                )
             )
-        service_ms, seek_ms, rotation_ms, transfer_ms, cylinder, direction = priced
-        self.head_cylinder = cylinder
-        self.direction = direction
-        return service_ms, seek_ms, rotation_ms, transfer_ms
+            self.head_cylinder = cylinder
+            self.direction = direction
+            return service_ms, seek_ms, rotation_ms, transfer_ms
+        cylinder = request.cylinder
+        head_cylinder = self.head_cylinder
+        if cylinder != head_cylinder:
+            seek_ms = self._seek_table[abs(cylinder - head_cylinder)]
+            self.direction = 1 if cylinder > head_cylinder else -1
+            self.head_cylinder = cylinder
+            clock = now + seek_ms
+        else:
+            seek_ms = 0.0
+            clock = now
+        sector_time_ms = self._sector_time_ms
+        sectors_per_track = self._sectors_per_track
+        position = (clock / sector_time_ms) % sectors_per_track
+        slots_to_wait = (request.rotational_start - position) % sectors_per_track
+        if slots_to_wait > sectors_per_track - 1e-6:
+            slots_to_wait = 0.0
+        rotation_ms = slots_to_wait * sector_time_ms
+        clock += rotation_ms
+        transfer_ms = request.sector_count * sector_time_ms
+        clock += transfer_ms
+        return clock - now, seek_ms, rotation_ms, transfer_ms
 
     def __repr__(self) -> str:
         return (

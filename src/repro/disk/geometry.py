@@ -55,48 +55,51 @@ class DiskGeometry:
         track, within = divmod(rest, self._sectors_per_track)
         return cylinder, track, within
 
-    def cylinder_of(self, sector: int) -> int:
-        """Cylinder containing a logical sector."""
-        if not 0 <= sector < self._total_sectors:
-            raise ValueError(
-                f"sector {sector} outside disk of {self._total_sectors} sectors"
-            )
-        return sector // self._sectors_per_cylinder
-
     def rotational_position(self, cylinder: int, track: int, sector_in_track: int) -> int:
         """Angular slot of a sector, applying cumulative track skew."""
         global_track = cylinder * self._tracks_per_cylinder + track
         skew = (global_track * self._track_skew_sectors) % self._sectors_per_track
         return (sector_in_track + skew) % self._sectors_per_track
 
+    def locate_transfer(
+        self, start_sector: int, count: int
+    ) -> typing.Optional[typing.Tuple[int, int]]:
+        """``(cylinder, rotational_start)`` of a transfer that fits its
+        track, or None for a longer one.
+
+        This is the first run :meth:`split_by_track` would return, minus
+        the track and the count, found with two ``divmod`` calls and the
+        skew arithmetic of :meth:`rotational_position`, and no run
+        object. Every stripe-unit access on the shipped specs fits its
+        track; :meth:`Disk.submit <repro.disk.drive.Disk.submit>` calls
+        this for every request and :meth:`split_by_track` only on None.
+        The transfer is validated as :meth:`split_by_track` validates it.
+        """
+        if count < 1 or start_sector < 0 or start_sector + count > self._total_sectors:
+            self._refuse_transfer(start_sector, count)
+        sectors_per_track = self._sectors_per_track
+        cylinder, rest = divmod(start_sector, self._sectors_per_cylinder)
+        track, within = divmod(rest, sectors_per_track)
+        if within + count > sectors_per_track:
+            return None
+        skew = (
+            (cylinder * self._tracks_per_cylinder + track) * self._track_skew_sectors
+        ) % sectors_per_track
+        return cylinder, (within + skew) % sectors_per_track
+
     def split_by_track(
         self, start_sector: int, count: int
     ) -> typing.Tuple[SectorRange, ...]:
         """Decompose a transfer into per-track contiguous runs, in order.
 
-        A transfer that fits in one track (every stripe-unit access on
-        the shipped specs) gets its single run from two ``divmod``
-        calls; a longer one walks the tracks it crosses. Nothing is
-        cached: each call builds a fresh tuple.
+        Walks the tracks the transfer touches, one :meth:`locate` per
+        track. The simulator calls it only for a transfer that crosses a
+        track (:meth:`locate_transfer` places the rest); each call builds
+        a fresh tuple.
         """
-        if count < 1:
-            raise ValueError(f"transfer needs at least one sector, got {count}")
-        if start_sector < 0 or start_sector + count > self._total_sectors:
-            raise ValueError(
-                f"transfer [{start_sector}, {start_sector + count}) lies outside "
-                f"the disk of {self._total_sectors} sectors"
-            )
+        if count < 1 or start_sector < 0 or start_sector + count > self._total_sectors:
+            self._refuse_transfer(start_sector, count)
         sectors_per_track = self._sectors_per_track
-        cylinder, rest = divmod(start_sector, self._sectors_per_cylinder)
-        track, within = divmod(rest, sectors_per_track)
-        if within + count <= sectors_per_track:
-            # rotational_position(cylinder, track, within), inlined.
-            skew = (
-                (cylinder * self._tracks_per_cylinder + track) * self._track_skew_sectors
-            ) % sectors_per_track
-            return (
-                SectorRange(cylinder, track, (within + skew) % sectors_per_track, count),
-            )
         runs = []
         sector = start_sector
         remaining = count
@@ -114,3 +117,13 @@ class DiskGeometry:
             sector += on_this_track
             remaining -= on_this_track
         return tuple(runs)
+
+    def _refuse_transfer(self, start_sector: int, count: int) -> typing.NoReturn:
+        """Raise the ``ValueError`` for a transfer that is empty or
+        leaves the disk."""
+        if count < 1:
+            raise ValueError(f"transfer needs at least one sector, got {count}")
+        raise ValueError(
+            f"transfer [{start_sector}, {start_sector + count}) lies outside "
+            f"the disk of {self._total_sectors} sectors"
+        )

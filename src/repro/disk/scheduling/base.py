@@ -71,10 +71,10 @@ def make_scheduler(policy: str, cylinders: int) -> Scheduler:
     policy:
         One of ``"fifo"``, ``"sstf"``, ``"sptf"``, ``"look"``,
         ``"cvscan"``. SPTF prices every queued candidate's full
-        physical service time with the drive's
-        :func:`~repro.disk.drive.service_components` and needs a drive
-        bound via ``bind_disk`` — :class:`~repro.disk.drive.Disk` does
-        this automatically for any scheduler exposing the hook.
+        physical service time with the drive's arithmetic (see
+        :mod:`repro.disk.scheduling.sptf`) and needs a drive bound via
+        ``bind_disk`` — :class:`~repro.disk.drive.Disk` does this
+        automatically for any scheduler exposing the hook.
     cylinders:
         Disk size, used by CVSCAN to scale its directional bias.
 

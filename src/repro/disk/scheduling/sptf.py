@@ -8,18 +8,22 @@ the same order of magnitude as a short seek on the paper's drives, so
 SPTF finds wins SSTF cannot see (a slightly farther cylinder whose
 target sector is about to rotate under the head).
 
-Each pop prices every queued candidate once with the drive's own
-service-time arithmetic (:func:`repro.disk.drive.service_components`),
-on the track runs :meth:`Disk.submit <repro.disk.drive.Disk.submit>`
-derived for the request. Queues on the paper's workloads stay short
-(a few dozen candidates at most), so a plain loop is the cheapest way
-to do it. The winner carries its price to the drive
-(``DiskRequest.priced``), which services it at that same head position
-and instant and so does not price it again.
+Each pop prices every queued candidate once, from the drive's head
+position, direction and clock. A one-track candidate (every
+stripe-unit access) is priced in the loop's own frame from the
+``cylinder`` and ``rotational_start`` :meth:`Disk.submit
+<repro.disk.drive.Disk.submit>` placed it at, with the seek table read
+directly and :func:`~repro.disk.drive.service_components`' float
+operations in its order, so the price has the same bits; a longer one
+is priced by that function on its track runs. Queues on the paper's
+workloads stay short (a few dozen candidates at most), so a plain loop
+is the cheapest way to do it. The pop hands the drive no price: the
+drive prices the winner once more when it services it.
 """
 
 from __future__ import annotations
 
+import math
 import typing
 
 from repro.disk.drive import service_components
@@ -47,6 +51,7 @@ class SptfScheduler(Scheduler):
         # The spec derives these on every property read and is frozen,
         # so snapshot them once, as the drive does.
         self._seek_time = disk.seek_model.seek_time
+        self._seek_table = disk.seek_model.table
         self._sector_time_ms = spec.sector_time_ms
         self._sectors_per_track = spec.sectors_per_track
         self._head_switch_ms = spec.head_switch_ms
@@ -64,30 +69,43 @@ class SptfScheduler(Scheduler):
                 "SptfScheduler needs bind_disk() before pop() — construct it "
                 "through make_scheduler()/Disk, which bind automatically"
             )
-        now = disk.env.now
-        seek_time = self._seek_time
+        now = disk.env._now  # the kernel's clock slot, as the drive reads it
+        seek_table = self._seek_table
         sector_time_ms = self._sector_time_ms
         sectors_per_track = self._sectors_per_track
-        head_switch_ms = self._head_switch_ms
+        snap = sectors_per_track - 1e-6
         best = 0
-        best_priced = None
+        best_ms = math.inf
         for index, request in enumerate(queue):
-            priced = service_components(
-                request.runs,
-                head_cylinder,
-                direction,
-                now,
-                seek_time,
-                sector_time_ms,
-                sectors_per_track,
-                head_switch_ms,
-            )
-            if best_priced is None or priced[0] < best_priced[0]:
+            if request.runs is None:
+                # Disk._service_time's one-track pricing, service time only.
+                cylinder = request.cylinder
+                if cylinder != head_cylinder:
+                    clock = now + seek_table[abs(cylinder - head_cylinder)]
+                else:
+                    clock = now
+                position = (clock / sector_time_ms) % sectors_per_track
+                slots_to_wait = (request.rotational_start - position) % sectors_per_track
+                if slots_to_wait > snap:
+                    slots_to_wait = 0.0
+                clock += slots_to_wait * sector_time_ms
+                clock += request.sector_count * sector_time_ms
+                service_ms = clock - now
+            else:
+                service_ms = service_components(
+                    request.runs,
+                    head_cylinder,
+                    direction,
+                    now,
+                    self._seek_time,
+                    sector_time_ms,
+                    sectors_per_track,
+                    self._head_switch_ms,
+                )[0]
+            if service_ms < best_ms:
                 best = index
-                best_priced = priced
-        request = queue.pop(best)
-        request.priced = best_priced
-        return request
+                best_ms = service_ms
+        return queue.pop(best)
 
     def __len__(self) -> int:
         return len(self._queue)

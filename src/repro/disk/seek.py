@@ -145,8 +145,10 @@ class SeekModel:
     def table(self) -> tuple:
         """The distance-indexed lookup table (``table[d]`` = seek ms).
 
-        Exposed for the vectorized service-time kernel, which loads it
-        into a numpy array once per spec — same floats, same bits.
+        The drive and the SPTF scheduler snapshot it once and index it
+        directly when they price a one-track transfer; the vectorized
+        service-time kernel loads it into a numpy array once per spec.
+        Same floats, same bits as :meth:`seek_time`.
         """
         return tuple(self._table)
 

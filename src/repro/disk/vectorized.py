@@ -22,8 +22,8 @@ the formulas but the floating-point *operation order*:
 Users: the end-to-end benchmark's attribution, which counts calls to
 :func:`service_times` as ``disk.batch_pricings``, and the property
 tests. No scenario path uses this module: the SPTF scheduler prices
-its short queues with :func:`~repro.disk.drive.service_components`
-directly.
+its short queues in its own loop (one-track candidates in frame,
+longer ones with :func:`~repro.disk.drive.service_components`).
 
 The kernel switch
 -----------------

@@ -46,22 +46,26 @@ MAX_NUM_DISKS = 10_000
 
 def _pair_balanced_design(
     num_disks: int, stripe_size: int
-) -> typing.Optional[typing.Callable[[], BlockDesign]]:
-    """The builder of a triple-balanced design for (C, G), or None.
+) -> typing.Optional[typing.Tuple[int, typing.Callable[[], BlockDesign]]]:
+    """``(blocks, builder)`` of a triple-balanced design for (C, G), or None.
 
     Triple balance makes the rebuild load uniform across failed
     *pairs*. Two families have it: the boolean Steiner quadruple
-    systems for G=4 on power-of-two widths, and the cyclic
-    planar-difference-set designs at C = G(G-1)+1. Only the builder is
-    returned, so asking costs nothing at any width.
+    systems for G=4 on power-of-two widths, with v(v-1)(v-2)/24
+    blocks, and the cyclic planar-difference-set designs at
+    C = G(G-1)+1, with v blocks. Only the block count and the builder
+    are returned, so asking costs nothing at any width.
     """
     if stripe_size == 4 and num_disks >= 8 and num_disks & (num_disks - 1) == 0:
-        return lambda: boolean_quadruple_system(num_disks.bit_length() - 1)
+        return (
+            num_disks * (num_disks - 1) * (num_disks - 2) // 24,
+            lambda: boolean_quadruple_system(num_disks.bit_length() - 1),
+        )
     if (
         stripe_size in PLANAR_DIFFERENCE_SETS
         and num_disks == stripe_size * (stripe_size - 1) + 1
     ):
-        return lambda: cyclic_pq_design(stripe_size)
+        return num_disks, lambda: cyclic_pq_design(stripe_size)
     return None
 
 
@@ -75,9 +79,9 @@ def design_for(num_disks: int, stripe_size: int, syndromes: int = 1) -> BlockDes
     correct placement, merely without the pair-balance guarantee.
     """
     if syndromes == 2:
-        build = _pair_balanced_design(num_disks, stripe_size)
-        if build is not None:
-            return build()
+        pair_balanced = _pair_balanced_design(num_disks, stripe_size)
+        if pair_balanced is not None:
+            return pair_balanced[1]()
     return default_catalog().select(num_disks, stripe_size)
 
 
@@ -131,13 +135,17 @@ def _catalog_serves_exact(num_disks: int, stripe_size: int, syndromes: int) -> b
     large C the nearest feasible design is a near-complete one whose
     O(b * k**2) validation is intractable (v=1009 would pick k=1008 and
     spend ~1e9 operations in ``pair_counts``), so no path may walk into
-    it there (see :func:`check_layout`).
+    it there (see :func:`check_layout`). A triple-balanced P+Q design
+    serves only within the catalog's own ``max_table_tuples`` bound:
+    SQS(256) alone has 690,880 blocks.
     """
     if stripe_size == num_disks:
         return True  # RAID 5 / RAID 6: no block design involved
-    if syndromes == 2 and _pair_balanced_design(num_disks, stripe_size):
-        return True  # a triple-balanced P+Q design
     catalog = default_catalog()
+    if syndromes == 2:
+        pair_balanced = _pair_balanced_design(num_disks, stripe_size)
+        if pair_balanced is not None and pair_balanced[0] <= catalog.max_table_tuples:
+            return True  # a triple-balanced P+Q design of tractable size
     if catalog.exact(num_disks, stripe_size) is not None:
         return True
     return complete_design_size(num_disks, stripe_size) <= catalog.max_table_tuples

@@ -57,4 +57,4 @@ class TestConstantRateDisk:
         disk.access(0, 8, is_write=False)
         second = disk.access(8, 8, is_write=False)
         env.run()
-        assert second.value.complete_ms == pytest.approx(20.0)
+        assert second.complete_ms == pytest.approx(20.0)

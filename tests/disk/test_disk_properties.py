@@ -103,12 +103,11 @@ class TestServiceProperties:
         spec = scaled_spec(5)
         env = Environment()
         disk = Disk(env, spec, policy="fifo")
-        events = [disk.access(u * 8, 8, is_write=False) for u in units]
+        requests = [disk.access(u * 8, 8, is_write=False) for u in units]
         env.run()
         # Each 8-sector access: at most max seek + full rotation + transfer.
         ceiling = spec.seek_max_ms + spec.revolution_ms + 8 * spec.sector_time_ms + 1e-6
-        for event in events:
-            request = event.value
+        for request in requests:
             assert 0 < request.service_ms <= ceiling
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the disk drive server process."""
 
+import gc
 import random
 
 import pytest
@@ -95,7 +96,7 @@ class TestQueueing:
         first = disk.access(0, 8, is_write=False)
         second = disk.access(8, 8, is_write=False)
         env.run()
-        assert second.value.start_service_ms >= first.value.complete_ms
+        assert second.start_service_ms >= first.complete_ms
 
     def test_wakeup_after_idle(self):
         env = Environment()
@@ -103,8 +104,8 @@ class TestQueueing:
 
         def late_submitter(env):
             yield env.timeout(100.0)
-            done = disk.access(0, 8, is_write=False)
-            request = yield done
+            request = disk.access(0, 8, is_write=False)
+            assert (yield request) is None
             return request.submit_ms
 
         process = env.process(late_submitter(env))
@@ -143,21 +144,20 @@ class TestStats:
         disk.stats.busy_window.since_ms = since_ms
         reference = WindowedDuration(since_ms=since_ms)
         rng = random.Random(11)
-        dones = [
+        requests = [
             disk.access(rng.randrange(0, 100_000, 8), 8, is_write=False)
             for _ in range(20)
         ]
         env.run()
-        for done in dones:
-            reference.add(done.value.start_service_ms, done.value.complete_ms)
+        for request in requests:
+            reference.add(request.start_service_ms, request.complete_ms)
         assert disk.stats.busy_window.total_ms.hex() == float(reference.total_ms).hex()
 
     def test_response_decomposition(self):
         env = Environment()
         disk = Disk(env, IBM_0661, policy="fifo")
-        done = disk.access(0, 8, is_write=False)
+        request = disk.access(0, 8, is_write=False)
         env.run()
-        request = done.value
         assert request.response_ms == pytest.approx(
             request.queue_wait_ms + request.service_ms
         )
@@ -167,6 +167,71 @@ class TestStats:
         disk = Disk(env, IBM_0661)
         with pytest.raises(ValueError):
             disk.submit(DiskRequest(start_sector=0, sector_count=0, is_write=False))
+
+
+class TestCompletion:
+    def test_the_request_is_its_completion_event(self):
+        env = Environment()
+        disk = Disk(env, IBM_0661, policy="fifo")
+        request = DiskRequest(96, 8, False)
+        assert disk.submit(request) is request
+        assert not request.triggered
+        env.run()
+        assert request.processed and request.ok
+        assert request.value is None
+        assert request.complete_ms > request.start_service_ms
+
+    def test_a_transfer_is_placed_once_at_submit(self):
+        env = Environment()
+        disk = Disk(env, IBM_0661, policy="fifo")
+        one_track = disk.access(5 * IBM_0661.sectors_per_cylinder + 50, 8, is_write=False)
+        assert (one_track.cylinder, one_track.runs) == (5, None)
+        assert one_track.rotational_start == disk.geometry.split_by_track(
+            one_track.start_sector, 8
+        )[0].rotational_start
+        longer = disk.access(44, 8, is_write=False)
+        assert longer.runs == disk.geometry.split_by_track(44, 8)
+        assert longer.cylinder == 0 and len(longer.runs) == 2
+
+    @pytest.mark.parametrize(
+        "start, count, needle",
+        [
+            (0, 0, "at least one sector"),
+            (-8, 8, "outside the disk"),
+            (IBM_0661.total_sectors - 4, 8, "outside the disk"),
+        ],
+    )
+    def test_an_invalid_transfer_is_refused_before_it_is_queued(self, start, count, needle):
+        env = Environment()
+        disk = Disk(env, IBM_0661)
+        with pytest.raises(ValueError, match=needle):
+            disk.submit(DiskRequest(start, count, False))
+        assert disk.queue_length == 0
+
+    @pytest.mark.parametrize("policy", ["fifo", "cvscan", "sptf", "sptf+priority"])
+    def test_completed_requests_need_no_cyclic_collector(self, policy):
+        """A finished request is freed by reference counting alone: the
+        controller-level guard allows up to 1,000 collected objects,
+        too loose to catch one cycle per disk request."""
+        env = Environment()
+        disk = Disk(env, scaled_spec(5), policy=policy)
+        rng = random.Random(5)
+        units = disk.spec.total_sectors // 8
+
+        def submitter(env, count, kind):
+            for _ in range(count):
+                yield disk.access(rng.randrange(units) * 8, 8, rng.random() < 0.5, kind)
+
+        gc.collect()
+        gc.disable()
+        try:
+            for index in range(4):
+                env.process(submitter(env, 250, (KIND_USER, KIND_RECON)[index % 2]))
+            env.run()
+            assert disk.stats.completed == 1_000
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDeterminism:

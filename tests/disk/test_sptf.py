@@ -2,8 +2,10 @@
 
 The reference is a fresh :func:`~repro.disk.drive.service_components`
 call on the request's track runs at the drive's head position,
-direction and clock: SPTF must pick that call's argmin, and the seek,
-rotation and transfer the drive records for the pick must equal it.
+direction and clock: SPTF must pick the first strict argmin of that
+call's service time, and the seek, rotation and transfer the drive
+records for the pick (it prices the pick once more; the pop hands it
+no price) must equal it.
 """
 
 import pytest
@@ -72,8 +74,6 @@ class TestPricing:
             best = min(range(len(queued)), key=lambda i: prices[i][0])
             popped = disk.scheduler.pop(disk.head_cylinder, disk.direction)
             assert popped is queued[best]
-            if len(queued) > 1:
-                assert popped.priced == prices[best]
             queued.remove(popped)
             disk.head_cylinder, disk.direction = prices[best][4], prices[best][5]
 
@@ -82,8 +82,10 @@ class TestPricing:
         disk.head_cylinder, disk.direction = 350, -1
         submit_all(disk, [(350 * SPC + 5, 4), (350 * SPC + 3 * SPT, 4)])
         popped = disk.scheduler.pop(disk.head_cylinder, disk.direction)
-        assert popped.priced == reference(disk, popped)
-        assert popped.priced[4:] == (350, -1)
+        fresh = reference(disk, popped)
+        assert fresh[1] == 0.0 and fresh[4:] == (350, -1)
+        assert disk._service_time(popped) == fresh[:4]
+        assert (disk.head_cylinder, disk.direction) == (350, -1)
 
     def test_equal_times_go_to_the_earlier_push(self):
         _env, disk = idle_drive()
@@ -102,16 +104,20 @@ class TestContract:
             scheduler.pop(0, 1)
 
     def test_singleton_queue_skips_pricing(self):
-        # One queued request needs no pricing, hence no bound disk.
+        # One queued request needs no pricing, hence no bound disk and
+        # no placement: this request was never submitted, so pricing it
+        # would fail on its unset ``runs``.
         scheduler = SptfScheduler()
         only = DiskRequest(7, 2, is_write=False)
         scheduler.push(only)
         assert scheduler.pop(0, 1) is only
-        assert only.priced is None
 
 
 class TestDriveHandoff:
     def test_recorded_components_equal_a_fresh_pricing(self):
+        # The pop hands the drive no price: the drive prices its pick
+        # once more, at the same head state and instant, and must land
+        # on the reference's components and head state.
         env, disk = idle_drive()
         picks = []
         pop = disk.scheduler.pop
@@ -126,7 +132,9 @@ class TestDriveHandoff:
         record = disk.stats.record
 
         def watched_record(request, seek_ms, rotation_ms, transfer_ms):
-            recorded[request] = (seek_ms, rotation_ms, transfer_ms)
+            recorded[request] = (
+                seek_ms, rotation_ms, transfer_ms, disk.head_cylinder, disk.direction,
+            )
             record(request, seek_ms, rotation_ms, transfer_ms)
 
         disk.scheduler.pop = watched_pop
@@ -136,19 +144,19 @@ class TestDriveHandoff:
         assert len(recorded) == len(queued)
         assert sum(depth > 1 for _r, depth, _p in picks) == len(queued) - 1
         for request, _depth, fresh in picks:
-            assert recorded[request] == fresh[1:4]
+            assert recorded[request] == fresh[1:]
             assert request.complete_ms == request.start_service_ms + fresh[0]
 
 
 class TestPriority:
     def test_sptf_plus_priority_binds_both_classes(self):
         env, disk = idle_drive(policy="sptf+priority")
+        assert disk.scheduler.user_queue._disk is disk
+        assert disk.scheduler.recon_queue._disk is disk
         # Three of each class at once: both children price multi-candidate
         # queues, which raises unless each is bound to the drive.
         recon = submit_all(disk, SHAPES[:3], kind=KIND_RECON)
         user = submit_all(disk, SHAPES[3:6])
         env.run()
-        # Each class pops at depths 3, 2 and 1; only the last is unpriced.
-        assert sum(request.priced is not None for request in user) == 2
-        assert sum(request.priced is not None for request in recon) == 2
+        assert all(request.processed for request in user + recon)
         assert max(r.complete_ms for r in user) < min(r.complete_ms for r in recon)

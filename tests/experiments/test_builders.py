@@ -126,6 +126,24 @@ class TestCheckLayout:
         )
 
     @pytest.mark.parametrize("layout", ["auto", "table"])
+    @pytest.mark.parametrize("num_disks", [256, 512])
+    def test_pq_quadruple_system_past_the_size_cap_is_refused(self, num_disks, layout):
+        # SQS(256) and SQS(512) have 690,880 and 5,559,680 blocks, far
+        # past the catalog's 50,000-tuple cap; building the first took
+        # 43.6 s before the cap applied to triple-balanced designs.
+        started = time.perf_counter()
+        with pytest.raises(LayoutError):
+            check_layout(num_disks, 4, syndromes=2, layout=layout)
+        with pytest.raises(LayoutError):
+            build_layout(num_disks, 4, syndromes=2, layout=layout)
+        assert time.perf_counter() - started < 1.0
+
+    def test_pq_quadruple_system_within_the_size_cap_still_builds(self):
+        layout = build_layout(64, 4, syndromes=2)
+        assert isinstance(layout, DeclusteredLayout)
+        assert layout.name == "dual-declustered-sqs-64"
+
+    @pytest.mark.parametrize("layout", ["auto", "table"])
     def test_builds_no_design_below_the_sampling_threshold(self, monkeypatch, layout):
         # Table layouts below C=256 always build (by closest-alpha
         # substitution if need be), so checking them costs nothing.

@@ -108,6 +108,11 @@ BAD_USAGE_CASES = [
          "--cylinders", "128", "--no-cache"],
         id="scenario-table-layout-without-a-design-at-large-width",
     ),
+    pytest.param(
+        ["scenario", "--num-disks", "256", "--stripe-size", "4", "--syndromes", "2",
+         "--no-cache"],
+        id="scenario-pq-quadruple-system-past-the-size-cap",
+    ),
 ]
 
 
