@@ -6,7 +6,12 @@ design if it is small enough; otherwise choose the closest feasible
 design point — the ``k`` whose ``alpha`` is nearest the request —
 because "the performance of an array is not highly sensitive to such
 small variations in alpha". :class:`DesignCatalog` implements exactly
-that policy over a registry of verified constructions.
+that policy over a registry of verified constructions, in two steps:
+choosing the tuple size from parameters alone (:meth:`~DesignCatalog.blocks`
+and :meth:`~DesignCatalog.closest_k` read the registry and
+:func:`math.comb`), then building that design
+(:meth:`~DesignCatalog.build`). :mod:`repro.experiments.builders` plans
+every layout with the first step, so checking a shape builds no design.
 """
 
 from __future__ import annotations
@@ -46,9 +51,9 @@ class DesignCatalog:
     """A registry of known block designs with the paper's lookup policy."""
 
     def __init__(self, max_table_tuples: int = 50_000):
-        #: Complete designs larger than this violate the efficient-mapping
+        #: Designs larger than this violate the efficient-mapping
         #: criterion (the paper's 41-disk G=5 example would need ~3.75M
-        #: tuples) and are not offered.
+        #: tuples for a complete design) and are not offered.
         self.max_table_tuples = max_table_tuples
         self._entries: typing.Dict[typing.Tuple[int, int], CatalogEntry] = {}
         self._cache: typing.Dict[typing.Tuple[int, int], BlockDesign] = {}
@@ -83,37 +88,44 @@ class DesignCatalog:
         self._cache[key] = design
         return design
 
-    def feasible_ks(self, v: int) -> typing.List[int]:
-        """Tuple sizes with a feasible (registered or small-complete) design."""
-        ks = {k for (vv, k) in self._entries if vv == v}
-        for k in range(2, v + 1):
-            if complete_design_size(v, k) <= self.max_table_tuples:
-                ks.add(k)
-        return sorted(ks)
-
-    def select(self, v: int, k: int) -> BlockDesign:
-        """A design for ``(v, k)``, or the closest feasible ``alpha``.
-
-        Follows the paper's policy: exact incomplete design, then small
-        complete design, then the feasible ``k'`` minimizing
-        ``|alpha(k') - alpha(k)|``.
-        """
+    def blocks(self, v: int, k: int) -> typing.Optional[int]:
+        """Tuples in the design :meth:`build` makes for ``(v, k)``, or
+        None when it exceeds ``max_table_tuples``. Builds nothing."""
         if not 2 <= k <= v:
             raise DesignError(f"need 2 <= k <= v, got k={k}, v={v}")
-        design = self.exact(v, k)
-        if design is not None:
-            return design
-        if complete_design_size(v, k) <= self.max_table_tuples:
-            return complete_design(v, k)
+        entry = self._entries.get((v, k))
+        b = entry.b if entry is not None else complete_design_size(v, k)
+        return b if b <= self.max_table_tuples else None
+
+    def feasible_ks(self, v: int) -> typing.List[int]:
+        """Tuple sizes with a design within ``max_table_tuples``."""
+        return [k for k in range(2, v + 1) if self.blocks(v, k) is not None]
+
+    def closest_k(self, v: int, k: int) -> int:
+        """The feasible tuple size ``k'`` minimizing
+        ``|alpha(k') - alpha(k)|``, the smaller on a tie. Builds nothing."""
         target_alpha = (k - 1) / (v - 1)
         candidates = self.feasible_ks(v)
         if not candidates:
             raise DesignError(f"no feasible design on {v} objects at any tuple size")
-        best = min(candidates, key=lambda kk: (abs((kk - 1) / (v - 1) - target_alpha), kk))
-        chosen = self.exact(v, best)
-        if chosen is None:
-            chosen = complete_design(v, best)
-        return chosen
+        return min(candidates, key=lambda kk: (abs((kk - 1) / (v - 1) - target_alpha), kk))
+
+    def build(self, v: int, k: int) -> BlockDesign:
+        """The design on ``(v, k)``: the registered one, else the
+        complete one."""
+        design = self.exact(v, k)
+        return design if design is not None else complete_design(v, k)
+
+    def select(self, v: int, k: int) -> BlockDesign:
+        """A design for ``(v, k)``, or the closest feasible ``alpha``.
+
+        Follows the paper's policy in two steps: choose the tuple size
+        (``k`` itself when a registered or small complete design has
+        it, else :meth:`closest_k`), then :meth:`build` that design.
+        """
+        if self.blocks(v, k) is None:
+            k = self.closest_k(v, k)
+        return self.build(v, k)
 
 
 def _register_paper_designs(catalog: DesignCatalog) -> None:

@@ -86,9 +86,8 @@ class ScenarioConfig:
     #: (the dual P+Q extension tolerating two concurrent failures).
     syndromes: int = 1
     #: Layout implementation family (see
-    #: :data:`repro.experiments.builders.LAYOUT_CHOICES`): "auto" keeps
-    #: the historical table-based selection where the design catalog
-    #: serves it and falls back to arithmetic layouts at large C;
+    #: :data:`repro.experiments.builders.LAYOUT_CHOICES`): "auto" follows
+    #: every rule of :func:`~repro.experiments.builders.check_layout`;
     #: "table"/"prime"/"cyclic" force one family.
     layout: str = "auto"
 
@@ -138,8 +137,14 @@ class ScenarioConfig:
             raise ValueError(
                 f"failed_disk must be in [0, {self.num_disks}), got {self.failed_disk}"
             )
-        check_layout(self.num_disks, self.stripe_size, self.syndromes, self.layout)
-        self.scale_preset()  # an unknown scale name raises ValueError
+        plan = check_layout(self.num_disks, self.stripe_size, self.syndromes, self.layout)
+        scale = self.scale_preset()  # an unknown scale name raises ValueError
+        if plan.table_depth > scale.units_per_disk:
+            raise ValueError(
+                f"one full layout table for C={self.num_disks} "
+                f"G={plan.stripe_size} is {plan.table_depth} units deep; scale "
+                f"{scale.name!r} has {scale.units_per_disk} units per disk"
+            )
         parse_policy(self.policy)
 
     @property

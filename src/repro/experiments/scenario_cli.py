@@ -27,7 +27,12 @@ import math
 import sys
 import typing
 
-from repro.experiments.builders import LAYOUT_CHOICES, PAPER_NUM_DISKS
+from repro.experiments.builders import (
+    LAYOUT_CHOICES,
+    PAPER_NUM_DISKS,
+    alpha_of,
+    check_layout,
+)
 from repro.experiments.runner import MODES, ScenarioConfig
 from repro.experiments.scales import SCALES, ScalePreset, get_scale
 from repro.recon.algorithms import ALGORITHMS, algorithm_by_name
@@ -185,10 +190,21 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
 
     cache = None if args.no_cache else (args.cache_dir or default_cache_dir())
     options = SweepOptions(jobs=1, cache=cache, progress=True, stream=sys.stdout)
-    alpha = config.alpha
+    # The layout the plan chose: a closest-alpha substitute may have
+    # another G than the one requested.
+    chosen = check_layout(
+        config.num_disks, config.stripe_size, config.syndromes, config.layout
+    ).stripe_size
+    substitute = (
+        ""
+        if chosen == config.stripe_size
+        else f" (closest feasible alpha to G={config.stripe_size} "
+        f"alpha={config.alpha:.3f})"
+    )
     print(
-        f"scenario: C={config.num_disks} G={config.stripe_size} "
-        f"alpha={alpha:.3f} layout={config.layout} mode={config.mode} "
+        f"scenario: C={config.num_disks} G={chosen} "
+        f"alpha={alpha_of(config.num_disks, chosen):.3f}{substitute} "
+        f"layout={config.layout} mode={config.mode} "
         f"scale={config.scale_preset().name}"
     )
     try:

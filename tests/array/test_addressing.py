@@ -39,9 +39,9 @@ class TestCapacity:
         assert addressing.mapped_units_per_disk == 840  # depth 5 divides 840
 
     def test_disk_too_small_for_one_table_rejected(self):
-        big_table_layout = DeclusteredLayout(complete_design(10, 4))  # depth 336
+        deep_layout = DeclusteredLayout(complete_design(10, 4))  # depth 336
         with pytest.raises(ValueError, match="full layout table"):
-            ArrayAddressing(big_table_layout, scaled_spec(2))
+            ArrayAddressing(deep_layout, scaled_spec(2))
 
 
 class TestConversion:

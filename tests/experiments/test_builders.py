@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from repro.experiments import builders
+from repro.array.addressing import ArrayAddressing
+from repro.designs.design import BlockDesign
 from repro.experiments.builders import (
     PAPER_NUM_DISKS,
     PAPER_STRIPE_SIZES,
@@ -13,6 +14,8 @@ from repro.experiments.builders import (
     check_layout,
     design_for,
 )
+from repro.experiments.runner import ScenarioConfig
+from repro.experiments.scales import get_scale
 from repro.layout import DeclusteredLayout, LayoutError, LeftSymmetricRaid5Layout
 from repro.layout.arithmetic import PermutationStripingLayout
 
@@ -126,11 +129,13 @@ class TestCheckLayout:
         )
 
     @pytest.mark.parametrize("layout", ["auto", "table"])
-    @pytest.mark.parametrize("num_disks", [256, 512])
+    @pytest.mark.parametrize("num_disks", [128, 256, 512])
     def test_pq_quadruple_system_past_the_size_cap_is_refused(self, num_disks, layout):
-        # SQS(256) and SQS(512) have 690,880 and 5,559,680 blocks, far
-        # past the catalog's 50,000-tuple cap; building the first took
-        # 43.6 s before the cap applied to triple-balanced designs.
+        # SQS(128), SQS(256) and SQS(512) have 85,344, 690,880 and
+        # 5,559,680 blocks, past the catalog's 50,000-tuple cap;
+        # building SQS(256) took 43.6 s before the cap applied to
+        # triple-balanced designs, and SQS(128) 6 s before it applied
+        # below 256 disks.
         started = time.perf_counter()
         with pytest.raises(LayoutError):
             check_layout(num_disks, 4, syndromes=2, layout=layout)
@@ -145,15 +150,17 @@ class TestCheckLayout:
 
     @pytest.mark.parametrize("layout", ["auto", "table"])
     def test_builds_no_design_below_the_sampling_threshold(self, monkeypatch, layout):
-        # Table layouts below C=256 always build (by closest-alpha
-        # substitution if need be), so checking them costs nothing.
-        def no_catalog():
-            raise AssertionError("check_layout consulted the design catalog")
+        # The plan reads the catalog's registry and block counts only,
+        # so checking a shape costs nothing, including a closest-alpha
+        # substitute and a substitute refused for P+Q.
+        def no_design(design):
+            raise AssertionError(f"check_layout built a design on {design.v} objects")
 
-        monkeypatch.setattr(builders, "default_catalog", no_catalog)
-        for num_disks, stripe_size in [(21, 5), (21, 7), (255, 9)]:
-            check_layout(num_disks, stripe_size, layout=layout)
-            check_layout(num_disks, stripe_size, syndromes=2, layout=layout)
+        monkeypatch.setattr(BlockDesign, "__post_init__", no_design)
+        for shape in [(21, 5, 1), (21, 7, 1), (255, 9, 1), (21, 5, 2), (21, 7, 2)]:
+            check_layout(*shape, layout=layout)
+        with pytest.raises(LayoutError, match="closest feasible alpha"):
+            check_layout(255, 9, syndromes=2, layout=layout)
 
 
 class TestDualBuildLayout:
@@ -192,3 +199,119 @@ class TestDualBuildLayout:
     def test_other_pairs_fall_back_to_the_catalog(self):
         layout = build_layout(21, 6, syndromes=2)
         assert layout.stripe_size == 6
+
+
+#: ``build_layout``'s layout name on each shape ``(C, G, syndromes[,
+#: layout])`` (``layout`` defaults to "auto"), or None where it raises.
+#: The grid crosses every rule of ``check_layout``: widths on both sides
+#: of 68 (the first where C(C, 3) exceeds the 50,000-tuple cap, leaving
+#: P+Q only a k = 2 substitute) and of 256, prime and composite widths,
+#: G == C, registered, complete and triple-balanced designs, arithmetic
+#: layouts, forced families and closest-alpha substitutes. Where several
+#: G get one substitute, one G stands for them. The names were recorded
+#: before the plan was shared; only (128, 4, 2) changed, from
+#: "dual-declustered-sqs-128", an 85,344-block table past the cap.
+AGREEMENT_GRID = {
+    (21, 3, 1): "declustered-paper-bd1",
+    (21, 3, 2): "dual-declustered-paper-bd1",
+    (21, 4, 1): "declustered-paper-bd2",
+    (21, 4, 2): "dual-declustered-paper-bd2",
+    (21, 5, 1): "declustered-paper-bd3",
+    (21, 5, 2): "dual-declustered-cyclic-pq-21-5",
+    (21, 8, 1): "declustered-paper-bd4",
+    (21, 8, 2): "dual-declustered-paper-bd4",
+    (21, 8, 1, "table"): "declustered-paper-bd4",
+    (21, 21, 1): "left-symmetric-raid5-21",
+    (21, 21, 2): "cyclic-dual-raid6-21",
+    (21, 21, 1, "table"): "left-symmetric-raid5-21",
+    (21, 4, 1, "cyclic"): None,
+    (25, 3, 1, "cyclic"): "cyclic-arith-25-3",
+    (13, 4, 2, "cyclic"): "cyclic-arith-13-4",
+    (23, 7, 2, "prime"): "perm-prime-23-7",
+    (8, 5, 1, "prime"): None,
+    (33, 4, 1): "declustered-complete-33-4",
+    (37, 3, 1): "declustered-family-37-3",
+    (37, 3, 2): "dual-declustered-family-37-3",
+    (37, 4, 1): "perm-prime-37-4",
+    (37, 4, 2): "perm-prime-37-4",
+    (37, 5, 1): "perm-prime-37-5",
+    (37, 5, 2): "perm-prime-37-5",
+    (37, 8, 1): "perm-prime-37-8",
+    (37, 8, 2): "perm-prime-37-8",
+    (67, 3, 1): "declustered-complete-67-3",
+    (67, 3, 2): "dual-declustered-complete-67-3",
+    (67, 4, 1): "perm-prime-67-4",
+    (67, 4, 2): "perm-prime-67-4",
+    (67, 5, 1): "perm-prime-67-5",
+    (67, 5, 2): "perm-prime-67-5",
+    (67, 8, 1): "perm-prime-67-8",
+    (67, 8, 2): "perm-prime-67-8",
+    (68, 3, 1): "declustered-complete-68-2",
+    (68, 3, 2): None,
+    (68, 3, 1, "table"): "declustered-complete-68-2",
+    (100, 4, 1): "declustered-complete-100-2",
+    (100, 4, 2): None,
+    (100, 4, 2, "table"): None,
+    (128, 4, 1): "declustered-complete-128-2",
+    (128, 4, 2): None,
+    (128, 4, 2, "table"): None,
+    (255, 9, 1): "declustered-complete-255-2",
+    (255, 9, 2): None,
+    (256, 3, 1): None,
+    (256, 3, 2): None,
+    (256, 4, 1): None,
+    (256, 4, 2): None,
+    (256, 5, 1): None,
+    (256, 5, 2): None,
+    (256, 8, 1): None,
+    (256, 8, 2): None,
+    (257, 3, 1): "perm-prime-257-3",
+    (257, 3, 2): "perm-prime-257-3",
+    (257, 4, 1): "perm-prime-257-4",
+    (257, 4, 2): "perm-prime-257-4",
+    (257, 5, 1): "perm-prime-257-5",
+    (257, 5, 2): "perm-prime-257-5",
+    (257, 5, 1, "table"): None,
+    (257, 8, 1): "perm-prime-257-8",
+    (257, 8, 2): "perm-prime-257-8",
+}
+
+
+def _raises(call):
+    try:
+        return call(), False
+    except ValueError:  # LayoutError is one
+        return None, True
+
+
+class TestPlanAgreement:
+    @pytest.mark.parametrize("shape", list(AGREEMENT_GRID), ids=str)
+    def test_check_build_and_config_agree(self, shape):
+        num_disks, stripe_size, syndromes = shape[:3]
+        layout = shape[3] if len(shape) == 4 else "auto"
+        args = (num_disks, stripe_size, syndromes, layout)
+        plan, check_raises = _raises(lambda: check_layout(*args))
+        built, build_raises = _raises(lambda: build_layout(*args))
+        assert check_raises == build_raises
+        assert (None if built is None else built.name) == AGREEMENT_GRID[shape]
+        worker_fails = build_raises
+        if built is not None:
+            assert (plan.stripe_size, plan.table_depth) == (
+                built.stripe_size,
+                built.table_depth,
+            )
+            _, worker_fails = _raises(
+                lambda: ArrayAddressing(built, get_scale("tiny").spec())
+            )
+        _, config_raises = _raises(
+            lambda: ScenarioConfig(
+                stripe_size=stripe_size,
+                user_rate_per_s=105.0,
+                read_fraction=0.5,
+                num_disks=num_disks,
+                syndromes=syndromes,
+                layout=layout,
+                scale="tiny",
+            )
+        )
+        assert config_raises == worker_fails

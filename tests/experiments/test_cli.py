@@ -93,3 +93,20 @@ class TestSweepFlags:
     def test_jobs_must_be_positive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig6-1", "--jobs", "0"])
+
+
+class TestScenario:
+    @pytest.mark.parametrize("stripe_size, header", [
+        (5, "scenario: C=21 G=5 alpha=0.200 layout=auto"),
+        # No design, complete or arithmetic layout has G=7 on 21 disks:
+        # the paper's G=6 design (alpha 0.25) runs instead.
+        (7, "scenario: C=21 G=6 alpha=0.250 (closest feasible alpha to G=7 "
+            "alpha=0.300) layout=auto"),
+    ])
+    def test_header_names_the_layout_that_runs(self, capsys, stripe_size, header):
+        argv = [
+            "scenario", "--stripe-size", str(stripe_size), "--cylinders", "13",
+            "--duration-ms", "500", "--warmup-ms", "0", "--no-cache",
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith(header + " ")

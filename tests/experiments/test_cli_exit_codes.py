@@ -113,6 +113,20 @@ BAD_USAGE_CASES = [
          "--no-cache"],
         id="scenario-pq-quadruple-system-past-the-size-cap",
     ),
+    pytest.param(
+        ["scenario", "--num-disks", "128", "--stripe-size", "4", "--syndromes", "2",
+         "--no-cache"],
+        id="scenario-pq-quadruple-system-past-the-size-cap-below-256",
+    ),
+    pytest.param(
+        ["scenario", "--num-disks", "100", "--stripe-size", "4", "--syndromes", "2",
+         "--no-cache"],
+        id="scenario-pq-substitute-without-data-units",
+    ),
+    pytest.param(
+        ["scenario", "--num-disks", "33", "--stripe-size", "4", "--no-cache"],
+        id="scenario-table-deeper-than-the-disk",
+    ),
 ]
 
 

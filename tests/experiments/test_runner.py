@@ -74,6 +74,9 @@ class TestConfigValidation:
         ({"num_disks": 1009, "stripe_size": 10, "layout": "table"}, "table"),
         ({"num_disks": 1024, "stripe_size": 10}, "no layout"),
         ({"num_disks": 10_007, "stripe_size": 5, "layout": "prime"}, "limit"),
+        ({"num_disks": 100, "stripe_size": 4, "syndromes": 2}, "closest feasible"),
+        # A table deeper than the scale's disk fails here too.
+        ({"num_disks": 33, "stripe_size": 4}, "19840 units deep"),
     ])
     def test_array_shape_rejected(self, overrides, needle):
         with pytest.raises(ValueError, match=needle):

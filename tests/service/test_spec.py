@@ -63,6 +63,11 @@ class TestScenario:
         ({"num_disks": 1009, "stripe_size": 10, "layout": "table"}, "table"),
         # Checked before any primality test, which is trial division.
         ({"num_disks": 10**18 + 3, "stripe_size": 5, "layout": "prime"}, "limit"),
+        # Each got a job id whose worker failed on the layout or the
+        # table depth.
+        ({"num_disks": 128, "stripe_size": 4, "syndromes": 2}, "closest feasible"),
+        ({"num_disks": 100, "stripe_size": 4, "syndromes": 2}, "closest feasible"),
+        ({"num_disks": 33, "stripe_size": 4}, "19840 units deep"),
     ])
     def test_array_shape_rejected(self, overrides, needle):
         raw = micro_scenario_spec()
