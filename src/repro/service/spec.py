@@ -8,10 +8,9 @@ A client submits one of three spec kinds:
     name, scale by preset name or fields).
 
 ``{"kind": "sweep", "axes": [["field", [v, ...]], ...], "base": {...}}``
-    A parameter grid, crossed row-major with the first axis slowest —
-    the exact enumeration :class:`~repro.sweep.grid.SweepSpec` uses, so
-    a sweep submitted to the service addresses the same cache entries
-    as the CLI figure that defined it.
+    A parameter grid, enumerated by :class:`~repro.sweep.grid.SweepSpec`
+    (row-major, first axis slowest), so a sweep submitted to the service
+    addresses the same cache entries as the CLI figure that defined it.
 
 ``{"kind": "campaign", "stripe_sizes": [...], "trials": N, ...}``
     A Monte Carlo fault campaign (the grid of
@@ -28,7 +27,6 @@ describing the same work — whatever their spelling — are one job.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import typing
@@ -43,6 +41,7 @@ from repro.experiments.campaign import (
     campaign_spec,
 )
 from repro.experiments.runner import ScenarioConfig
+from repro.sweep.grid import SweepSpec
 
 #: Bump when the normalized spec layout changes; separates job ids the
 #: way the sweep cache separates result formats.
@@ -115,44 +114,31 @@ def _parse_sweep(document: typing.Mapping) -> JobSpec:
     axes = document.get("axes")
     if not isinstance(axes, (list, tuple)) or not axes:
         raise SpecError("sweep spec needs a non-empty 'axes' list")
-    names: typing.List[str] = []
-    value_lists: typing.List[typing.Sequence] = []
     for axis in axes:
         if (
             not isinstance(axis, (list, tuple))
             or len(axis) != 2
             or not isinstance(axis[0], str)
+            or not isinstance(axis[1], (list, tuple))
         ):
             raise SpecError(
                 "each axis must be a ['field_name', [values...]] pair"
             )
-        name, values = axis
-        if not isinstance(values, (list, tuple)) or not values:
-            raise SpecError(f"axis {name!r} needs a non-empty list of values")
-        if name in names:
-            raise SpecError(f"axis {name!r} appears twice")
-        names.append(name)
-        value_lists.append(values)
     base = document.get("base", {})
     if not isinstance(base, dict):
         raise SpecError("'base' must be a JSON object of ScenarioConfig fields")
-    for name in names:
-        if name in base:
-            raise SpecError(f"{name!r} is both an axis and a base field")
-    size = 1
-    for values in value_lists:
-        size *= len(values)
-    if size > MAX_POINTS:
-        raise SpecError(f"sweep enumerates {size} points; the limit is {MAX_POINTS}")
-    # Row-major, first axis slowest — SweepSpec's enumeration order.
-    # Each point goes through ScenarioConfig.from_key so axis values may
-    # be canonical-key forms (algorithm names, scale field dicts).
-    configs = [
-        _config_from_key(
-            {**base, **dict(zip(names, combo))}, f"sweep point {index}"
+    try:
+        grid = SweepSpec(axes=axes, base=base)
+    except ValueError as error:
+        raise SpecError(str(error)) from error
+    if grid.size > MAX_POINTS:
+        raise SpecError(
+            f"sweep enumerates {grid.size} points; the limit is {MAX_POINTS}"
         )
-        for index, combo in enumerate(itertools.product(*value_lists))
-    ]
+    try:
+        configs = grid.configs()
+    except (TypeError, ValueError, KeyError) as error:
+        raise SpecError(f"invalid sweep point: {error}") from error
     return JobSpec(
         kind="sweep",
         configs=configs,

@@ -66,7 +66,7 @@ class SweepSpec:
             if name in self.base:
                 raise ValueError(f"{name!r} is both an axis and a base field")
             if not values:
-                raise ValueError(f"axis {name!r} has no values")
+                raise ValueError(f"axis {name!r} has no values; give a non-empty list")
             seen.add(name)
         for name in self.base:
             if name not in _CONFIG_FIELDS:
@@ -82,14 +82,19 @@ class SweepSpec:
         return n
 
     def points(self) -> typing.List[SweepPoint]:
-        """Enumerate every grid point, in deterministic order."""
+        """Enumerate every grid point, in deterministic order.
+
+        Each config goes through :meth:`ScenarioConfig.from_key`, so
+        base and axis values may be objects or their canonical-key
+        forms (algorithm names, scale and fault-profile dicts).
+        """
         names = [name for name, _values in self.axes]
         points = []
         for index, combo in enumerate(
             itertools.product(*(values for _name, values in self.axes))
         ):
             coords = dict(zip(names, combo))
-            config = ScenarioConfig(**self.base, **coords)
+            config = ScenarioConfig.from_key({**self.base, **coords})
             points.append(SweepPoint(index=index, coords=coords, config=config))
         return points
 
