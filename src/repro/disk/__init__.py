@@ -12,8 +12,8 @@ The reference drive is the IBM 0661 Model 370 "Lightning" from
 Table 5-1(b); scaled-down variants with fewer cylinders (same track
 geometry) keep tests and benchmarks fast.
 
-Nothing here imports numpy. The batch service-time kernel that does,
-:mod:`repro.disk.vectorized`, is imported directly by its only users.
+The package runs on the standard library alone: each access is priced
+one request at a time, in plain Python floats.
 """
 
 from repro.disk.specs import IBM_0661, DiskSpec, scaled_spec

@@ -60,11 +60,9 @@ def service_components(
     same float operations in the same order, minus the loop's exact
     ``0.0 +`` seeds, so both return the same bits
     (``tests/disk/test_fast_paths.py`` checks both against this
-    function). The batch path in :mod:`repro.disk.vectorized` (used by
-    no scenario) must reproduce this function's results bit-for-bit
-    (pinned by ``tests/disk/test_vectorized.py``). Any change to the
-    arithmetic here, including operation *order*, which decides float
-    rounding, must be mirrored in all three.
+    function). Any change to the arithmetic here, including operation
+    *order*, which decides float rounding, must be mirrored in the
+    drive's and SPTF's one-track pricing.
 
     Returns ``(service_ms, seek_ms, rotation_ms, transfer_ms,
     head_cylinder, direction)`` where the last two are the head state

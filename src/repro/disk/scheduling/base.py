@@ -31,15 +31,13 @@ def _policies(cylinders: int) -> typing.Dict[str, typing.Callable[[], Scheduler]
     of ``cylinders`` cylinders."""
     from repro.disk.scheduling.cvscan import CvscanScheduler
     from repro.disk.scheduling.fifo import FifoScheduler
-    from repro.disk.scheduling.scan import LookScheduler
     from repro.disk.scheduling.sptf import SptfScheduler
-    from repro.disk.scheduling.sstf import SstfScheduler
 
     return {
         "fifo": FifoScheduler,
-        "sstf": SstfScheduler,
+        "sstf": lambda: CvscanScheduler(cylinders, bias_fraction=0.0),
         "sptf": SptfScheduler,
-        "look": LookScheduler,
+        "look": lambda: CvscanScheduler(cylinders, bias_fraction=1.0),
         "cvscan": lambda: CvscanScheduler(cylinders=cylinders),
     }
 
@@ -53,9 +51,9 @@ def parse_policy(policy: str) -> typing.Tuple[str, bool]:
     """
     if not isinstance(policy, str):
         raise ValueError(f"scheduling policy must be a name, got {policy!r}")
-    base_policy, _plus, modifier = policy.partition("+")
+    base_policy, plus, modifier = policy.partition("+")
     names = sorted(_policies(cylinders=0))
-    if base_policy not in names or modifier not in ("", "priority"):
+    if base_policy not in names or (plus and modifier != "priority"):
         raise ValueError(
             f"unknown scheduling policy {policy!r}; choose from "
             f"{names} optionally suffixed with '+priority'"
@@ -70,13 +68,16 @@ def make_scheduler(policy: str, cylinders: int) -> Scheduler:
     ----------
     policy:
         One of ``"fifo"``, ``"sstf"``, ``"sptf"``, ``"look"``,
-        ``"cvscan"``. SPTF prices every queued candidate's full
-        physical service time with the drive's arithmetic (see
+        ``"cvscan"``. ``"sstf"`` and ``"look"`` are CVSCAN at its two
+        ends, R = 0 and R = 1 (see :mod:`repro.disk.scheduling.cvscan`).
+        SPTF prices every queued candidate's full physical service time
+        with the drive's arithmetic (see
         :mod:`repro.disk.scheduling.sptf`) and needs a drive bound via
         ``bind_disk`` — :class:`~repro.disk.drive.Disk` does this
         automatically for any scheduler exposing the hook.
     cylinders:
-        Disk size, used by CVSCAN to scale its directional bias.
+        Disk size, used by CVSCAN (and so by SSTF and LOOK) to scale
+        its directional bias.
 
     Suffixing a policy with ``+priority`` (e.g. ``"cvscan+priority"``)
     wraps it in the two-class user-priority discipline: user requests

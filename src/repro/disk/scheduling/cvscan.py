@@ -1,12 +1,16 @@
 """CVSCAN scheduling (Geist & Daniel 1987), used by the paper's arrays.
 
-CVSCAN is a continuum between SSTF and SCAN: the next request is the
-one minimizing head travel distance, but requests *behind* the current
-direction of travel are penalized by a constant bias ``R``. ``R = 0``
-degenerates to SSTF; ``R -> infinity`` degenerates to SCAN. Geist &
-Daniel report that a small bias (a fraction of the total cylinder span)
-captures most of SCAN's fairness while keeping SSTF's throughput; we
-default the bias to 20 % of the cylinder count.
+CVSCAN is Geist & Daniel's V(R), a continuum between SSTF and SCAN: the
+next request is the one nearest the head, but a request *behind* the
+direction of travel pays an extra ``R`` times the cylinder count. A
+small R (the default is 0.2) captures most of SCAN's fairness while
+keeping SSTF's throughput.
+
+Its two ends are exactly the ``sstf`` and ``look`` policies. At R = 0
+the cost is the seek distance. At R = 1, on C cylinders, a request
+behind the head costs at least C + 1 and one at or ahead of it at most
+C - 1, so the pick is the nearest request at or ahead, else the
+nearest one behind: LOOK. Both keep the earliest arrival on ties.
 """
 
 from __future__ import annotations
@@ -17,14 +21,15 @@ from repro.disk.scheduling.base import Scheduler
 
 
 class CvscanScheduler(Scheduler):
-    """SSTF/SCAN continuum with directional bias ``R``.
+    """V(R): SSTF at R = 0, LOOK at R = 1, the paper's CVSCAN between.
 
     Parameters
     ----------
     cylinders:
-        Disk size; the default bias is ``bias_fraction * cylinders``.
+        Disk size; the bias is ``bias_fraction * cylinders``.
     bias_fraction:
-        ``R`` as a fraction of the cylinder span.
+        ``R``, the bias as a fraction of the cylinder span. The ``sstf``
+        and ``look`` policies are R = 0 and R = 1.
     """
 
     def __init__(self, cylinders: int, bias_fraction: float = 0.2):

@@ -146,9 +146,9 @@ class SeekModel:
         """The distance-indexed lookup table (``table[d]`` = seek ms).
 
         The drive and the SPTF scheduler snapshot it once and index it
-        directly when they price a one-track transfer; the vectorized
-        service-time kernel loads it into a numpy array once per spec.
-        Same floats, same bits as :meth:`seek_time`.
+        directly when they price a one-track transfer, and the seek pins
+        in ``tests/disk/test_seek.py`` hash it. Same floats, same bits
+        as :meth:`seek_time`.
         """
         return tuple(self._table)
 

@@ -29,6 +29,7 @@ from repro.analysis.reliability import (
     data_loss_probability,
     mttdl_hours,
 )
+from repro.experiments.builders import PAPER_NUM_DISKS, check_layout
 from repro.experiments.reporting import format_table
 from repro.experiments.scales import ScalePreset
 from repro.faults.profile import MS_PER_HOUR, FaultProfile
@@ -85,6 +86,12 @@ def campaign_spec(
 ) -> SweepSpec:
     """The campaign's sweep grid: ``trials`` missions per stripe size.
 
+    Each stripe size runs on the G that :func:`check_layout` plans for
+    it on the C=21 array: the size itself where a layout is exact, else
+    the closest feasible alpha's. So every trial's config, and its
+    :func:`trial_summary`, names the layout that ran. A list in which
+    two sizes plan one G raises ``ValueError``.
+
     Enumeration is row-major with stripe size slowest, so the trials of
     one stripe size are contiguous — the ordering contract
     :func:`rows_from_summaries` aggregates by. This is the same grid
@@ -92,9 +99,18 @@ def campaign_spec(
     cache entries.
     """
     trials = trials if trials is not None else TRIALS.get(scale, 3)
+    requested_by_plan: typing.Dict[int, int] = {}
+    for requested in stripe_sizes:
+        planned = check_layout(PAPER_NUM_DISKS, requested, syndromes).stripe_size
+        if planned in requested_by_plan:
+            raise ValueError(
+                f"stripe sizes {requested_by_plan[planned]} and {requested} both "
+                f"run as G={planned} on C={PAPER_NUM_DISKS}"
+            )
+        requested_by_plan[planned] = requested
     profiles = [campaign_profile(seed + trial) for trial in range(trials)]
     return SweepSpec(
-        axes=[("stripe_size", tuple(stripe_sizes)), ("fault_profile", profiles)],
+        axes=[("stripe_size", tuple(requested_by_plan)), ("fault_profile", profiles)],
         base=dict(
             user_rate_per_s=0.0,  # pure reliability estimation
             read_fraction=0.5,

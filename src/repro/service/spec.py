@@ -198,7 +198,8 @@ def _parse_campaign(document: typing.Mapping) -> JobSpec:
     campaign = {
         "trials": trials,
         "mission_hours": float(mission_hours),
-        "stripe_sizes": [int(g) for g in stripe_sizes],
+        # The sizes that run, so [7] and [6] (both G=6) are one job.
+        "stripe_sizes": list(dict(grid.axes)["stripe_size"]),
         "seed": seed,
         "syndromes": syndromes,
     }

@@ -222,3 +222,33 @@ class TestDualCampaignSpec:
         assert len(configs) == 2
         assert all(config.syndromes == 2 for config in configs)
         assert all(config.to_key()["syndromes"] == 2 for config in configs)
+
+
+class TestCampaignStripeSizes:
+    @pytest.mark.parametrize("syndromes, sizes", [
+        (1, campaign.CAMPAIGN_STRIPE_SIZES),
+        (2, campaign.CAMPAIGN_PQ_STRIPE_SIZES),
+    ])
+    def test_default_sizes_run_as_named(self, syndromes, sizes):
+        spec = campaign.campaign_spec(
+            "tiny", stripe_sizes=sizes, trials=1, syndromes=syndromes
+        )
+        assert [config.stripe_size for config in spec.configs()] == list(sizes)
+
+    def test_size_without_exact_layout_reports_the_layout_that_ran(self):
+        # No C=21 design has G=7: the closest feasible alpha is G=6's.
+        spec = campaign.campaign_spec(
+            "tiny", stripe_sizes=[7], trials=1, mission_hours=2.0
+        )
+        (config,) = spec.configs()
+        summary = campaign.trial_summary(run_scenario(config))
+        assert (summary["g"], summary["alpha"]) == (6, 0.25)
+
+    @pytest.mark.parametrize("sizes, needle", [
+        ([7, 6], "stripe sizes 7 and 6 both run as G=6"),
+        ([4, 4], "stripe sizes 4 and 4 both run as G=4"),
+        ([9, 10], "stripe sizes 9 and 10 both run as G=10"),
+    ])
+    def test_sizes_sharing_a_layout_rejected(self, sizes, needle):
+        with pytest.raises(ValueError, match=needle):
+            campaign.campaign_spec("tiny", stripe_sizes=sizes, trials=1)

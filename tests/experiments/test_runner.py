@@ -125,6 +125,8 @@ class TestConfigValidation:
         ({"policy": "bogus"}, "scheduling policy"),
         ({"policy": "cvscan+bogus"}, "scheduling policy"),
         ({"policy": 5}, "scheduling policy"),
+        # An empty modifier would run CVSCAN under another cache key.
+        ({"policy": "cvscan+"}, "unknown scheduling policy"),
     ])
     def test_unknown_names_rejected(self, overrides, needle):
         with pytest.raises(ValueError, match=needle):

@@ -90,6 +90,23 @@ class TestSubmitAndResult:
         assert "kind" in body["error"]
         assert "Traceback" not in body["error"]
 
+    @pytest.mark.parametrize("spec, needle", [
+        pytest.param(
+            {"kind": "campaign", "stripe_sizes": [7, 6], "trials": 1},
+            "both run as G=6",
+            id="campaign-sizes-sharing-a-layout",
+        ),
+        pytest.param(
+            {"kind": "scenario", "config": {**micro_scenario_spec()["config"], "policy": "cvscan+"}},
+            "unknown scheduling policy",
+            id="policy-with-a-bare-plus",
+        ),
+    ])
+    def test_invalid_spec_is_400_with_message(self, live_service, spec, needle):
+        status, body = live_service.post("/jobs", spec)
+        assert status == 400
+        assert needle in body["error"]
+
     def test_invalid_json_body_is_400(self, live_service):
         import urllib.error
         import urllib.request

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.experiments.campaign import campaign_spec
-from repro.experiments.runner import ScenarioConfig
 from repro.service.spec import (
     MAX_POINTS,
     SpecError,
@@ -115,6 +114,7 @@ class TestScenario:
         ({"policy": "bogus"}, "scheduling policy"),
         ({"policy": 5}, "scheduling policy"),
         ({"scale": "huge"}, "unknown scale"),
+        ({"policy": "cvscan+"}, "unknown scheduling policy"),
     ])
     def test_config_that_fails_only_in_a_worker_rejected(self, overrides, needle):
         raw = micro_scenario_spec()
@@ -187,6 +187,15 @@ class TestCampaign:
             "syndromes": 1,
         }
 
+    def test_sizes_normalize_to_the_layouts_that_run(self):
+        # No C=21 design has G=7; it runs G=6, so both spellings are one job.
+        seven, six = (
+            parse_spec({"kind": "campaign", "stripe_sizes": [g], "trials": 1})
+            for g in (7, 6)
+        )
+        assert seven.campaign["stripe_sizes"] == [6]
+        assert seven.job_id() == six.job_id()
+
     def test_defaults_come_from_the_scale(self):
         spec = parse_spec({"kind": "campaign", "scale": "tiny"})
         assert spec.campaign["trials"] == 3  # TRIALS["tiny"]
@@ -252,6 +261,11 @@ MALFORMED = [
     pytest.param({"kind": "campaign", "scale": "galactic"}, "scale", id="campaign-bad-scale"),
     pytest.param(
         {"kind": "campaign", "stripe_sizes": []}, "stripe_sizes", id="campaign-empty-sizes"
+    ),
+    pytest.param(
+        {"kind": "campaign", "stripe_sizes": [7, 6], "trials": 1},
+        "stripe sizes 7 and 6 both run as G=6",
+        id="campaign-sizes-sharing-a-layout",
     ),
     pytest.param(
         {"kind": "campaign", "trials": 0}, "trials", id="campaign-zero-trials"

@@ -1,11 +1,11 @@
-"""The simulator runs without numpy.
+"""The package imports and runs without numpy.
 
-Only the batch service-time kernel (:mod:`repro.disk.vectorized`),
-which no scenario calls, needs numpy. Every scenario path must
-import and run with it absent, so each process skips numpy's import
-time and memory, and no result depends on the host's BLAS. The probe
-runs in a fresh interpreter, once where ``import numpy`` raises and
-once where it would succeed but must not happen.
+``pyproject.toml`` declares no runtime dependency. Every module must
+import with numpy absent, and every scenario path must run, so each
+process skips numpy's import time and memory, and no result depends on
+the host's BLAS. The probes run in a fresh interpreter; the scenario
+probe runs once where ``import numpy`` raises and once where it would
+succeed but must not happen.
 """
 
 import json
@@ -89,3 +89,35 @@ def test_scenarios_run_without_numpy(numpy):
     assert report["recon_units"] > 0
     assert report["pq_disk_failures"] >= 2
     assert not report["pq_data_lost"]
+
+
+#: Imports every module under ``repro`` except the ``__main__`` entry
+#: points with ``import numpy`` made to raise, and prints the modules
+#: that failed.
+_IMPORT_ALL = """
+import importlib, json, pkgutil, sys
+sys.modules["numpy"] = None
+
+import repro
+
+failed = {}
+for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+    if info.name.rpartition(".")[2] == "__main__":
+        continue
+    try:
+        importlib.import_module(info.name)
+    except ImportError as error:
+        failed[info.name] = str(error)
+print(json.dumps(failed))
+"""
+
+
+def test_every_module_imports_without_numpy():
+    completed = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ALL],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout.splitlines()[-1]) == {}

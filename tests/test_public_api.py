@@ -8,8 +8,8 @@ import repro
 
 class TestPublicSurface:
     def test_all_names_resolve(self):
-        # ``repro`` and every subpackage. Packages only: the
-        # numpy-backed ``repro.disk.vectorized`` module is not imported.
+        # ``repro`` and every subpackage: the packages advertise the
+        # API. ``tests/test_numpy_free.py`` imports every module.
         packages = ["repro"] + [
             info.name
             for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
