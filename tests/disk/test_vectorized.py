@@ -1,4 +1,5 @@
-"""``service_times`` prices each candidate as ``service_components``
+"""The batch pricing in ``repro.disk.vectorized``: ``service_times``
+prices each candidate exactly as the scalar ``service_components``
 does, every one from the same head position and clock."""
 
 import typing
@@ -39,7 +40,7 @@ class TestExactEquality:
         st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_service_components_per_candidate(self, candidates, head, start_ms):
+    def test_vectorized_matches_scalar_bit_for_bit(self, candidates, head, start_ms):
         split = DiskGeometry(IBM_0661).split_by_track
         seek_time = SeekModel.for_spec(IBM_0661).seek_time
         expected = [
@@ -57,3 +58,6 @@ class TestExactEquality:
         ]
         # Exact float equality, not approx.
         assert service_times(IBM_0661, head, start_ms, candidates) == expected
+
+    def test_empty_batch(self):
+        assert service_times(IBM_0661, 0, 0.0, []) == []
