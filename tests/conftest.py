@@ -64,6 +64,15 @@ def build_array(
     return ArrayUnderTest(env=env, controller=controller, addressing=addressing)
 
 
+def dual_test_layout(num_disks: int = 8):
+    """The P+Q layout of :func:`build_dual_array`: 8 disks get the
+    declustered SQS(8) layout (G=4, triple-balanced); any other count
+    gets the full-width cyclic RAID-6 rotation."""
+    if num_disks == 8:
+        return DeclusteredLayout(boolean_quadruple_system(3), num_syndromes=2)
+    return LeftSymmetricRaid5Layout(num_disks, num_syndromes=2)
+
+
 def build_dual_array(
     num_disks: int = 8,
     cylinders: int = 10,
@@ -73,17 +82,10 @@ def build_dual_array(
     fault_profile=None,
     retry_policy=None,
 ) -> ArrayUnderTest:
-    """Assemble a small dual-syndrome (P+Q) array for tests.
-
-    8 disks get the declustered SQS(8) layout (G=4, triple-balanced);
-    any other count gets the full-width cyclic RAID-6 rotation.
-    """
+    """Assemble a small dual-syndrome (P+Q) array for tests, over
+    :func:`dual_test_layout`."""
     env = Environment()
-    if num_disks == 8:
-        layout = DeclusteredLayout(boolean_quadruple_system(3), num_syndromes=2)
-    else:
-        layout = LeftSymmetricRaid5Layout(num_disks, num_syndromes=2)
-    addressing = ArrayAddressing(layout, scaled_spec(cylinders))
+    addressing = ArrayAddressing(dual_test_layout(num_disks), scaled_spec(cylinders))
     controller = ArrayController(
         env, addressing, policy=policy, algorithm=algorithm,
         with_datastore=with_datastore,

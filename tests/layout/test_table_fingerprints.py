@@ -16,7 +16,7 @@ from repro.experiments.builders import PAPER_STRIPE_SIZES, build_layout
 from repro.experiments.campaign import CAMPAIGN_PQ_STRIPE_SIZES
 from repro.layout import DeclusteredLayout
 
-from tests.conftest import build_dual_array
+from tests.conftest import dual_test_layout
 
 #: ``build_layout(21, G)`` for the paper's stripe sizes.
 PAPER_DIGESTS = {
@@ -70,7 +70,7 @@ def test_pq_campaign_layouts(g):
 
 @pytest.mark.parametrize("num_disks", sorted(TEST_ARRAY_DIGESTS))
 def test_pq_test_arrays(num_disks):
-    layout = build_dual_array(num_disks).layout
+    layout = dual_test_layout(num_disks)
     assert table_digest(layout) == TEST_ARRAY_DIGESTS[num_disks]
 
 
