@@ -43,9 +43,7 @@ from repro.layout.arithmetic import (
 from repro.layout.criteria import (
     SAMPLING_THRESHOLD_DISKS,
     CriterionReport,
-    SamplePlan,
     evaluate_layout,
-    sample_plan,
 )
 
 __all__ = [
@@ -61,10 +59,8 @@ __all__ = [
     "Q_ROLE",
     "ReddyTwoGroupLayout",
     "SAMPLING_THRESHOLD_DISKS",
-    "SamplePlan",
     "TableParityLayout",
     "UnitAddress",
     "build_full_table",
     "evaluate_layout",
-    "sample_plan",
 ]

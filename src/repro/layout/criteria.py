@@ -6,21 +6,20 @@ mapping. Each check inspects one full table of a layout (the layout is
 periodic, so the table is sufficient) and returns a
 :class:`CriterionReport` with pass/fail plus the measured evidence.
 
-Large arrays change the economics: an arithmetic layout's period can
-hold millions of stripes, so walking all of it per criterion is off the
-table. Every check therefore accepts an optional :class:`SamplePlan`:
+Each criterion has one algorithm, run over the items it audits: table
+stripes (criteria 1 and 5), failed disks or failed pairs (criterion 2
+and its pair-balanced twin), counted disks (criterion 3 and its Q
+twin) or window starts (criterion 6). The counting criteria go through
+the inverse mapping, one failed disk, failed pair or counted disk at a
+time, so each audited item costs O(table_depth · G) however many
+stripes the period holds.
 
-- Per-stripe invariants (criteria 1, 5) and window starts (criterion 6)
-  are checked on a seeded sample — each sampled item is verified
-  exactly.
-- Counting criteria (2, 3, and the dual checks) sample *failed disks*
-  (or pairs, or counted disks) and compute each sample's full load
-  exactly through the inverse mapping over one period — never an
-  estimate, just fewer disks audited.
-
-``evaluate_layout(layout)`` picks the mode automatically: exact below
-:data:`SAMPLING_THRESHOLD_DISKS` disks (bit-identical to the original
-exhaustive checks), sampled at or above it.
+An arithmetic layout's period can hold millions of stripes, so
+``sampled=True`` audits a seeded sample of each kind of item instead
+of all of them (:data:`SAMPLE_SEED`, ``SAMPLE_*`` sizes). Every sampled
+item is still verified exactly: a sampled failure's survivor loads are
+counted over the whole period, never estimated. :func:`evaluate_layout`
+samples from :data:`SAMPLING_THRESHOLD_DISKS` disks up.
 """
 
 from __future__ import annotations
@@ -32,8 +31,21 @@ from dataclasses import dataclass, field
 
 from repro.layout.base import PARITY_ROLE, Q_ROLE, ParityLayout
 
-#: Array widths at or above this default to sampled criteria checks.
+#: Array widths at or above this get sampled criteria checks.
 SAMPLING_THRESHOLD_DISKS = 256
+
+#: Seed of every sampled audit, so reports are reproducible run to run.
+SAMPLE_SEED = 1992
+#: Stripes audited by the per-stripe checks (criteria 1 and 5).
+SAMPLE_STRIPES = 512
+#: Failed disks whose survivor loads are counted (criterion 2).
+SAMPLE_FAILED_DISKS = 2
+#: Disks whose parity/Q units are counted (criterion 3 and dual 3).
+SAMPLE_COUNTED_DISKS = 16
+#: Failed pairs audited by the dual pair-balance check.
+SAMPLE_PAIRS = 2
+#: Aligned logical windows audited by criterion 6.
+SAMPLE_WINDOWS = 128
 
 
 @dataclass
@@ -50,68 +62,33 @@ class CriterionReport:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """Seeded sample sizes for criteria checks on large layouts.
-
-    Every sampled item is still verified exactly; the plan only bounds
-    how many stripes / disks / pairs / windows get audited. The seed
-    makes reports reproducible run to run.
-    """
-
-    seed: int = 1992
-    #: Stripes audited by the per-stripe checks (criteria 1 and 5).
-    stripes: int = 512
-    #: Failed disks whose full survivor-load vector is computed (criterion 2).
-    failed_disks: int = 2
-    #: Disks whose parity/Q counts are tallied (criterion 3 and dual 3).
-    counted_disks: int = 16
-    #: Failed pairs audited by the dual pair-balance check.
-    pairs: int = 2
-    #: Aligned logical windows audited by criterion 6.
-    windows: int = 128
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
+def _audited(population: int, sample_size: int, sampled: bool) -> typing.Sequence[int]:
+    """The indices below ``population`` a check audits: all of them, or
+    ``sample_size`` distinct ones drawn with :data:`SAMPLE_SEED`, sorted
+    (all of them when the sample would cover the population)."""
+    if not sampled or sample_size >= population:
+        return range(population)
+    return sorted(random.Random(SAMPLE_SEED).sample(range(population), sample_size))
 
 
-def sample_plan(
-    layout: ParityLayout, mode: str = "auto", seed: int = 1992
-) -> typing.Optional[SamplePlan]:
-    """The plan a mode implies: None means exact (exhaustive) checks."""
-    if mode not in ("auto", "exact", "sample"):
-        raise ValueError(f"mode must be 'auto', 'exact' or 'sample', got {mode!r}")
-    if mode == "exact":
-        return None
-    if mode == "sample" or layout.num_disks >= SAMPLING_THRESHOLD_DISKS:
-        return SamplePlan(seed=seed)
-    return None
+def _audited_stripes(layout: ParityLayout, sampled: bool) -> typing.Sequence[int]:
+    """Every table stripe, or the seeded sample (criteria 1 and 5)."""
+    return _audited(layout.stripes_per_table, SAMPLE_STRIPES, sampled)
 
 
-def _table_stripes(layout: ParityLayout) -> range:
-    return range(layout.stripes_per_table)
-
-
-def _sample(population: int, count: int, rng: random.Random) -> typing.List[int]:
-    """``count`` distinct indices below ``population``, sorted; all if small."""
-    if count >= population:
-        return list(range(population))
-    return sorted(rng.sample(range(population), count))
+def _sampled_scope(count: int, items: str) -> str:
+    return f"each of {count} sampled {items} (seed {SAMPLE_SEED})"
 
 
 def check_single_failure_correcting(
-    layout: ParityLayout, plan: typing.Optional[SamplePlan] = None
+    layout: ParityLayout, sampled: bool = False
 ) -> CriterionReport:
     """Criterion 1: no two units of a stripe share a disk."""
-    if plan is None:
-        stripes: typing.Iterable[int] = _table_stripes(layout)
-        audited = layout.stripes_per_table
-        scope = f"all {audited} table stripes"
+    stripes = _audited_stripes(layout, sampled)
+    if sampled:
+        scope = f"{len(stripes)} sampled stripes (seed {SAMPLE_SEED})"
     else:
-        sampled = _sample(layout.stripes_per_table, plan.stripes, plan.rng())
-        stripes = sampled
-        audited = len(sampled)
-        scope = f"{audited} sampled stripes (seed {plan.seed})"
+        scope = f"all {len(stripes)} table stripes"
     for s in stripes:
         disks = [u.disk for u in layout.stripe_units(s)]
         if len(set(disks)) != len(disks):
@@ -124,21 +101,8 @@ def check_single_failure_correcting(
         name="single-failure-correcting",
         passed=True,
         detail=f"{scope} use distinct disks",
-        metrics={"stripes_audited": audited},
+        metrics={"stripes_audited": len(stripes)},
     )
-
-
-def reconstruction_load_matrix(layout: ParityLayout) -> typing.List[typing.List[int]]:
-    """``m[f][d]``: units disk ``d`` reads per table to rebuild disk ``f``."""
-    c = layout.num_disks
-    matrix = [[0] * c for _ in range(c)]
-    for s in _table_stripes(layout):
-        disks = [u.disk for u in layout.stripe_units(s)]
-        for failed in disks:
-            for survivor in disks:
-                if survivor != failed:
-                    matrix[failed][survivor] += 1
-    return matrix
 
 
 def survivor_loads_for_failure(
@@ -157,32 +121,20 @@ def survivor_loads_for_failure(
 
 
 def check_distributed_reconstruction(
-    layout: ParityLayout, plan: typing.Optional[SamplePlan] = None
+    layout: ParityLayout, sampled: bool = False
 ) -> CriterionReport:
     """Criterion 2: reconstruction work is uniform over surviving disks.
 
-    For every possible failed disk, every surviving disk must contribute
+    For every audited failed disk, every surviving disk must contribute
     the same number of units per table. For a BIBD layout this constant
-    is ``lam * G`` per full table. Under a :class:`SamplePlan`, failed
-    disks are sampled but each sampled disk's survivor loads are
-    computed exactly.
+    is ``lam * G`` per full table.
     """
+    failures = _audited(layout.num_disks, SAMPLE_FAILED_DISKS, sampled)
     loads: typing.Set[int] = set()
-    if plan is None:
-        matrix = reconstruction_load_matrix(layout)
-        for failed, row in enumerate(matrix):
-            for survivor, load in enumerate(row):
-                if survivor != failed:
-                    loads.add(load)
-        scope = "any failure"
-    else:
-        sampled = _sample(layout.num_disks, plan.failed_disks, plan.rng())
-        for failed in sampled:
-            row = survivor_loads_for_failure(layout, failed)
-            for survivor, load in enumerate(row):
-                if survivor != failed:
-                    loads.add(load)
-        scope = f"each of {len(sampled)} sampled failures (seed {plan.seed})"
+    for failed in failures:
+        row = survivor_loads_for_failure(layout, failed)
+        loads.update(load for survivor, load in enumerate(row) if survivor != failed)
+    scope = _sampled_scope(len(failures), "failures") if sampled else "any failure"
     if len(loads) == 1:
         load = loads.pop()
         return CriterionReport(
@@ -199,16 +151,7 @@ def check_distributed_reconstruction(
     )
 
 
-def role_units_per_disk(layout: ParityLayout, role: int) -> typing.List[int]:
-    """Units with ``role`` (a check role or data position) each disk
-    holds in one full table."""
-    counts = [0] * layout.num_disks
-    for s in _table_stripes(layout):
-        counts[layout.stripe_unit(s, role).disk] += 1
-    return counts
-
-
-def _role_count_on_disk(layout: ParityLayout, disk: int, role: int) -> int:
+def _role_units_on_disk(layout: ParityLayout, disk: int, role: int) -> int:
     """Units with ``role`` on one disk per table, via the inverse mapping."""
     return sum(
         1
@@ -217,21 +160,23 @@ def _role_count_on_disk(layout: ParityLayout, disk: int, role: int) -> int:
     )
 
 
+def role_units_per_disk(layout: ParityLayout, role: int) -> typing.List[int]:
+    """Units with ``role`` (a check role or data position) each disk
+    holds in one full table."""
+    return [_role_units_on_disk(layout, disk, role) for disk in range(layout.num_disks)]
+
+
 def _check_distributed_role(
     layout: ParityLayout,
-    plan: typing.Optional[SamplePlan],
+    sampled: bool,
     role: int,
     name: str,
     label: str,
     metric: str,
 ) -> CriterionReport:
-    if plan is None:
-        counts = role_units_per_disk(layout, role)
-        scope = "every disk"
-    else:
-        sampled = _sample(layout.num_disks, plan.counted_disks, plan.rng())
-        counts = [_role_count_on_disk(layout, disk, role) for disk in sampled]
-        scope = f"each of {len(sampled)} sampled disks (seed {plan.seed})"
+    disks = _audited(layout.num_disks, SAMPLE_COUNTED_DISKS, sampled)
+    counts = [_role_units_on_disk(layout, disk, role) for disk in disks]
+    scope = _sampled_scope(len(disks), "disks") if sampled else "every disk"
     if len(set(counts)) == 1:
         return CriterionReport(
             name=name,
@@ -248,11 +193,11 @@ def _check_distributed_role(
 
 
 def check_distributed_parity(
-    layout: ParityLayout, plan: typing.Optional[SamplePlan] = None
+    layout: ParityLayout, sampled: bool = False
 ) -> CriterionReport:
     """Criterion 3: parity units are spread evenly over the disks."""
     return _check_distributed_role(
-        layout, plan, PARITY_ROLE, "distributed-parity", "parity",
+        layout, sampled, PARITY_ROLE, "distributed-parity", "parity",
         "parity_units_per_disk",
     )
 
@@ -292,7 +237,7 @@ def check_efficient_mapping(
 
 
 def check_large_write_optimization(
-    layout: ParityLayout, plan: typing.Optional[SamplePlan] = None
+    layout: ParityLayout, sampled: bool = False
 ) -> CriterionReport:
     """Criterion 5: contiguous logical data aligns with parity stripes.
 
@@ -301,13 +246,7 @@ def check_large_write_optimization(
     are needed.
     """
     g_data = layout.data_units_per_stripe
-    if plan is None:
-        stripes: typing.Iterable[int] = _table_stripes(layout)
-        scope = "every"
-    else:
-        stripes = _sample(layout.stripes_per_table, plan.stripes, plan.rng())
-        scope = f"every sampled (seed {plan.seed})"
-    for s in stripes:
+    for s in _audited_stripes(layout, sampled):
         spanned = {
             layout.stripe_of_logical(s * g_data + j) for j in range(g_data)
         }
@@ -317,6 +256,7 @@ def check_large_write_optimization(
                 passed=False,
                 detail=f"logical window of stripe {s} spans stripes {sorted(spanned)}",
             )
+    scope = f"every sampled (seed {SAMPLE_SEED})" if sampled else "every"
     return CriterionReport(
         name="large-write-optimization",
         passed=True,
@@ -330,8 +270,30 @@ def _window_distinct_disks(layout: ParityLayout, start: int, width: int) -> int:
     )
 
 
+def _sliding_distinct_disks(
+    layout: ParityLayout, total: int, width: int
+) -> typing.Iterator[typing.Tuple[int, int]]:
+    """``(start, distinct disks)`` for every window start below ``total``,
+    by sliding one window: each step retires one logical unit and admits
+    one, so the scan is O(total) translations instead of O(total · width)."""
+    counts: typing.Dict[int, int] = {}
+    for i in range(width):
+        disk = layout.logical_to_physical(i).disk
+        counts[disk] = counts.get(disk, 0) + 1
+    for start in range(total):
+        yield start, len(counts)
+        leaving = layout.logical_to_physical(start).disk
+        remaining = counts[leaving] - 1
+        if remaining:
+            counts[leaving] = remaining
+        else:
+            del counts[leaving]
+        entering = layout.logical_to_physical(start + width).disk
+        counts[entering] = counts.get(entering, 0) + 1
+
+
 def check_maximal_parallelism(
-    layout: ParityLayout, plan: typing.Optional[SamplePlan] = None
+    layout: ParityLayout, sampled: bool = False
 ) -> CriterionReport:
     """Criterion 6: any C consecutive logical units touch all C disks.
 
@@ -340,49 +302,32 @@ def check_maximal_parallelism(
     left-symmetric RAID 5 passes. The report includes the fraction of
     aligned windows that do achieve full parallelism.
 
-    The exact mode slides one window across the period — each step
-    retires one logical unit and admits one, so the whole scan is
-    O(windows) translations instead of O(windows · C).
+    The full audit slides one window across the period; a sampled
+    window is counted on its own.
     """
     c = layout.num_disks
-    g_data = layout.data_units_per_stripe
-    total = layout.stripes_per_table * g_data  # window starts, wrapping into the next table
+    # Window starts, the last windows wrapping into the next table.
+    total = layout.stripes_per_table * layout.data_units_per_stripe
+    if sampled:
+        starts = _audited(total, SAMPLE_WINDOWS, True)
+        windows: typing.Iterable[typing.Tuple[int, int]] = (
+            (start, _window_distinct_disks(layout, start, c)) for start in starts
+        )
+        audited = len(starts)
+        scope = f"all {audited} sampled windows (seed {SAMPLE_SEED})"
+    else:
+        windows = _sliding_distinct_disks(layout, total, c)
+        audited = total
+        scope = f"all {total} aligned windows"
     failures = 0
     first_failure = None
     distinct_sum = 0
-    if plan is None:
-        audited = total
-        counts: typing.Dict[int, int] = {}
-        for i in range(c):
-            disk = layout.logical_to_physical(i).disk
-            counts[disk] = counts.get(disk, 0) + 1
-        for start in range(total):
-            distinct = len(counts)
-            distinct_sum += distinct
-            if distinct != c:
-                failures += 1
-                if first_failure is None:
-                    first_failure = start
-            leaving = layout.logical_to_physical(start).disk
-            remaining = counts[leaving] - 1
-            if remaining:
-                counts[leaving] = remaining
-            else:
-                del counts[leaving]
-            entering = layout.logical_to_physical(start + c).disk
-            counts[entering] = counts.get(entering, 0) + 1
-        scope = f"all {total} aligned windows"
-    else:
-        starts = _sample(total, plan.windows, plan.rng())
-        audited = len(starts)
-        for start in starts:
-            distinct = _window_distinct_disks(layout, start, c)
-            distinct_sum += distinct
-            if distinct != c:
-                failures += 1
-                if first_failure is None:
-                    first_failure = start
-        scope = f"all {audited} sampled windows (seed {plan.seed})"
+    for start, distinct in windows:
+        distinct_sum += distinct
+        if distinct != c:
+            failures += 1
+            if first_failure is None:
+                first_failure = start
     fraction_ok = 1.0 - failures / audited
     mean_coverage = distinct_sum / (audited * c)
     metrics = {"fraction_parallel": fraction_ok, "mean_disk_coverage": mean_coverage}
@@ -406,7 +351,7 @@ def check_maximal_parallelism(
 
 
 def check_double_failure_correcting(
-    layout: ParityLayout, plan: typing.Optional[SamplePlan] = None
+    layout: ParityLayout, sampled: bool = False
 ) -> CriterionReport:
     """Dual criterion 1: two syndromes and no two stripe units share a disk.
 
@@ -420,7 +365,7 @@ def check_double_failure_correcting(
             passed=False,
             detail="layout has a single syndrome; a second failure loses data",
         )
-    distinct = check_single_failure_correcting(layout, plan)
+    distinct = check_single_failure_correcting(layout, sampled)
     return CriterionReport(
         name="double-failure-correcting",
         passed=distinct.passed,
@@ -432,38 +377,16 @@ def check_double_failure_correcting(
     )
 
 
-def pair_reconstruction_loads(
-    layout: ParityLayout,
-) -> typing.Dict[typing.Tuple[int, int], typing.List[int]]:
-    """``loads[(a, b)][d]``: units disk ``d`` reads per table when disks
-    ``a`` and ``b`` have both failed.
-
-    Every stripe touching either failed disk is read in full (one pass
-    serves both rebuild targets), so survivor ``d`` is charged once per
-    degraded stripe it belongs to.
-    """
-    c = layout.num_disks
-    loads = {
-        pair: [0] * c for pair in itertools.combinations(range(c), 2)
-    }
-    stripe_disks = [
-        frozenset(u.disk for u in layout.stripe_units(s)) for s in _table_stripes(layout)
-    ]
-    for disks in stripe_disks:
-        for pair in itertools.combinations(range(c), 2):
-            if pair[0] in disks or pair[1] in disks:
-                row = loads[pair]
-                for d in disks:
-                    if d not in pair:
-                        row[d] += 1
-    return loads
-
-
 def survivor_loads_for_pair(
     layout: ParityLayout, pair: typing.Tuple[int, int]
 ) -> typing.List[int]:
     """Units each disk reads per table when both disks of ``pair`` fail,
-    via the inverse mapping — O(table_depth · G) for one pair."""
+    via the inverse mapping — O(table_depth · G) for one pair.
+
+    Every stripe touching either failed disk is read in full (one pass
+    serves both rebuild targets), so a survivor is charged once per
+    degraded stripe it belongs to.
+    """
     degraded: typing.Set[int] = set()
     for failed in pair:
         for offset in range(layout.table_depth):
@@ -477,33 +400,24 @@ def survivor_loads_for_pair(
 
 
 def check_pair_balanced_reconstruction(
-    layout: ParityLayout, plan: typing.Optional[SamplePlan] = None
+    layout: ParityLayout, sampled: bool = False
 ) -> CriterionReport:
     """Dual criterion 2: rebuild load is uniform for every failed *pair*.
 
-    For each pair of failed disks, every surviving disk must read the
-    same number of units per table. A BIBD alone does not guarantee
-    this — it takes a ``t = 3`` design (uniform triple co-occurrence),
-    since the load on survivor ``d`` is ``N(a,d) + N(b,d) - N(a,b,d)``.
+    For each audited pair of failed disks, every surviving disk must
+    read the same number of units per table. A BIBD alone does not
+    guarantee this — it takes a ``t = 3`` design (uniform triple
+    co-occurrence), since the load on survivor ``d`` is
+    ``N(a,d) + N(b,d) - N(a,b,d)``.
     """
+    all_pairs = list(itertools.combinations(range(layout.num_disks), 2))
+    indices = _audited(len(all_pairs), SAMPLE_PAIRS, sampled)
     observed: typing.Set[int] = set()
-    if plan is None:
-        for pair, row in pair_reconstruction_loads(layout).items():
-            for d, load in enumerate(row):
-                if d not in pair:
-                    observed.add(load)
-        scope = "any failed pair"
-    else:
-        rng = plan.rng()
-        all_pairs = list(itertools.combinations(range(layout.num_disks), 2))
-        indices = _sample(len(all_pairs), plan.pairs, rng)
-        for index in indices:
-            pair = all_pairs[index]
-            row = survivor_loads_for_pair(layout, pair)
-            for d, load in enumerate(row):
-                if d not in pair:
-                    observed.add(load)
-        scope = f"each of {len(indices)} sampled failed pairs (seed {plan.seed})"
+    for index in indices:
+        pair = all_pairs[index]
+        row = survivor_loads_for_pair(layout, pair)
+        observed.update(load for d, load in enumerate(row) if d not in pair)
+    scope = _sampled_scope(len(indices), "failed pairs") if sampled else "any failed pair"
     if len(observed) == 1:
         load = observed.pop()
         return CriterionReport(
@@ -524,41 +438,37 @@ def check_pair_balanced_reconstruction(
 
 
 def check_distributed_q(
-    layout: ParityLayout, plan: typing.Optional[SamplePlan] = None
+    layout: ParityLayout, sampled: bool = False
 ) -> CriterionReport:
     """Dual criterion 3: Q units are spread evenly over the disks."""
     return _check_distributed_role(
-        layout, plan, Q_ROLE, "distributed-q", "Q", "q_units_per_disk"
+        layout, sampled, Q_ROLE, "distributed-q", "Q", "q_units_per_disk"
     )
 
 
-def evaluate_layout(
-    layout: ParityLayout, mode: str = "auto", seed: int = 1992
-) -> typing.List[CriterionReport]:
+def evaluate_layout(layout: ParityLayout) -> typing.List[CriterionReport]:
     """Run all criteria checks against a layout.
 
     The paper's six checks always run; dual-syndrome layouts get three
     more (double-failure correction, pair-balanced reconstruction,
-    distributed Q). ``mode`` selects exhaustive (``"exact"``) or seeded
-    sampled (``"sample"``) checking; the default ``"auto"`` stays exact
-    below :data:`SAMPLING_THRESHOLD_DISKS` disks — bit-identical to the
-    historical exhaustive reports — and samples at or above it.
+    distributed Q). Below :data:`SAMPLING_THRESHOLD_DISKS` disks every
+    item is audited; at or above it, the seeded sample.
     """
-    plan = sample_plan(layout, mode=mode, seed=seed)
+    sampled = layout.num_disks >= SAMPLING_THRESHOLD_DISKS
     reports = [
-        check_single_failure_correcting(layout, plan),
-        check_distributed_reconstruction(layout, plan),
-        check_distributed_parity(layout, plan),
+        check_single_failure_correcting(layout, sampled),
+        check_distributed_reconstruction(layout, sampled),
+        check_distributed_parity(layout, sampled),
         check_efficient_mapping(layout),
-        check_large_write_optimization(layout, plan),
-        check_maximal_parallelism(layout, plan),
+        check_large_write_optimization(layout, sampled),
+        check_maximal_parallelism(layout, sampled),
     ]
     if layout.num_syndromes == 2:
         reports.extend(
             [
-                check_double_failure_correcting(layout, plan),
-                check_pair_balanced_reconstruction(layout, plan),
-                check_distributed_q(layout, plan),
+                check_double_failure_correcting(layout, sampled),
+                check_pair_balanced_reconstruction(layout, sampled),
+                check_distributed_q(layout, sampled),
             ]
         )
     return reports

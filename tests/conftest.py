@@ -15,7 +15,7 @@ import pytest
 from repro.array import ArrayAddressing, ArrayController
 from repro.designs import boolean_quadruple_system, complete_design, paper_design
 from repro.disk import scaled_spec
-from repro.layout import DeclusteredLayout, LeftSymmetricRaid5Layout
+from repro.layout import DeclusteredLayout, LeftSymmetricRaid5Layout, criteria
 from repro.recon.algorithms import BASELINE
 from repro.sim import Environment
 
@@ -92,6 +92,27 @@ def build_dual_array(
         fault_profile=fault_profile, retry_policy=retry_policy,
     )
     return ArrayUnderTest(env=env, controller=controller, addressing=addressing)
+
+
+def sampled_criteria_reports(layout) -> list:
+    """Every criteria report of ``layout`` on the seeded sample: the audit
+    ``evaluate_layout`` runs from ``SAMPLING_THRESHOLD_DISKS`` disks up,
+    here at any width."""
+    reports = [
+        criteria.check_single_failure_correcting(layout, sampled=True),
+        criteria.check_distributed_reconstruction(layout, sampled=True),
+        criteria.check_distributed_parity(layout, sampled=True),
+        criteria.check_efficient_mapping(layout),
+        criteria.check_large_write_optimization(layout, sampled=True),
+        criteria.check_maximal_parallelism(layout, sampled=True),
+    ]
+    if layout.num_syndromes == 2:
+        reports += [
+            criteria.check_double_failure_correcting(layout, sampled=True),
+            criteria.check_pair_balanced_reconstruction(layout, sampled=True),
+            criteria.check_distributed_q(layout, sampled=True),
+        ]
+    return reports
 
 
 @pytest.fixture

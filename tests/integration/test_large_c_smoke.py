@@ -81,7 +81,7 @@ class TestLargeCSmoke:
         assert elapsed < 5.0, f"100k translations took {elapsed:.1f}s"
 
     def test_c1009_criteria_pass_in_sampling_mode(self):
-        reports = evaluate_layout(PermutationStripingLayout(1009, 10), mode="auto")
+        reports = evaluate_layout(PermutationStripingLayout(1009, 10))
         verdicts = {r.name: r.passed for r in reports}
         # Criterion 6 fails for every declustered data mapping, as the
         # paper notes; everything else must hold at C=1009.

@@ -15,6 +15,8 @@ claim three ways:
   brute-force per-window recount on the paper's C<=21 grid.
 """
 
+import random
+
 import pytest
 
 from repro.designs import cyclic_design
@@ -29,11 +31,13 @@ from repro.layout import (
     TableParityLayout,
 )
 from repro.layout.criteria import (
-    SamplePlan,
+    SAMPLE_STRIPES,
+    SAMPLING_THRESHOLD_DISKS,
     check_maximal_parallelism,
     evaluate_layout,
-    sample_plan,
 )
+
+from tests.conftest import sampled_criteria_reports
 
 #: (C, G) permutation-striping geometries: prime widths spanning the
 #: paper's alpha range, both syndrome counts where G allows.
@@ -151,9 +155,9 @@ class TestCriteriaAgreement:
     def test_verdicts_agree_across_twins_and_modes(self, num_disks, stripe_size):
         arith = PermutationStripingLayout(num_disks, stripe_size)
         table = materialize(arith)
-        exact_arith = evaluate_layout(arith, mode="exact")
-        exact_table = evaluate_layout(table, mode="exact")
-        sampled_arith = evaluate_layout(arith, mode="sample")
+        exact_arith = evaluate_layout(arith)
+        exact_table = evaluate_layout(table)
+        sampled_arith = sampled_criteria_reports(arith)
         for a, t, s in zip(exact_arith, exact_table, sampled_arith):
             assert a.name == t.name == s.name
             assert a.passed == t.passed == s.passed
@@ -165,35 +169,27 @@ class TestCriteriaAgreement:
     def test_dual_criteria_agree(self):
         arith = CyclicArithmeticLayout(((0, 1, 3),), 7, num_syndromes=2)
         table = DeclusteredLayout(cyclic_pq_design(3), num_syndromes=2)
-        for a, t in zip(evaluate_layout(arith, mode="exact"),
-                        evaluate_layout(table, mode="exact")):
+        for a, t in zip(evaluate_layout(arith), evaluate_layout(table)):
             assert (a.name, a.passed) == (t.name, t.passed)
 
     def test_sampling_is_deterministic(self):
         layout = PermutationStripingLayout(13, 5)
-        first = evaluate_layout(layout, mode="sample", seed=7)
-        second = evaluate_layout(layout, mode="sample", seed=7)
+        first = sampled_criteria_reports(layout)
+        second = sampled_criteria_reports(layout)
         assert [(r.name, r.passed, r.detail) for r in first] == [
             (r.name, r.passed, r.detail) for r in second
         ]
 
-    def test_auto_mode_thresholds_on_width(self):
-        small = PermutationStripingLayout(13, 5)
-        assert sample_plan(small, mode="auto") is None
-        assert sample_plan(small, mode="sample") is not None
-        # At C=1009 auto must sample: exhaustive checks on a period of
-        # over a million stripes are exactly what sampling exists for.
-        large = PermutationStripingLayout(1009, 10)
-        assert sample_plan(large, mode="auto") is not None
+    def test_evaluate_layout_samples_from_the_threshold_width(self):
+        def stripes_audited(layout):
+            return evaluate_layout(layout)[0].metrics["stripes_audited"]
 
-    def test_large_c_criteria_pass_in_sampling_mode(self):
-        layout = PermutationStripingLayout(1009, 10)
-        reports = evaluate_layout(layout, mode="auto")
-        # Criterion 6 fails for every declustered data mapping — the
-        # paper itself notes it (Figure 4-2); all the rest must hold.
-        verdicts = {r.name: r.passed for r in reports}
-        assert verdicts.pop("maximal-parallelism") is False
-        assert all(verdicts.values()), [str(r) for r in reports]
+        small = PermutationStripingLayout(13, 5)
+        assert stripes_audited(small) == small.stripes_per_table
+        # 257 is the first prime width at or above the threshold; its
+        # period holds 65,792 stripes, of which the audit samples 512.
+        assert SAMPLING_THRESHOLD_DISKS <= 257
+        assert stripes_audited(PermutationStripingLayout(257, 3)) == SAMPLE_STRIPES
 
 
 def brute_force_parallelism(layout) -> tuple:
@@ -258,8 +254,7 @@ class TestLargeCMapping:
 
     def test_c1009_stripes_are_disjoint(self):
         layout = PermutationStripingLayout(1009, 10)
-        plan = SamplePlan(seed=3)
-        for s in plan.rng().sample(range(layout.stripes_per_table), 32):
+        for s in random.Random(3).sample(range(layout.stripes_per_table), 32):
             units = layout.stripe_units(s)
             assert len({u.disk for u in units}) == layout.stripe_size
             assert units[-1] == layout.stripe_unit(s, PARITY_ROLE)

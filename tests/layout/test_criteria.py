@@ -6,8 +6,8 @@ from repro.layout.criteria import (
     check_efficient_mapping,
     check_large_write_optimization,
     check_single_failure_correcting,
-    reconstruction_load_matrix,
     role_units_per_disk,
+    survivor_loads_for_failure,
 )
 
 
@@ -48,7 +48,7 @@ class TestDistributedReconstruction:
         from repro.layout import DeclusteredLayout
 
         layout = DeclusteredLayout(complete_design(5, 3))
-        matrix = reconstruction_load_matrix(layout)
+        matrix = [survivor_loads_for_failure(layout, f) for f in range(5)]
         values = {
             matrix[f][d]
             for f in range(5)
@@ -62,8 +62,7 @@ class TestDistributedReconstruction:
         from repro.layout import DeclusteredLayout
 
         layout = DeclusteredLayout(complete_design(5, 3))
-        matrix = reconstruction_load_matrix(layout)
-        assert all(matrix[d][d] == 0 for d in range(5))
+        assert all(survivor_loads_for_failure(layout, d)[d] == 0 for d in range(5))
 
 
 class TestEfficientMapping:

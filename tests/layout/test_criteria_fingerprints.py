@@ -22,7 +22,7 @@ from repro.layout import (
 )
 from repro.layout.criteria import evaluate_layout
 
-from tests.conftest import dual_test_layout
+from tests.conftest import dual_test_layout, sampled_criteria_reports
 
 #: ``evaluate_layout(build_layout(21, G))`` for the paper's stripe sizes.
 PAPER_DIGESTS = {
@@ -111,11 +111,6 @@ def report_digest(reports):
     return digest.hexdigest()
 
 
-def sampled_reports(layout):
-    """The audit :func:`evaluate_layout` runs from 256 disks up."""
-    return evaluate_layout(layout, mode="sample")
-
-
 @pytest.mark.parametrize("g", PAPER_STRIPE_SIZES)
 def test_paper_layouts(g):
     assert report_digest(evaluate_layout(build_layout(21, g))) == PAPER_DIGESTS[g]
@@ -142,4 +137,4 @@ def test_other_layouts(name):
 @pytest.mark.parametrize("name", sorted(SAMPLED_LAYOUTS))
 def test_sampled_reports(name):
     make, expected = SAMPLED_LAYOUTS[name]
-    assert report_digest(sampled_reports(make())) == expected
+    assert report_digest(sampled_criteria_reports(make())) == expected
