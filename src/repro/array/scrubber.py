@@ -5,7 +5,9 @@ failures: latent sector errors or an interrupted parity update would
 surface only during a reconstruction — exactly when they destroy data.
 Production arrays therefore *scrub*: a background process sweeps every
 parity stripe, reads all its units, recomputes the XOR, and repairs any
-stale parity unit it finds.
+stale parity unit it finds. A unit whose read errors (a latent sector)
+is decoded from the values that same read returned, when the stripe
+has a syndrome per errored unit, and rewritten in place.
 
 The scrubber reuses the array's stripe locks so a scrub cycle never
 interleaves with a user parity update, tags its accesses as
@@ -114,7 +116,7 @@ class ParityScrubber:
                         # rebuild each from the rest and rewrite it in
                         # place (the write remaps the latent extent).
                         yield from self._repair_errored(
-                            stripe, [units[index] for index in errored]
+                            units, [units[index] for index in errored]
                         )
                 if controller.datastore is None:
                     continue
@@ -145,28 +147,21 @@ class ParityScrubber:
         self.report.duration_ms = env.now - start_ms
         done.succeed(self.report)
 
-    def _repair_errored(self, stripe: int, bad_units):
-        """Rebuild errored unit(s) from the stripe's readable units.
+    def _repair_errored(self, units, bad_units):
+        """Rebuild errored unit(s) from the stripe values the scrub has
+        just read, then rewrite each in place.
 
-        Single-syndrome stripes XOR the values the scrub just read;
-        dual-syndrome stripes read the stripe again and decode it. Runs
-        under the stripe lock the caller already holds.
+        ``units`` is the whole stripe, ``bad_units`` the units whose
+        reads errored, no more of them than the stripe has syndromes.
+        Nothing is read again. Runs under the stripe lock the caller
+        already holds.
         """
         controller = self.controller
-        layout = controller.layout
-        if layout.num_syndromes == 1:
-            units = layout.stripe_units(stripe)
-            values = [
-                None if unit in bad_units else controller._ds_read(unit)
-                for unit in units
-            ]
-            decoded = dict(zip(units, gf.decode(values, 1)))
-        else:
-            decoded, _erasures = yield from controller._decode(
-                stripe, tuple(bad_units), kind=KIND_RECON
-            )
-            if decoded is None:
-                return
+        values = [
+            None if unit in bad_units else controller._ds_read(unit)
+            for unit in units
+        ]
+        decoded = dict(zip(units, gf.decode(values, controller.layout.num_syndromes)))
         for bad in bad_units:
             yield controller._disk_access(bad, is_write=True, kind=KIND_RECON)
             controller._ds_write(bad, decoded[bad])

@@ -17,7 +17,7 @@ is the full-size configuration.
 
 from repro.experiments.scales import SCALES, ScalePreset, get_scale
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
-from repro.experiments.builders import build_layout, design_for
+from repro.experiments.builders import build_layout
 
 __all__ = [
     "SCALES",
@@ -25,7 +25,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "build_layout",
-    "design_for",
     "get_scale",
     "run_scenario",
 ]

@@ -115,16 +115,6 @@ def _substitute_design(num_disks: int, stripe_size: int, syndromes: int) -> _Des
     return k, catalog.blocks(num_disks, k), lambda: catalog.build(num_disks, k)
 
 
-def design_for(num_disks: int, stripe_size: int, syndromes: int = 1) -> BlockDesign:
-    """The block design a table layout for (C, G) is built over: the
-    exact design :func:`check_layout` prefers, else the closest
-    feasible alpha."""
-    design = _exact_design(num_disks, stripe_size, syndromes) or _substitute_design(
-        num_disks, stripe_size, syndromes
-    )
-    return design[2]()
-
-
 def _arithmetic_plan(
     num_disks: int, stripe_size: int, syndromes: int, kind: str
 ) -> LayoutPlan:

@@ -106,7 +106,6 @@ class PermutationStripingLayout(ArithmeticLayout):
         num_disks: int,
         stripe_size: int,
         num_syndromes: int = 1,
-        name: str = "",
     ):
         if not is_prime(num_disks):
             raise LayoutError(
@@ -120,7 +119,7 @@ class PermutationStripingLayout(ArithmeticLayout):
         super().__init__(
             num_disks,
             stripe_size,
-            name=name or f"perm-prime-{num_disks}-{stripe_size}",
+            name=f"perm-prime-{num_disks}-{stripe_size}",
             num_syndromes=num_syndromes,
         )
         c = num_disks
@@ -168,9 +167,9 @@ class CyclicArithmeticLayout(ArithmeticLayout):
     offset is ``dup*m*k + block_i*k + rank`` where ``rank`` counts this
     block's earlier shifts containing ``d``.
 
-    ``validate=True`` (default) verifies difference-family balance in
-    O(m·k²) — the streamed equivalent of validating the developed
-    BIBD, so an unbalanced family cannot silently break the
+    The constructor verifies difference-family balance in O(m·k²) —
+    the streamed equivalent of validating the developed BIBD, so an
+    unbalanced family cannot silently break the
     distributed-reconstruction guarantee.
     """
 
@@ -179,8 +178,6 @@ class CyclicArithmeticLayout(ArithmeticLayout):
         base_blocks: typing.Sequence[typing.Sequence[int]],
         modulus: int,
         num_syndromes: int = 1,
-        name: str = "",
-        validate: bool = True,
     ):
         blocks = tuple(
             tuple(int(e) % modulus for e in block) for block in base_blocks
@@ -195,17 +192,16 @@ class CyclicArithmeticLayout(ArithmeticLayout):
             raise LayoutError(
                 "G == C is RAID 5 / RAID 6; use LeftSymmetricRaid5Layout instead"
             )
-        if validate:
-            try:
-                difference_family_lambda(
-                    [BaseBlock(elements=block) for block in blocks], modulus
-                )
-            except DesignError as error:
-                raise LayoutError(f"invalid difference family: {error}") from error
+        try:
+            difference_family_lambda(
+                [BaseBlock(elements=block) for block in blocks], modulus
+            )
+        except DesignError as error:
+            raise LayoutError(f"invalid difference family: {error}") from error
         super().__init__(
             modulus,
             k,
-            name=name or f"cyclic-arith-{modulus}-{k}",
+            name=f"cyclic-arith-{modulus}-{k}",
             num_syndromes=num_syndromes,
         )
         self._blocks = blocks

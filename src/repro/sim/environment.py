@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import typing
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappop
 
 from repro.sim.events import PROCESSED, AllOf, AnyOf, Event, SimulationError, Timeout
 from repro.sim.process import GeneratorType, Process
@@ -109,33 +109,14 @@ class Environment:
     # ------------------------------------------------------------------
     # Scheduling and the run loop
     # ------------------------------------------------------------------
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Queue a triggered event for callback dispatch after ``delay``.
-
-        Zero-delay schedules take the immediate lane, whose order is
-        its append order; only heap pushes take a ``seq`` (see the
-        module docstring), so the split never reorders dispatch.
-        """
-        if self._closed:
-            raise SimulationError("cannot schedule on a closed environment")
-        if delay:
-            if not delay > 0:  # negative, or NaN
-                raise SimulationError(f"cannot schedule with delay={delay!r}")
-            heappush(self._heap, (self._now + delay, self._seq, event))
-            self._seq += 1
-        else:
-            # The immediate lane stores bare events: every entry is due
-            # now, in append order, so it needs no key tuple and no seq
-            # (see the module docstring).
-            self._imm_append(event)
-
     def close(self) -> None:
         """Shut the environment down: drop pending events, refuse new ones.
 
-        After ``close()`` any attempt to schedule — including the
-        :class:`~repro.sim.events.Timeout` fast path — raises
-        :class:`SimulationError`. Used when a scenario ends mid-flight
-        (e.g. a mission deadline) and stray completions must not fire.
+        After ``close()`` every way into the schedule — ``succeed``,
+        ``fail``, a new :class:`~repro.sim.events.Timeout` and a new
+        process's kick-off — raises :class:`SimulationError`. Used when
+        a scenario ends mid-flight (e.g. a mission deadline) and stray
+        completions must not fire.
         Closing from inside a callback also drops the events still due
         at the current instant.
         """

@@ -143,7 +143,6 @@ class Event:
             raise SimulationError("cannot schedule on a closed environment")
         self._state = TRIGGERED
         self._value = value
-        # Inline of env.schedule(self) with delay 0 — the only case here.
         env._imm_append(self)
         return self
 
@@ -185,20 +184,20 @@ class Timeout(Event):
     and every arrival delay is one), so construction is the fast path:
     the event is born ``TRIGGERED`` — skipping ``succeed()``'s
     pending-state bookkeeping — and enters the schedule directly: the
-    heap for positive delays, with the same ``(time, seq)`` key
-    :meth:`Environment.schedule` would have assigned, and the immediate
-    lane for zero, preserving dispatch order exactly.
+    heap for positive delays, keyed ``(time, seq)`` like every heap
+    entry, and the immediate lane for zero, preserving dispatch order
+    exactly.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: object = None):
         if env._closed:
-            # The direct heap push below bypasses Environment.schedule,
-            # so the closed-environment guard must be replicated here:
-            # a Timeout must never mark itself TRIGGERED and then fail
-            # to enter the schedule (it could then be succeed()ed a
-            # second time with no record of the first).
+            # Every way into the schedule refuses a closed environment,
+            # and this one checks before anything else: a Timeout must
+            # never mark itself TRIGGERED and then fail to enter the
+            # schedule (it could then be succeed()ed a second time with
+            # no record of the first).
             raise SimulationError("cannot schedule a Timeout on a closed environment")
         self.env = env
         self._callbacks = None

@@ -50,9 +50,9 @@ class Process(Event):
         # finished process to reference counting, not the cyclic
         # collector.
         self._resume_cb = self._resume
-        # Kick the process off via an immediately-scheduled event so that
-        # creation order does not matter within a time step. Inline of
-        # env.schedule(start) with delay 0, guard included.
+        # Kick the process off via an event in the immediate lane, so
+        # that creation order does not matter within a time step; like
+        # every way into the schedule, it refuses a closed environment.
         if env._closed:
             raise SimulationError("cannot schedule on a closed environment")
         start = Event(env)

@@ -5,7 +5,7 @@ import pytest
 from repro.array.scrubber import ParityScrubber
 from repro.faults.profile import FaultProfile
 from repro.workload import SyntheticWorkload, WorkloadConfig
-from tests.conftest import build_array
+from tests.conftest import build_array, build_dual_array
 
 
 def corrupt_parity(array, stripe):
@@ -162,3 +162,45 @@ class TestLatentErrorScrub:
         assert report.media_errors_found == 0
         assert report.media_repairs == 0
         assert report.mismatches_found == 0
+
+
+class TestPQLatentErrorScrub:
+    """A P+Q scrub decodes latent units from the values it has just read."""
+
+    def scrub(self, latent_positions):
+        """Scrub the SQS(8) array with latent units in stripe 4; return
+        the array, the report, the planted disks' fault states, and the
+        disk I/Os beyond one read of every unit."""
+        # A quiescent profile arms the error-outcome paths without any
+        # stochastic fault source perturbing the scrub.
+        array = build_dual_array(fault_profile=FaultProfile(seed=3))
+        units = array.layout.stripe_units(4)
+        states = [plant_latent(array, units[i]) for i in latent_positions]
+        report = array.env.run(until=ParityScrubber(array.controller).start())
+        ios = sum(disk.stats.completed for disk in array.controller.disks)
+        reads = array.addressing.num_stripes * array.layout.stripe_size
+        return array, report, states, ios - reads
+
+    def test_clean_scrub_reads_every_unit_once(self):
+        _array, report, _states, extra_ios = self.scrub([])
+        assert extra_ios == 0
+        assert report.media_errors_found == report.media_repairs == 0
+
+    @pytest.mark.parametrize("latent_positions", [[1], [0, 3]], ids=["one", "two"])
+    def test_latent_units_are_decoded_without_a_second_read(self, latent_positions):
+        array, report, states, extra_ios = self.scrub(latent_positions)
+        assert report.media_errors_found == len(latent_positions)
+        assert report.media_repairs == len(latent_positions)
+        # One write per repaired unit, and no read beyond the scrub's own.
+        assert extra_ios == len(latent_positions)
+        assert all(state.latent_extents == 0 for state in states)
+        store = array.controller.datastore
+        for stripe in range(array.addressing.num_stripes):
+            assert store.stripe_is_consistent(stripe)
+
+    def test_three_latent_units_are_beyond_the_syndromes(self):
+        _array, report, states, extra_ios = self.scrub([0, 1, 3])
+        assert report.media_errors_found == 3
+        assert report.media_repairs == 0
+        assert extra_ios == 0
+        assert all(state.latent_extents == 1 for state in states)

@@ -12,7 +12,6 @@ from repro.experiments.builders import (
     alpha_of,
     build_layout,
     check_layout,
-    design_for,
 )
 from repro.experiments.runner import ScenarioConfig
 from repro.experiments.scales import get_scale
@@ -36,17 +35,16 @@ class TestBuildLayout:
         alphas = [round(alpha_of(PAPER_NUM_DISKS, g), 2) for g in PAPER_STRIPE_SIZES]
         assert alphas == [0.10, 0.15, 0.20, 0.25, 0.45, 0.85, 1.00]
 
-    def test_design_for_prefers_small_designs(self):
+    def test_layout_prefers_small_designs(self):
         # alpha = 0.85 must come from the 70-tuple complement design,
         # not the 1,330-tuple complete design the paper had to use.
-        design = design_for(21, 18)
-        assert design.b == 70
+        assert build_layout(21, 18).design.b == 70
 
     def test_design_validates(self):
         for g in PAPER_STRIPE_SIZES:
             if g == 21:
                 continue
-            design_for(21, g).validate()
+            build_layout(21, g).design.validate()
 
 
 class TestAutoLayoutSelection:
@@ -184,7 +182,7 @@ class TestDualBuildLayout:
         # C = G(G-1)+1 with a planar difference set: 21 = 5*4+1. The
         # projective-plane design routes every disk pair through
         # exactly one stripe (lambda_2 = 1).
-        design = design_for(21, 5, syndromes=2)
+        design = build_layout(21, 5, syndromes=2).design
         assert design.v == 21 and design.k == 5
         assert is_t_balanced(design, 2)
         assert t_lambda(design, 2) == 1
@@ -192,7 +190,7 @@ class TestDualBuildLayout:
     def test_power_of_two_g4_uses_the_quadruple_system(self):
         from repro.designs.tdesigns import is_t_balanced
 
-        design = design_for(8, 4, syndromes=2)
+        design = build_layout(8, 4, syndromes=2).design
         assert design.v == 8 and design.k == 4
         assert is_t_balanced(design, 3)
 

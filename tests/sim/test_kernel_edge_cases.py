@@ -272,8 +272,8 @@ class TestClosedEnvironment:
         env = Environment()
         env.close()
         # Both the heap path (positive delay) and the immediate lane
-        # (zero delay) bypass Environment.schedule, so each replicates
-        # the closed guard; this is the double-schedule regression
+        # (zero delay) check the closed guard before the timeout marks
+        # itself triggered; this is the double-schedule regression
         # fix's contract.
         with pytest.raises(SimulationError):
             env.timeout(1.0)
@@ -288,8 +288,6 @@ class TestClosedEnvironment:
             pending.succeed()
         with pytest.raises(SimulationError):
             env.event().fail(RuntimeError("late"))
-        with pytest.raises(SimulationError):
-            env.schedule(env.event())
 
         def body(env):
             yield env.timeout(1.0)
