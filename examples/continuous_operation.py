@@ -42,7 +42,7 @@ def main():
     workload.run(duration_ms=float("inf"))
 
     # --- 1. background scrub catches a latent parity error --------------
-    parity = layout.parity_unit(17)
+    parity = layout.stripe_unit(17, layout.data_units_per_stripe)  # P follows the data
     store = controller.datastore
     store.write_unit(parity.disk, parity.offset, 0xBAD0BAD0)
     scrubber = ParityScrubber(controller, cycle_delay_ms=2.0)

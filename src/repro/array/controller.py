@@ -7,11 +7,11 @@ full access-sequence table.
 
 There is one path per access type: a read, a repair read, a unit write
 (a read-modify-write over the stripe's check units, or a degraded
-write) and a large write. The layout's syndrome count is data: its
-``syndrome_roles`` give a stripe's check units, and
-:mod:`repro.array.syndromes` computes, updates and decodes one (P, the
-paper's parity) or two (P+Q) of them. Where the two families issue
-different I/O, the one path chooses by the count:
+write) and a large write. The layout's syndrome count is data: a
+stripe's check units are the units after its data units in stripe
+order, and :mod:`repro.array.syndromes` computes, updates and decodes
+one (P, the paper's parity) or two (P+Q) of them. Where the two
+families issue different I/O, the one path chooses by the count:
 
 - an on-the-fly read with one syndrome XORs the target back from every
   other unit; with two it reads every live unit and decodes;
@@ -178,6 +178,10 @@ class ArrayController:
         self.recon_statuses: typing.Dict[int, ReconStatus] = {}
         self.stats = ControllerStats()
         self._write_paths = _WRITE_PATHS[self.layout.num_syndromes]
+        # Stripe order puts a stripe's check units after its data units.
+        self._check_indices = range(
+            self.layout.data_units_per_stripe, self.layout.stripe_size
+        )
         self._small_stripes = (
             self.layout.num_syndromes == 1 and self.layout.stripe_size == 3
         )
@@ -659,9 +663,12 @@ class ArrayController:
             target = address
             if self.layout.stripe_size == 2:
                 # Mirrored reads balance across the two copies: take the
-                # replica whose disk has the shorter queue (never a
-                # failed slot — its copy may not be rebuilt yet).
-                mirror = self.layout.parity_unit(self.layout.stripe_of_logical(logical))
+                # replica (the parity unit, unit 1) whose disk has the
+                # shorter queue (never a failed slot — its copy may not
+                # be rebuilt yet).
+                mirror = self.layout.stripe_unit(
+                    self.layout.stripe_of_logical(logical), 1
+                )
                 if (
                     not faults.is_down(mirror.disk)
                     and self.disks[mirror.disk].queue_length
@@ -813,7 +820,7 @@ class ArrayController:
             # cannot restore consistency. Account and fail the update.
             self._record_data_loss_access(request, logical, stripe)
             return
-        checks = [layout.stripe_unit(stripe, r) for r in layout.syndrome_roles]
+        checks = [layout.stripe_unit(stripe, i) for i in self._check_indices]
         writes = [address, *checks]
         yield self.locks.acquire(stripe)
         try:
@@ -821,7 +828,7 @@ class ArrayController:
                 datastore = self.datastore
                 other = None
                 if self._small_stripes:
-                    other = layout.data_unit(stripe, 1 - role)
+                    other = layout.stripe_unit(stripe, 1 - role)
                     if self._address_dead(other):
                         other = None
                 if other is not None:

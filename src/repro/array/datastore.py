@@ -18,7 +18,6 @@ integers, so the store needs no numpy.
 
 from __future__ import annotations
 
-import typing
 from array import array
 
 from repro.array import syndromes as gf
@@ -77,51 +76,19 @@ class DataStore:
     # ------------------------------------------------------------------
     # Stripe helpers
     # ------------------------------------------------------------------
-    def stripe_data_values(self, stripe: int) -> typing.List[int]:
-        layout = self.addressing.layout
-        return [
-            self.read_unit(*self._slot(layout.data_unit(stripe, j)))
-            for j in range(layout.data_units_per_stripe)
-        ]
-
-    def parity_value(self, stripe: int) -> int:
-        layout = self.addressing.layout
-        return self.read_unit(*self._slot(layout.parity_unit(stripe)))
-
-    def q_value(self, stripe: int) -> int:
-        layout = self.addressing.layout
-        return self.read_unit(*self._slot(layout.q_unit(stripe)))
-
-    def recompute_parity(self, stripe: int) -> None:
-        """Set the stripe's parity slot to the XOR of its data slots."""
-        parity = 0
-        for value in self.stripe_data_values(stripe):
-            parity ^= value
-        address = self.addressing.layout.parity_unit(stripe)
-        self.write_unit(address.disk, address.offset, parity)
-
-    def recompute_q(self, stripe: int) -> None:
-        """Set the stripe's Q slot to the GF(2^64) syndrome of its data."""
-        address = self.addressing.layout.q_unit(stripe)
-        self.write_unit(
-            address.disk, address.offset, gf.q_of(self.stripe_data_values(stripe))
-        )
-
     def recompute_syndromes(self, stripe: int) -> None:
         """Refresh every check unit of the stripe from its data units."""
-        self.recompute_parity(stripe)
-        if self.addressing.layout.num_syndromes == 2:
-            self.recompute_q(stripe)
+        layout = self.addressing.layout
+        units = layout.stripe_units(stripe)
+        g_data = layout.data_units_per_stripe
+        data = [self.read_unit(*unit) for unit in units[:g_data]]
+        checks = gf.checks_of(data, layout.num_syndromes)
+        for unit, value in zip(units[g_data:], checks):
+            self.write_unit(unit.disk, unit.offset, value)
 
     def stripe_is_consistent(self, stripe: int) -> bool:
         """True if every check unit matches the stripe's data units."""
-        data = self.stripe_data_values(stripe)
-        if gf.p_of(data) != self.parity_value(stripe):
-            return False
-        if self.addressing.layout.num_syndromes == 2:
-            return gf.q_of(data) == self.q_value(stripe)
-        return True
-
-    @staticmethod
-    def _slot(address) -> typing.Tuple[int, int]:
-        return address.disk, address.offset
+        layout = self.addressing.layout
+        values = [self.read_unit(*unit) for unit in layout.stripe_units(stripe)]
+        g_data = layout.data_units_per_stripe
+        return gf.checks_of(values[:g_data], layout.num_syndromes) == values[g_data:]

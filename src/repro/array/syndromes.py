@@ -34,7 +34,7 @@ stripe are recoverable:
   syndrome XOR the contribution of the surviving units);
 - missing check units are recomputed from data.
 
-Check units are listed in the layout's ``syndrome_roles`` order, P
+Check units are listed in stripe order, after the data units: P
 then Q. Everything here is pure word arithmetic on Python ints; the
 small per-position constants (``x^j`` and the pairwise inverses) are
 memoised because stripe width ``G`` is tiny (<= 21) while inversion

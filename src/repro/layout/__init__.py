@@ -4,8 +4,10 @@ A layout answers two questions for an array of ``C`` disks with parity
 stripes of ``G`` units (``G - 1`` data units plus one parity unit, or
 ``G - 2`` data units plus P and Q when ``num_syndromes=2``):
 
-- *forward*: where do stripe ``s``'s data unit ``j`` and check units
-  live, as ``(disk, offset)`` pairs; and
+- *forward*: where do stripe ``s``'s units live, as ``(disk, offset)``
+  pairs: all ``G`` of them (``stripe_units``) or unit ``i``
+  (``stripe_unit``), in one *stripe order*, data units by position,
+  then P, then Q; and
 - *inverse*: given ``(disk, offset)``, which stripe and role is that
   unit.
 
@@ -16,7 +18,7 @@ table tiled down the disks: the left-symmetric RAID 5 layout (Figure
 2-1 of the paper; the special case ``G = C``, RAID 6 with two
 syndromes) and the block-design declustered layout (Section 4, Figures
 2-3 and 4-2), whose check positions rotate across the duplications of
-the design by one rule (:func:`~repro.layout.base.syndrome_positions`).
+the design by one rule (:func:`~repro.layout.base.rotated_elements`).
 The arithmetic family (:mod:`repro.layout.arithmetic`) computes every
 mapping in O(1) integer arithmetic with no table at all, which is what
 makes C=1000+ arrays practical. All layouts are scored by the

@@ -2,9 +2,9 @@
 
 The paper materializes its layouts as tables, which caps the array
 width it can evaluate at C=21 — a full table for C=1009, G=10 would
-hold millions of slots. The two layouts here compute
-``logical_to_physical`` / ``physical_to_logical`` / ``stripe_unit``
-directly from the block number, PRIME/RELPR-style, so a 1000-disk
+hold millions of slots. The two layouts here compute both period-local
+primitives, unit ``i`` of a table stripe and the stripe and role at a
+slot, directly from the block number, PRIME/RELPR-style, so a 1000-disk
 array maps any unit with zero table allocation:
 
 - :class:`PermutationStripingLayout` — permutation striping on a prime
@@ -18,15 +18,16 @@ array maps any unit with zero table allocation:
 - :class:`CyclicArithmeticLayout` — the arithmetic twin of developing
   a cyclic difference family (:mod:`repro.designs.difference`): tuple
   ``i`` of the design is a base block shifted by ``i mod v``, so
-  membership, parity position, and the greedy per-disk offsets of
+  membership, check positions, and the greedy per-disk offsets of
   ``build_full_table`` are all recomputable from ``i`` in O(G). It is
   slot-for-slot identical to
   ``DeclusteredLayout(cyclic_design(base_blocks, v))`` — the property
   tests hold the two implementations together — while storing only
   the base blocks.
 
-Both support single and dual (P+Q) syndromes with the same rotating
-check-slot convention as ``build_full_table``. Only the "stripe" data
+Both support single and dual (P+Q) syndromes, and both order a
+stripe's units as ``build_full_table`` does, by
+:func:`~repro.layout.base.rotated_elements`. Only the "stripe" data
 mapping is available: the row-major mapping is defined by an explicit
 index over a materialized table, which is exactly what these layouts
 exist to avoid.
@@ -43,7 +44,7 @@ from repro.layout.base import (
     LayoutError,
     ParityLayout,
     UnitAddress,
-    syndrome_positions,
+    rotated_elements,
 )
 
 
@@ -52,8 +53,9 @@ class ArithmeticLayout(ParityLayout):
 
     Subclasses implement ``_period_unit`` / ``_period_slot`` with pure
     integer arithmetic; nothing here or below allocates per-slot state,
-    so translation memory is O(C) worst case (precomputed modular
-    inverses) regardless of period size.
+    so translation memory is O(C + G^2) worst case (precomputed modular
+    inverses and per-duplication element orders) regardless of period
+    size.
     """
 
     def __init__(
@@ -91,7 +93,8 @@ class PermutationStripingLayout(ArithmeticLayout):
     ``i = s*G + u`` and place index ``i`` on disk ``j*i mod C``; the
     disk's units fill its next ``G`` offsets in index order. Check
     slots use fixed element positions (parity at ``u = G-1``, Q at
-    ``u = G-2``): since ``s -> j*(s*G + u) mod C`` is a bijection for
+    ``u = G-2``, the order ``rotated_elements`` gives duplication 0):
+    since ``s -> j*(s*G + u) mod C`` is a bijection for
     any fixed ``u`` (``gcd(jG, C) = 1``), every disk holds exactly one
     parity (and one Q) unit per rotation — criterion 3 holds exactly
     with no rotation of duplications needed.
@@ -125,16 +128,22 @@ class PermutationStripingLayout(ArithmeticLayout):
         c = num_disks
         self._stripes_per_table = c * (c - 1)
         self.table_depth = stripe_size * (c - 1)
+        #: Element ``u`` of each unit, in stripe order, and the role of
+        #: the unit at each element.
+        self._elements = rotated_elements(stripe_size, 0, num_syndromes)
+        self._element_roles = tuple(
+            self._unit_roles[self._elements.index(u)] for u in range(stripe_size)
+        )
         #: Modular inverses of the rotation multipliers, ``_inverses[j]
         #: = j^-1 mod C`` — O(C) once, so the inverse mapping stays
         #: divisionless per call.
         self._inverses = [0] + [pow(j, -1, c) for j in range(1, c)]
 
-    def _period_unit(self, s: int, pos: int) -> UnitAddress:
+    def _period_unit(self, s: int, i: int) -> UnitAddress:
         c = self.num_disks
         g = self.stripe_size
         rotation, stripe_in_rotation = divmod(s, c)
-        index = stripe_in_rotation * g + pos
+        index = stripe_in_rotation * g + self._elements[i]
         return UnitAddress(
             disk=((rotation + 1) * index) % c,
             offset=rotation * g + index // c,
@@ -147,8 +156,8 @@ class PermutationStripingLayout(ArithmeticLayout):
         # disk = j*index mod C, and the disk's occurrences within a
         # rotation are index residues index0, index0+C, ... in order.
         index = (disk * self._inverses[rotation + 1]) % c + occurrence * c
-        stripe_in_rotation, pos = divmod(index, g)
-        return rotation * c + stripe_in_rotation, self._role_of_pos(pos)
+        stripe_in_rotation, element = divmod(index, g)
+        return rotation * c + stripe_in_rotation, self._element_roles[element]
 
 
 class CyclicArithmeticLayout(ArithmeticLayout):
@@ -158,9 +167,9 @@ class CyclicArithmeticLayout(ArithmeticLayout):
     the same design ``repro.designs.difference.cyclic_design`` would
     develop: tuple ``(block_i, shift)`` is block ``block_i`` plus
     ``shift``, ordered block-major then shift. One period makes ``G``
-    duplications of the ``b = m*v`` tuples, rotating the check
-    positions exactly like ``build_full_table`` (both use
-    :func:`~repro.layout.base.syndrome_positions`: P at element
+    duplications of the ``b = m*v`` tuples, ordering each duplication's
+    elements exactly like ``build_full_table`` (both use
+    :func:`~repro.layout.base.rotated_elements`: P at element
     ``G-1-dup``, Q at ``G-2-dup``), and the greedy lowest-free-offset
     assignment is closed-form: disk ``d`` appears in block ``block_i``
     exactly once per element, at shift ``(d - element) mod v``, so its
@@ -211,46 +220,16 @@ class CyclicArithmeticLayout(ArithmeticLayout):
         self._units_per_disk_per_dup = m * k
         self._stripes_per_table = k * m * modulus
         self.table_depth = k * m * k
+        #: Element position of each unit, in stripe order, by duplication.
+        self._orders = [rotated_elements(k, dup, num_syndromes) for dup in range(k)]
 
-    # ------------------------------------------------------------------
-    # Check-position rotation (shared with ``build_full_table``)
-    # ------------------------------------------------------------------
-    def _special_positions(self, dup: int) -> typing.Tuple[int, ...]:
-        """Element positions of the check units in duplication ``dup``."""
-        return syndrome_positions(self.stripe_size, dup, self.num_syndromes)
-
-    def _element_of_pos(self, dup: int, pos: int) -> int:
-        """Element position of table-row position ``pos`` in ``dup``."""
-        specials = self._special_positions(dup)
-        if pos == self.stripe_size - 1:
-            return specials[0]
-        if self.num_syndromes == 2 and pos == self.stripe_size - 2:
-            return specials[1]
-        element = pos
-        for special in sorted(specials):
-            if element >= special:
-                element += 1
-        return element
-
-    def _pos_of_element(self, dup: int, element: int) -> int:
-        """Table-row position of element position ``element`` in ``dup``."""
-        specials = self._special_positions(dup)
-        if element == specials[0]:
-            return self.stripe_size - 1
-        if self.num_syndromes == 2 and element == specials[1]:
-            return self.stripe_size - 2
-        return element - sum(1 for special in specials if special < element)
-
-    # ------------------------------------------------------------------
-    # Period-local primitives
-    # ------------------------------------------------------------------
-    def _period_unit(self, s: int, pos: int) -> UnitAddress:
+    def _period_unit(self, s: int, i: int) -> UnitAddress:
         v = self.num_disks
         k = self.stripe_size
         dup, tuple_index = divmod(s, self._tuples_per_dup)
         block_index, shift = divmod(tuple_index, v)
         block = self._blocks[block_index]
-        disk = (block[self._element_of_pos(dup, pos)] + shift) % v
+        disk = (block[self._orders[dup][i]] + shift) % v
         # Greedy offsets, closed form: earlier duplications and earlier
         # blocks contribute fixed counts; within this block's orbit, the
         # disk appeared once per earlier shift containing it.
@@ -270,6 +249,4 @@ class CyclicArithmeticLayout(ArithmeticLayout):
         shift = sorted((disk - element) % v for element in block)[rank]
         element_position = block.index((disk - shift) % v)
         stripe = dup * self._tuples_per_dup + block_index * v + shift
-        return stripe, self._role_of_pos(
-            self._pos_of_element(dup, element_position)
-        )
+        return stripe, self._unit_roles[self._orders[dup].index(element_position)]

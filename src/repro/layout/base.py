@@ -8,8 +8,14 @@ forward/inverse unit mapping, and the data mapping (logical data unit
 → physical slot) used by the striping driver — expressed over two
 period-local primitives subclasses provide:
 
-- ``_period_unit(s, pos)``   — slot of unit ``pos`` of table stripe ``s``;
+- ``_period_unit(s, i)``     — slot of unit ``i`` of table stripe ``s``;
 - ``_period_slot(disk, off)`` — ``(table stripe, role)`` at a table slot.
+
+A stripe's units have one order everywhere, the *stripe order*: its
+data units by position, then P, then (with two syndromes) Q. Unit
+``i`` has role :attr:`ParityLayout.unit_roles` ``[i]``, and
+:func:`rotated_elements` gives the order's rotation over a block
+design's tuple.
 
 :class:`TableParityLayout` is the paper's implementation: the period is
 materialized as an explicit table (``G * b`` stripes occupying ``G * r``
@@ -36,20 +42,19 @@ class LayoutError(ValueError):
     """Raised for malformed layout tables or out-of-range addresses."""
 
 
-def syndrome_positions(
+def rotated_elements(
     stripe_size: int, dup: int, num_syndromes: int = 1
 ) -> typing.Tuple[int, ...]:
-    """Element positions of the check units in duplication ``dup``.
+    """Element positions of a duplication-``dup`` stripe's units, in
+    stripe order: the data elements in increasing order, then P, then Q.
 
     The rotation of the paper's full block design table (Figure 4-2):
-    parity sits at element ``G-1-dup`` and, with two syndromes, Q at
-    ``G-2-dup`` (both mod ``G``). Parity comes first, as in
-    :attr:`ParityLayout.syndrome_roles`.
+    P sits at element ``G-1-dup`` and, with two syndromes, Q at
+    ``G-2-dup`` (both mod ``G``).
     """
-    parity_position = (stripe_size - 1 - dup) % stripe_size
-    if num_syndromes == 1:
-        return (parity_position,)
-    return (parity_position, (parity_position - 1) % stripe_size)
+    parity = (stripe_size - 1 - dup) % stripe_size
+    checks = (parity, (parity - 1) % stripe_size)[:num_syndromes]
+    return tuple(e for e in range(stripe_size) if e not in checks) + checks
 
 
 class UnitAddress(typing.NamedTuple):
@@ -72,10 +77,13 @@ class ParityLayout:
     striping driver, all in terms of the period-local primitives
     ``_period_unit`` / ``_period_slot``. Subclasses provide those
     primitives and must set ``_stripes_per_table`` and ``table_depth``
-    during construction. The default data mapping is "by parity stripe
-    index" (Table 5-1): logical data units fill successive data
-    positions of successive parity stripes, which satisfies the
-    large-write-optimization criterion.
+    during construction. The forward mapping is two calls:
+    :meth:`stripe_units` for a whole stripe and :meth:`stripe_unit` for
+    one unit of it, both in stripe order (data units, then P, then Q).
+    The default data mapping is "by parity stripe index" (Table 5-1):
+    logical data units fill successive data positions of successive
+    parity stripes, which satisfies the large-write-optimization
+    criterion.
 
     Parameters
     ----------
@@ -140,25 +148,20 @@ class ParityLayout:
         self.name = name or type(self).__name__
         self.data_mapping = data_mapping
         self._data_units_per_stripe = stripe_size - num_syndromes
-        self._syndrome_roles = (PARITY_ROLE, Q_ROLE)[:num_syndromes]
+        self._unit_roles = tuple(range(self._data_units_per_stripe)) + (
+            PARITY_ROLE, Q_ROLE
+        )[:num_syndromes]
 
     # ------------------------------------------------------------------
     # Period-local primitives (the subclass contract)
     # ------------------------------------------------------------------
-    def _period_unit(self, s: int, pos: int) -> UnitAddress:
-        """Slot of unit ``pos`` of table stripe ``s`` (both period-local)."""
+    def _period_unit(self, s: int, i: int) -> UnitAddress:
+        """Slot of unit ``i`` (in stripe order) of table stripe ``s``."""
         raise NotImplementedError
 
     def _period_slot(self, disk: int, table_offset: int) -> typing.Tuple[int, int]:
         """``(table stripe, role)`` of the slot at ``(disk, table_offset)``."""
         raise NotImplementedError
-
-    def _role_of_pos(self, pos: int) -> int:
-        if pos == self.stripe_size - 1:
-            return PARITY_ROLE
-        if self.num_syndromes == 2 and pos == self.stripe_size - 2:
-            return Q_ROLE
-        return pos
 
     # ------------------------------------------------------------------
     # Basic parameters
@@ -174,9 +177,11 @@ class ParityLayout:
         return self._data_units_per_stripe
 
     @property
-    def syndrome_roles(self) -> typing.Tuple[int, ...]:
-        """The check-unit roles: ``(PARITY_ROLE,)`` or ``(PARITY_ROLE, Q_ROLE)``."""
-        return self._syndrome_roles
+    def unit_roles(self) -> typing.Tuple[int, ...]:
+        """Role of each unit of a stripe, in stripe order: data positions
+        ``0..G-num_syndromes-1``, then :data:`PARITY_ROLE`, then (with
+        two syndromes) :data:`Q_ROLE`."""
+        return self._unit_roles
 
     @property
     def mapping_table_units(self) -> int:
@@ -199,53 +204,27 @@ class ParityLayout:
     # ------------------------------------------------------------------
     # Forward mapping
     # ------------------------------------------------------------------
-    def stripe_unit(self, stripe: int, role: int) -> UnitAddress:
-        """Physical slot of stripe ``stripe``'s unit with role ``role``.
-
-        ``role`` is a data position, :data:`PARITY_ROLE`, or (in dual-
-        syndrome layouts) :data:`Q_ROLE`.
-        """
-        if role == PARITY_ROLE:
-            pos = self.stripe_size - 1
-        elif role == Q_ROLE:
-            if self.num_syndromes < 2:
-                raise LayoutError("layout has no Q syndrome")
-            pos = self.stripe_size - 2
-        else:
-            pos = role
-        if not 0 <= pos < self.stripe_size or role >= self._data_units_per_stripe:
-            raise LayoutError(f"role {role} invalid for stripe size {self.stripe_size}")
+    def stripe_units(self, stripe: int) -> typing.List[UnitAddress]:
+        """All ``G`` slots of a stripe, in stripe order: data units by
+        position, then P, then (in dual-syndrome layouts) Q."""
         iteration, s = divmod(stripe, self._stripes_per_table)
-        base = self._period_unit(s, pos)
+        period_unit = self._period_unit
+        units = [period_unit(s, i) for i in range(self.stripe_size)]
+        if iteration == 0:
+            return units
+        shift = iteration * self.table_depth
+        return [UnitAddress(disk, offset + shift) for disk, offset in units]
+
+    def stripe_unit(self, stripe: int, i: int) -> UnitAddress:
+        """Physical slot of unit ``i`` of stripe ``stripe``, which is
+        ``stripe_units(stripe)[i]``."""
+        if not 0 <= i < self.stripe_size:
+            raise LayoutError(f"unit index {i} outside 0..{self.stripe_size - 1}")
+        iteration, s = divmod(stripe, self._stripes_per_table)
+        base = self._period_unit(s, i)
         if iteration == 0:
             return base
         return UnitAddress(base.disk, base.offset + iteration * self.table_depth)
-
-    def parity_unit(self, stripe: int) -> UnitAddress:
-        """Physical slot of stripe ``stripe``'s parity unit."""
-        return self.stripe_unit(stripe, PARITY_ROLE)
-
-    def q_unit(self, stripe: int) -> UnitAddress:
-        """Physical slot of stripe ``stripe``'s Q syndrome unit."""
-        return self.stripe_unit(stripe, Q_ROLE)
-
-    def data_unit(self, stripe: int, j: int) -> UnitAddress:
-        """Physical slot of stripe ``stripe``'s ``j``-th data unit."""
-        if not 0 <= j < self._data_units_per_stripe:
-            raise LayoutError(f"data index {j} outside 0..{self._data_units_per_stripe - 1}")
-        return self.stripe_unit(stripe, j)
-
-    def stripe_units(self, stripe: int) -> typing.List[UnitAddress]:
-        """All ``G`` slots of a stripe: data units in order, then check units.
-
-        Check units follow :attr:`syndrome_roles` order — parity, then
-        (in dual-syndrome layouts) Q.
-        """
-        units = [self.stripe_unit(stripe, j) for j in range(self.data_units_per_stripe)]
-        units.append(self.parity_unit(stripe))
-        if self.num_syndromes == 2:
-            units.append(self.q_unit(stripe))
-        return units
 
     # ------------------------------------------------------------------
     # Inverse mapping
@@ -339,10 +318,10 @@ class TableParityLayout(ParityLayout):
 
     table:
         One full table: a sequence of stripes, each a sequence of ``G``
-        :class:`UnitAddress` where index ``G-1`` is the **parity** slot
-        and indices ``0..G-2`` are data slots in order. Dual-syndrome
-        layouts (``num_syndromes=2``) additionally reserve index
-        ``G-2`` for the **Q** slot, leaving ``0..G-3`` for data.
+        :class:`UnitAddress` in stripe order. Indices
+        ``0..G-num_syndromes-1`` are the data slots in position order,
+        the next index is the **parity** slot, and dual-syndrome layouts
+        (``num_syndromes=2``) put the **Q** slot last, at ``G-1``.
     """
 
     def __init__(
@@ -364,15 +343,17 @@ class TableParityLayout(ParityLayout):
         self._table = [list(stripe) for stripe in table]
         self._stripes_per_table = len(self._table)
         self._check_and_index_table()
-        #: Memo for :meth:`logical_to_physical`, keyed on the
-        #: *within-table* logical unit so the key space is capped by the
-        #: table itself (``data_units_per_table`` entries) no matter how
-        #: many table iterations deep a scan goes. Addresses are
-        #: immutable, so sharing the period-local slot and shifting the
-        #: offset per iteration is safe.
-        self._l2p_period_cache: typing.Dict[int, UnitAddress] = {}
+        #: The period's data slots in logical order, one table's worth:
+        #: :meth:`logical_to_physical` indexes it and shifts the offset
+        #: per table iteration.
+        self._data_slots: typing.List[UnitAddress]
         if data_mapping == "row-major":
             self._build_row_major_order()
+        else:
+            g_data = self._data_units_per_stripe
+            self._data_slots = [
+                unit for stripe in self._table for unit in stripe[:g_data]
+            ]
 
     # ------------------------------------------------------------------
     # Construction-time checks
@@ -409,14 +390,14 @@ class TableParityLayout(ParityLayout):
             [(-1, 0)] * self.table_depth for _ in range(self.num_disks)
         ]
         for s, stripe in enumerate(self._table):
-            for pos, unit in enumerate(stripe):
-                self._inverse[unit.disk][unit.offset] = (s, self._role_of_pos(pos))
+            for unit, role in zip(stripe, self._unit_roles):
+                self._inverse[unit.disk][unit.offset] = (s, role)
 
     # ------------------------------------------------------------------
     # Period-local primitives
     # ------------------------------------------------------------------
-    def _period_unit(self, s: int, pos: int) -> UnitAddress:
-        return self._table[s][pos]
+    def _period_unit(self, s: int, i: int) -> UnitAddress:
+        return self._table[s][i]
 
     def _period_slot(self, disk: int, table_offset: int) -> typing.Tuple[int, int]:
         return self._inverse[disk][table_offset]
@@ -432,28 +413,18 @@ class TableParityLayout(ParityLayout):
                 _stripe, role = self._inverse[disk][offset]
                 if role >= 0:
                     order.append(UnitAddress(disk, offset))
-        self._row_major_order = order
+        self._data_slots = order
         self._row_major_index = {
             (slot.disk, slot.offset): i for i, slot in enumerate(order)
         }
 
     def logical_to_physical(self, logical_unit: int) -> UnitAddress:
-        """Physical slot of logical data unit ``logical_unit``.
-
-        One bounded dict probe replaces the divmod plus table hop on the
-        striping driver's single hottest translation.
-        """
+        """Physical slot of logical data unit ``logical_unit``: one index
+        into the period's data slots, for either data mapping."""
         if logical_unit < 0:
             raise LayoutError(f"negative logical unit {logical_unit}")
-        iteration, within = divmod(logical_unit, self.data_units_per_table)
-        base = self._l2p_period_cache.get(within)
-        if base is None:
-            if self.data_mapping == "stripe":
-                s, j = divmod(within, self._data_units_per_stripe)
-                base = self._table[s][j]
-            else:
-                base = self._row_major_order[within]
-            self._l2p_period_cache[within] = base
+        iteration, within = divmod(logical_unit, len(self._data_slots))
+        base = self._data_slots[within]
         if iteration == 0:
             return base
         return UnitAddress(base.disk, base.offset + iteration * self.table_depth)

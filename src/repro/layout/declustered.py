@@ -31,7 +31,7 @@ from repro.layout.base import (
     LayoutError,
     TableParityLayout,
     UnitAddress,
-    syndrome_positions,
+    rotated_elements,
 )
 
 
@@ -40,8 +40,8 @@ def build_full_table(
 ) -> typing.List[typing.List[UnitAddress]]:
     """Build the full block design table as a list of stripes.
 
-    Each stripe is a list of ``G`` slots: the data slots in element
-    order, then Q (with two syndromes), then parity.
+    Each stripe is a list of ``G`` slots in stripe order: the data
+    slots in element order, then parity, then Q (with two syndromes).
 
     Parameters
     ----------
@@ -50,10 +50,10 @@ def build_full_table(
         ``k = G``.
     rotate_parity:
         When True (the paper's scheme), make ``G`` duplications of the
-        design, assigning the check units to the element positions
-        :func:`~repro.layout.base.syndrome_positions` gives duplication
-        ``d``. When False, build a single table with parity always on
-        the last element — this deliberately violates the
+        design, ordering duplication ``d``'s elements as
+        :func:`~repro.layout.base.rotated_elements` gives them, so the
+        check units rotate. When False, build a single table with parity
+        always on the last element — this deliberately violates the
         distributed-parity criterion and exists for the ablation bench.
     num_syndromes:
         Check units per stripe: 1 (parity) or 2 (P+Q).
@@ -63,14 +63,13 @@ def build_full_table(
     table: typing.List[typing.List[UnitAddress]] = []
     duplications = range(g) if rotate_parity else (0,)
     for dup in duplications:
-        checks = syndrome_positions(g, dup, num_syndromes)
+        order = rotated_elements(g, dup, num_syndromes)
         for tup in design.tuples:
             slots = []
             for element in tup:
                 slots.append(UnitAddress(disk=element, offset=next_free[element]))
                 next_free[element] += 1
-            data_slots = [slot for pos, slot in enumerate(slots) if pos not in checks]
-            table.append(data_slots + [slots[pos] for pos in reversed(checks)])
+            table.append([slots[position] for position in order])
     return table
 
 

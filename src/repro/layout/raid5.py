@@ -12,7 +12,7 @@ stripe and every disk holds one P and one Q unit per table.
 
 from __future__ import annotations
 
-from repro.layout.base import TableParityLayout, UnitAddress
+from repro.layout.base import TableParityLayout, UnitAddress, rotated_elements
 
 
 class LeftSymmetricRaid5Layout(TableParityLayout):
@@ -25,9 +25,11 @@ class LeftSymmetricRaid5Layout(TableParityLayout):
 
     def __init__(self, num_disks: int, num_syndromes: int = 1):
         c = num_disks
-        # Unit ``pos`` of stripe ``s`` (data, then Q, then parity) sits
-        # on disk ``pos - s``: parity at ``C-1-s``, data from ``C-s``.
-        table = [[UnitAddress((pos - s) % c, s) for pos in range(c)] for s in range(c)]
+        # Element ``e`` of stripe ``s`` sits on disk ``e - s``: data from
+        # ``C-s``, parity at ``C-1-s`` and Q at ``C-2-s``.
+        # (The base class refuses C < 2 with a LayoutError.)
+        order = rotated_elements(c, 0, num_syndromes) if c > 0 else ()
+        table = [[UnitAddress((e - s) % c, s) for e in order] for s in range(c)]
         super().__init__(
             num_disks=c,
             stripe_size=c,

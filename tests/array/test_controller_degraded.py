@@ -18,7 +18,7 @@ def find_logical_with_parity_on_disk(array, disk):
     for logical in range(array.addressing.num_data_units):
         stripe = layout.stripe_of_logical(logical)
         if (
-            layout.parity_unit(stripe).disk == disk
+            layout.stripe_unit(stripe, layout.data_units_per_stripe).disk == disk
             and layout.logical_to_physical(logical).disk != disk
         ):
             return logical
@@ -135,7 +135,7 @@ class TestDegradedG3:
         for logical in range(array.addressing.num_data_units):
             stripe = layout.stripe_of_logical(logical)
             own = layout.logical_to_physical(logical)
-            parity = layout.parity_unit(stripe)
+            parity = layout.stripe_unit(stripe, layout.data_units_per_stripe)
             sibling = [
                 u for u in layout.stripe_units(stripe) if u not in (own, parity)
             ][0]

@@ -64,7 +64,7 @@ class TestBaseline:
         array = array_in_recon_mode(BASELINE)
         logical = find_logical_with_parity_on_disk(array, FAILED)
         stripe = array.layout.stripe_of_logical(logical)
-        parity_offset = array.layout.parity_unit(stripe).offset
+        parity_offset = array.layout.stripe_units(stripe)[-1].offset
         array.controller.recon_statuses[FAILED].mark_built(parity_offset)
         array.run_op(array.controller.write(logical, values=[3]))
         assert array.controller.stats.by_path == {"rmw-write": 1}
@@ -93,7 +93,7 @@ class TestStrictBaseline:
         array = array_in_recon_mode(STRICT_BASELINE)
         logical = find_logical_with_parity_on_disk(array, FAILED)
         stripe = array.layout.stripe_of_logical(logical)
-        parity_offset = array.layout.parity_unit(stripe).offset
+        parity_offset = array.layout.stripe_units(stripe)[-1].offset
         array.controller.recon_statuses[FAILED].mark_built(parity_offset)
         array.run_op(array.controller.write(logical, values=[3]))
         assert array.controller.stats.by_path == {"data-only-write": 1}

@@ -23,7 +23,7 @@ class TestInitialization:
 
     def test_data_units_hold_the_pattern(self, store):
         layout = store.addressing.layout
-        address = layout.data_unit(0, 0)
+        address = layout.stripe_unit(0, 0)
         assert store.read_unit(address.disk, address.offset) == initial_data_pattern(
             address.disk, address.offset
         )
@@ -44,17 +44,19 @@ class TestMutation:
 
     def test_write_breaks_consistency_until_parity_recomputed(self, store):
         layout = store.addressing.layout
-        address = layout.data_unit(0, 0)
+        address = layout.stripe_unit(0, 0)
         store.write_unit(address.disk, address.offset, 0xFEED)
         assert not store.stripe_is_consistent(0)
-        store.recompute_parity(0)
+        store.recompute_syndromes(0)
         assert store.stripe_is_consistent(0)
 
     def test_parity_value_equals_xor_of_data(self, store):
+        units = store.addressing.layout.stripe_units(7)
+        *data, parity = [store.read_unit(*unit) for unit in units]
         expected = 0
-        for value in store.stripe_data_values(7):
+        for value in data:
             expected ^= value
-        assert store.parity_value(7) == expected
+        assert parity == expected
 
 
 class TestFailureHandling:

@@ -100,7 +100,7 @@ class TestSingleDegradedDual:
         target = None
         for logical in range(dual_array.addressing.num_data_units):
             stripe = layout.stripe_of_logical(logical)
-            dead_checks = {layout.parity_unit(stripe).disk, layout.q_unit(stripe).disk}
+            dead_checks = {unit.disk for unit in layout.stripe_units(stripe)[-2:]}
             if (
                 failed in dead_checks
                 and dual_array.addressing.logical_unit_address(logical).disk != failed
@@ -189,9 +189,10 @@ class TestDualReplacementPaths:
     def test_q_unit_syndrome_matches_gf_arithmetic(self, dual_array):
         store = dual_array.controller.datastore
         for stripe in range(dual_array.addressing.num_stripes):
-            data = store.stripe_data_values(stripe)
-            assert store.q_value(stripe) == gf.q_of(data)
-            assert store.parity_value(stripe) == gf.p_of(data)
+            units = dual_array.layout.stripe_units(stripe)
+            *data, p, q = [store.read_unit(*unit) for unit in units]
+            assert q == gf.q_of(data)
+            assert p == gf.p_of(data)
 
 
 def astuple(array, logical):

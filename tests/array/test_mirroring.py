@@ -31,8 +31,7 @@ class TestMirroredWrites:
         layout = array.layout
         store = array.controller.datastore
         stripe = layout.stripe_of_logical(3)
-        data = layout.data_unit(stripe, 0)
-        copy = layout.parity_unit(stripe)
+        data, copy = layout.stripe_units(stripe)
         assert store.read_unit(data.disk, data.offset) == 0xCD
         assert store.read_unit(copy.disk, copy.offset) == 0xCD
 
@@ -52,7 +51,7 @@ class TestMirroredReads:
         for _ in range(6):
             controller.disks[primary.disk].access(0, 8, is_write=False)
         array.run_op(controller.read(0))
-        mirror = layout.parity_unit(layout.stripe_of_logical(0))
+        mirror = layout.stripe_unit(layout.stripe_of_logical(0), 1)
         assert controller.disks[mirror.disk].stats.completed >= 1
 
     def test_balanced_read_returns_correct_value(self):

@@ -9,9 +9,9 @@ from tests.conftest import build_array, build_dual_array
 
 
 def corrupt_parity(array, stripe):
-    parity = array.layout.parity_unit(stripe)
+    parity = array.layout.stripe_unit(stripe, array.layout.data_units_per_stripe)
     store = array.controller.datastore
-    store.write_unit(parity.disk, parity.offset, store.parity_value(stripe) ^ 0xFF)
+    store.write_unit(parity.disk, parity.offset, store.read_unit(*parity) ^ 0xFF)
 
 
 class TestCleanScrub:
@@ -130,7 +130,7 @@ class TestLatentErrorScrub:
 
     def test_repaired_parity_passes_the_parity_check(self):
         array = self.build_faulty_array()
-        parity = array.layout.parity_unit(7)
+        parity = array.layout.stripe_unit(7, array.layout.data_units_per_stripe)
         plant_latent(array, parity)
         report = array.env.run(until=ParityScrubber(array.controller).start())
         assert report.media_repairs == 1

@@ -126,7 +126,6 @@ class TestParityRolesSurviveRecovery:
         for offset in parity_offsets:
             stripe, _role = layout.stripe_of(FAILED_DISK, offset)
             expected = 0
-            for j in range(layout.data_units_per_stripe):
-                unit = layout.data_unit(stripe, j)
+            for unit in layout.stripe_units(stripe)[: layout.data_units_per_stripe]:
                 expected ^= store.read_unit(unit.disk, unit.offset)
             assert store.read_unit(FAILED_DISK, offset) == expected

@@ -22,7 +22,6 @@ import pytest
 from repro.designs import cyclic_design
 from repro.designs.tdesigns import cyclic_pq_design
 from repro.layout import (
-    PARITY_ROLE,
     Q_ROLE,
     CyclicArithmeticLayout,
     DeclusteredLayout,
@@ -56,14 +55,7 @@ def materialize(layout) -> TableParityLayout:
     """An independent table twin: read every period slot once via the
     forward mapping, then let TableParityLayout's own validation prove
     the result tiles (bijection, balanced depths, no gaps)."""
-    roles = list(range(layout.data_units_per_stripe))
-    if layout.num_syndromes == 2:
-        roles.append(Q_ROLE)
-    roles.append(PARITY_ROLE)
-    table = [
-        [layout.stripe_unit(s, role) for role in roles]
-        for s in range(layout.stripes_per_table)
-    ]
+    table = [layout.stripe_units(s) for s in range(layout.stripes_per_table)]
     return TableParityLayout(
         num_disks=layout.num_disks,
         stripe_size=layout.stripe_size,
@@ -79,9 +71,8 @@ def assert_twins(arith, table) -> None:
     assert arith.stripes_per_table == table.stripes_per_table
     assert arith.table_depth == table.table_depth
     for s in range(arith.stripes_per_table * 2):
-        for pos in range(arith.stripe_size):
-            role = arith._role_of_pos(pos)
-            assert arith.stripe_unit(s, role) == table.stripe_unit(s, role)
+        for i in range(arith.stripe_size):
+            assert arith.stripe_unit(s, i) == table.stripe_unit(s, i)
     for disk in range(arith.num_disks):
         for offset in range(arith.table_depth * 2):
             assert arith.stripe_of(disk, offset) == table.stripe_of(disk, offset)
@@ -103,21 +94,22 @@ class TestPermutationStriping:
         arith = PermutationStripingLayout(num_disks, stripe_size, num_syndromes=2)
         table = materialize(arith)
         assert_twins(arith, table)
-        # Q lives where the formula says it does.
-        q = arith.stripe_unit(0, Q_ROLE)
-        assert table.stripe_unit(0, Q_ROLE) == q
+        # Q, the last unit, lives where the formula says it does.
+        q = arith.stripe_unit(0, stripe_size - 1)
+        assert table.stripe_unit(0, stripe_size - 1) == q
+        assert arith.stripe_of(q.disk, q.offset) == (0, Q_ROLE)
 
     def test_formula_is_permutation_striping(self):
         # Independent spot check of the formula itself, not via
         # stripe_unit: rotation j maps unit index i to disk (j*i) % C.
+        # With one syndrome, unit i of a stripe is its element i.
         layout = PermutationStripingLayout(7, 3)
         for s in range(layout.stripes_per_table):
             rotation, stripe_in_rotation = divmod(s, 7)
-            for pos in range(3):
-                index = stripe_in_rotation * 3 + pos
+            for i in range(3):
+                index = stripe_in_rotation * 3 + i
                 expected_disk = ((rotation + 1) * index) % 7
-                role = layout._role_of_pos(pos)
-                assert layout.stripe_unit(s, role).disk == expected_disk
+                assert layout.stripe_unit(s, i).disk == expected_disk
 
     def test_composite_width_rejected(self):
         with pytest.raises(LayoutError, match="prime"):
@@ -257,4 +249,4 @@ class TestLargeCMapping:
         for s in random.Random(3).sample(range(layout.stripes_per_table), 32):
             units = layout.stripe_units(s)
             assert len({u.disk for u in units}) == layout.stripe_size
-            assert units[-1] == layout.stripe_unit(s, PARITY_ROLE)
+            assert units[-1] == layout.stripe_unit(s, layout.stripe_size - 1)

@@ -92,17 +92,16 @@ class TestTableValidation:
 class TestMappings:
     def test_forward_inverse_roundtrip_within_table(self):
         layout = tiny_layout()
+        assert layout.unit_roles == (0, PARITY_ROLE)
         for stripe in range(layout.stripes_per_table):
-            for j in range(layout.data_units_per_stripe):
-                address = layout.data_unit(stripe, j)
-                assert layout.stripe_of(address.disk, address.offset) == (stripe, j)
-            parity = layout.parity_unit(stripe)
-            assert layout.stripe_of(parity.disk, parity.offset) == (stripe, PARITY_ROLE)
+            for i, role in enumerate(layout.unit_roles):
+                address = layout.stripe_unit(stripe, i)
+                assert layout.stripe_of(address.disk, address.offset) == (stripe, role)
 
     def test_tiling_advances_offsets_and_stripes(self):
         layout = tiny_layout()
-        base = layout.data_unit(0, 0)
-        tiled = layout.data_unit(layout.stripes_per_table, 0)
+        base = layout.stripe_unit(0, 0)
+        tiled = layout.stripe_unit(layout.stripes_per_table, 0)
         assert tiled.disk == base.disk
         assert tiled.offset == base.offset + layout.table_depth
 
@@ -120,7 +119,7 @@ class TestMappings:
 
     def test_parity_units_map_to_none(self):
         layout = LeftSymmetricRaid5Layout(5)
-        parity = layout.parity_unit(0)
+        parity = layout.stripe_unit(0, layout.data_units_per_stripe)
         assert layout.physical_to_logical(parity.disk, parity.offset) is None
 
     def test_invalid_role_rejected(self):
@@ -128,7 +127,9 @@ class TestMappings:
         with pytest.raises(LayoutError):
             layout.stripe_unit(0, 5)
         with pytest.raises(LayoutError):
-            layout.data_unit(0, 1)  # only one data unit for G=2
+            layout.stripe_unit(0, 2)  # G=2: unit indices 0 and 1 only
+        with pytest.raises(LayoutError):
+            layout.stripe_unit(0, PARITY_ROLE)  # a role is not a unit index
 
     def test_negative_addresses_rejected(self):
         layout = tiny_layout()
@@ -142,8 +143,8 @@ class TestMappings:
     def test_stripe_units_ordering(self):
         layout = tiny_layout()
         units = layout.stripe_units(0)
-        assert len(units) == 2
-        assert units[-1] == layout.parity_unit(0)
+        assert units == [layout.stripe_unit(0, i) for i in range(2)]
+        assert layout.stripe_of(*units[-1]) == (0, PARITY_ROLE)
 
 
 class TestStripeSizeMessages:
@@ -174,13 +175,14 @@ class TestBoundedCaches:
         # Regression: the old _unit_cache/_l2p_cache grew one entry per
         # distinct address for the life of the layout — a full-disk
         # scan over many table iterations leaked without bound. The
-        # period cache must stay capped at one table's worth of keys.
+        # data mapping holds one table's worth of slots, however deep
+        # a scan goes.
         layout = LeftSymmetricRaid5Layout(5)
         period = layout.data_units_per_table
         for logical in range(period * 7):
             address = layout.logical_to_physical(logical)
             assert layout.physical_to_logical(address.disk, address.offset) == logical
-        assert len(layout._l2p_period_cache) <= period
+        assert len(layout._data_slots) == period
 
     def test_arithmetic_scan_allocates_no_cache(self):
         from repro.layout import PermutationStripingLayout
@@ -190,7 +192,7 @@ class TestBoundedCaches:
             address = layout.logical_to_physical(logical)
             assert layout.physical_to_logical(address.disk, address.offset) == logical
         assert layout.mapping_table_units == 0
-        assert not hasattr(layout, "_l2p_period_cache")
+        assert not hasattr(layout, "_data_slots")
 
 
 class TestDerivedParameters:

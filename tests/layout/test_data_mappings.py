@@ -28,7 +28,7 @@ class TestRowMajorMapping:
 
     def test_parity_slots_have_no_logical_number(self):
         _, layout = layouts()
-        parity = layout.parity_unit(0)
+        parity = layout.stripe_unit(0, layout.data_units_per_stripe)
         assert layout.physical_to_logical(parity.disk, parity.offset) is None
 
     def test_consecutive_units_fill_rows(self):

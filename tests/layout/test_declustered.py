@@ -43,7 +43,8 @@ class TestFullTableConstruction:
         design = complete_design(5, 4)
         layout = DeclusteredLayout(design)
         parity_disks = [
-            layout.parity_unit(dup * design.b).disk for dup in range(design.k)
+            layout.stripe_unit(dup * design.b, design.k - 1).disk
+            for dup in range(design.k)
         ]
         assert parity_disks == [3, 2, 1, 0]
 

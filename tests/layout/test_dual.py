@@ -47,7 +47,7 @@ class TestDualDeclustered:
         assert layout.data_units_per_stripe == 3
         assert layout.parity_overhead() == pytest.approx(2 / 5)
         assert layout.declustering_ratio() == pytest.approx(4 / 20)
-        assert layout.syndrome_roles == (PARITY_ROLE, Q_ROLE)
+        assert layout.unit_roles == (0, 1, 2, PARITY_ROLE, Q_ROLE)
 
     def test_stripe_units_are_distinct_disks(self):
         layout = dual_paper_layout()
@@ -65,14 +65,15 @@ class TestDualDeclustered:
     def test_p_and_q_on_distinct_slots(self):
         layout = dual_paper_layout()
         for s in range(layout.stripes_per_table):
-            assert layout.parity_unit(s) != layout.q_unit(s)
+            assert layout.stripe_unit(s, 3) != layout.stripe_unit(s, 4)
 
     def test_inverse_mapping_round_trips(self):
         layout = dual_declustered(cyclic_pq_design(4))  # C=13, G=4
+        assert layout.unit_roles == (0, 1, PARITY_ROLE, Q_ROLE)
         seen = set()
         for s in range(layout.stripes_per_table):
-            for role in [0, 1, PARITY_ROLE, Q_ROLE]:
-                address = layout.stripe_unit(s, role)
+            for i, role in enumerate(layout.unit_roles):
+                address = layout.stripe_unit(s, i)
                 assert layout.stripe_of(address.disk, address.offset) == (s, role)
                 seen.add(address)
         assert len(seen) == layout.stripes_per_table * 4
@@ -82,8 +83,7 @@ class TestDualDeclustered:
         for logical in range(200):
             address = layout.logical_to_physical(logical)
             assert layout.physical_to_logical(address.disk, address.offset) == logical
-        p = layout.parity_unit(0)
-        q = layout.q_unit(0)
+        p, q = layout.stripe_units(0)[-2:]
         assert layout.physical_to_logical(p.disk, p.offset) is None
         assert layout.physical_to_logical(q.disk, q.offset) is None
 
@@ -98,8 +98,9 @@ class TestDualDeclustered:
     def test_single_layout_has_no_q(self):
         layout = LeftSymmetricRaid5Layout(5)
         assert layout.num_syndromes == 1
+        assert Q_ROLE not in layout.unit_roles
         with pytest.raises(LayoutError):
-            layout.q_unit(0)
+            layout.stripe_unit(0, layout.stripe_size)
 
 
 class TestCyclicDualRaid6:
@@ -107,8 +108,9 @@ class TestCyclicDualRaid6:
         layout = full_width_raid6(7)
         c = 7
         for s in range(c):
-            assert layout.parity_unit(s).disk == (c - 1 - s) % c
-            assert layout.q_unit(s).disk == (c - 2 - s) % c
+            p, q = layout.stripe_units(s)[-2:]
+            assert p.disk == (c - 1 - s) % c
+            assert q.disk == (c - 2 - s) % c
         assert set(role_units_per_disk(layout, PARITY_ROLE)) == {1}
         assert set(role_units_per_disk(layout, Q_ROLE)) == {1}
 

@@ -1,10 +1,19 @@
 """Property-based tests: layout invariants over many designs."""
 
+import functools
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.designs import complete_design, default_catalog
-from repro.layout import DeclusteredLayout, PARITY_ROLE
+from repro.designs import boolean_quadruple_system, complete_design, default_catalog
+from repro.experiments.builders import build_layout
+from repro.layout import (
+    CyclicArithmeticLayout,
+    DeclusteredLayout,
+    LeftSymmetricRaid5Layout,
+    PermutationStripingLayout,
+    ReddyTwoGroupLayout,
+)
 
 # A representative slice of the catalog (kept small so the suite stays
 # fast): every paper design plus some family members.
@@ -13,10 +22,35 @@ CATALOG_KEYS = [
     (7, 3), (11, 5), (13, 4), (9, 3), (25, 5),
 ]
 
+#: One layout or two of every other family, so the stripe order is
+#: pinned wherever a layout is built: P+Q declustered, the
+#: left-symmetric rotation, Reddy's two groups, both arithmetic
+#: families at both syndrome counts, and a row-major table.
+FAMILY_LAYOUTS = [
+    lambda: DeclusteredLayout(boolean_quadruple_system(3), num_syndromes=2),
+    lambda: build_layout(21, 5, syndromes=2),
+    lambda: LeftSymmetricRaid5Layout(5),
+    lambda: LeftSymmetricRaid5Layout(6, num_syndromes=2),
+    lambda: ReddyTwoGroupLayout(complete_design(6, 3)),
+    lambda: PermutationStripingLayout(7, 3),
+    lambda: PermutationStripingLayout(13, 5, num_syndromes=2),
+    lambda: CyclicArithmeticLayout(((0, 1, 3),), 7),
+    lambda: CyclicArithmeticLayout(((0, 1, 3, 9),), 13, num_syndromes=2),
+    lambda: DeclusteredLayout(complete_design(5, 4), data_mapping="row-major"),
+]
+
 
 def catalog_layout(key):
     v, k = key
     return DeclusteredLayout(default_catalog().exact(v, k))
+
+
+@functools.lru_cache(maxsize=None)
+def every_layout():
+    """The catalog slice and every other family, built once."""
+    return tuple(catalog_layout(key) for key in CATALOG_KEYS) + tuple(
+        make() for make in FAMILY_LAYOUTS
+    )
 
 
 @st.composite
@@ -28,16 +62,15 @@ def layout_and_offset(draw):
 
 
 class TestInverseMapping:
-    @given(layout_and_offset())
+    @given(st.integers(min_value=0), st.integers(min_value=0))
     @settings(max_examples=60, deadline=None)
-    def test_stripe_of_roundtrips(self, case):
-        layout, disk, offset = case
-        stripe, role = layout.stripe_of(disk, offset)
-        if role == PARITY_ROLE:
-            address = layout.parity_unit(stripe)
-        else:
-            address = layout.data_unit(stripe, role)
-        assert (address.disk, address.offset) == (disk, offset)
+    def test_stripe_of_roundtrips(self, disk_draw, offset_draw):
+        for layout in every_layout():
+            disk = disk_draw % layout.num_disks
+            offset = offset_draw % (3 * layout.table_depth)
+            stripe, role = layout.stripe_of(disk, offset)
+            address = layout.stripe_unit(stripe, layout.unit_roles.index(role))
+            assert (address.disk, address.offset) == (disk, offset)
 
     @given(layout_and_offset())
     @settings(max_examples=60, deadline=None)
@@ -58,14 +91,17 @@ class TestStripeInvariants:
         disks = [u.disk for u in layout.stripe_units(stripe)]
         assert len(set(disks)) == layout.stripe_size
 
-    @given(st.sampled_from(CATALOG_KEYS), st.integers(min_value=0, max_value=500))
+    @given(st.integers(min_value=0))
     @settings(max_examples=40, deadline=None)
-    def test_every_unit_of_a_stripe_points_back(self, key, stripe):
-        layout = catalog_layout(key)
-        for role, unit in enumerate(layout.stripe_units(stripe)[:-1]):
-            assert layout.stripe_of(unit.disk, unit.offset) == (stripe, role)
-        parity = layout.stripe_units(stripe)[-1]
-        assert layout.stripe_of(parity.disk, parity.offset) == (stripe, PARITY_ROLE)
+    def test_every_unit_of_a_stripe_points_back(self, stripe_draw):
+        # Over two periods, so the tiling shift is covered too.
+        for layout in every_layout():
+            stripe = stripe_draw % (2 * layout.stripes_per_table)
+            units = layout.stripe_units(stripe)
+            assert len(units) == layout.stripe_size
+            for i, role in enumerate(layout.unit_roles):
+                assert layout.stripe_unit(stripe, i) == units[i]
+                assert layout.stripe_of(units[i].disk, units[i].offset) == (stripe, role)
 
 
 class TestCoverage:

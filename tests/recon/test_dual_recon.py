@@ -27,10 +27,7 @@ def disk_is_bit_exact(array, disk):
         stripe, role = layout.stripe_of(disk, offset)
         data = [
             initial_data_pattern(unit.disk, unit.offset)
-            for unit in (
-                layout.data_unit(stripe, j)
-                for j in range(layout.data_units_per_stripe)
-            )
+            for unit in layout.stripe_units(stripe)[: layout.data_units_per_stripe]
         ]
         if role == PARITY_ROLE:
             expected = gf.p_of(data)
