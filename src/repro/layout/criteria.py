@@ -399,6 +399,17 @@ def survivor_loads_for_pair(
     return loads
 
 
+def _pair_at(num_disks: int, index: int) -> typing.Tuple[int, int]:
+    """The ``index``-th pair of ``itertools.combinations(range(num_disks), 2)``."""
+    first = 0
+    pairs_with_first = num_disks - 1
+    while index >= pairs_with_first:
+        index -= pairs_with_first
+        first += 1
+        pairs_with_first -= 1
+    return first, first + 1 + index
+
+
 def check_pair_balanced_reconstruction(
     layout: ParityLayout, sampled: bool = False
 ) -> CriterionReport:
@@ -408,13 +419,20 @@ def check_pair_balanced_reconstruction(
     read the same number of units per table. A BIBD alone does not
     guarantee this — it takes a ``t = 3`` design (uniform triple
     co-occurrence), since the load on survivor ``d`` is
-    ``N(a,d) + N(b,d) - N(a,b,d)``.
+    ``N(a,d) + N(b,d) - N(a,b,d)``. A sampled pair is unranked from
+    its index, so no audit lists the ``C(C-1)/2`` pairs.
     """
-    all_pairs = list(itertools.combinations(range(layout.num_disks), 2))
-    indices = _audited(len(all_pairs), SAMPLE_PAIRS, sampled)
+    num_disks = layout.num_disks
+    population = num_disks * (num_disks - 1) // 2
+    indices = _audited(population, SAMPLE_PAIRS, sampled)
+    if len(indices) == population:
+        pairs: typing.Iterable[typing.Tuple[int, int]] = itertools.combinations(
+            range(num_disks), 2
+        )
+    else:
+        pairs = (_pair_at(num_disks, index) for index in indices)
     observed: typing.Set[int] = set()
-    for index in indices:
-        pair = all_pairs[index]
+    for pair in pairs:
         row = survivor_loads_for_pair(layout, pair)
         observed.update(load for d, load in enumerate(row) if d not in pair)
     scope = _sampled_scope(len(indices), "failed pairs") if sampled else "any failed pair"

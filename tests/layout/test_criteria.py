@@ -1,6 +1,16 @@
 """Unit tests for the individual criterion checks on crafted layouts."""
 
-from repro.layout import PARITY_ROLE, TableParityLayout, UnitAddress
+import itertools
+import random
+import tracemalloc
+
+from repro.layout import (
+    PARITY_ROLE,
+    PermutationStripingLayout,
+    TableParityLayout,
+    UnitAddress,
+    criteria,
+)
 from repro.layout.criteria import (
     check_distributed_parity,
     check_efficient_mapping,
@@ -82,3 +92,34 @@ class TestLargeWrite:
 
         layout = DeclusteredLayout(paper_design(4))
         assert check_large_write_optimization(layout).passed
+
+
+class TestPairBalancedReconstruction:
+    def test_sampled_pairs_are_unranked_not_listed(self, monkeypatch):
+        # C = 1009 has 508,536 disk pairs; a sampled audit uses 2 of
+        # them, and must neither list the rest (38 MB) nor pick other
+        # pairs than the seeded indices name. Survivor counting is
+        # stubbed out so the traced allocations are the pair choice.
+        layout = PermutationStripingLayout(1009, 10, num_syndromes=2)
+        audited = []
+
+        def loads(layout, pair):
+            audited.append(pair)
+            return [0] * layout.num_disks
+
+        monkeypatch.setattr(criteria, "survivor_loads_for_pair", loads)
+        tracemalloc.start()
+        try:
+            criteria.check_pair_balanced_reconstruction(layout, sampled=True)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        population = 1009 * 1008 // 2
+        indices = sorted(random.Random(criteria.SAMPLE_SEED).sample(
+            range(population), criteria.SAMPLE_PAIRS
+        ))
+        assert audited == [
+            next(itertools.islice(itertools.combinations(range(1009), 2), index, None))
+            for index in indices
+        ]
