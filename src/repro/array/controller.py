@@ -325,10 +325,13 @@ class ArrayController:
         The event is the request's process, which completes with the
         request.
         """
-        if request.logical_unit + request.num_units > self.addressing.num_data_units:
+        if (
+            request.logical_unit < 0
+            or request.logical_unit + request.num_units > self.addressing.num_data_units
+        ):
             raise ValueError(
-                f"request [{request.logical_unit}, +{request.num_units}) exceeds "
-                f"data space of {self.addressing.num_data_units} units"
+                f"request [{request.logical_unit}, +{request.num_units}) lies outside "
+                f"the data space of {self.addressing.num_data_units} units"
             )
         request.submit_ms = self.env.now
         return self.env.process(self._handle(request), name="user-request")

@@ -36,6 +36,8 @@ class TraceRecord:
     def __post_init__(self):
         if self.at_ms < 0:
             raise ValueError("trace timestamps must be non-negative")
+        if self.logical_unit < 0:
+            raise ValueError("trace logical units must be non-negative")
         if self.num_units < 1:
             raise ValueError("accesses must cover at least one unit")
 

@@ -42,6 +42,8 @@ class TestReads:
         controller = small_array.controller
         with pytest.raises(ValueError):
             controller.read(small_array.addressing.num_data_units)
+        with pytest.raises(ValueError):
+            controller.read(-2)
 
 
 class TestWrites:

@@ -27,6 +27,8 @@ class TestTraceRecord:
             TraceRecord(at_ms=-1.0, is_write=False, logical_unit=0)
         with pytest.raises(ValueError):
             TraceRecord(at_ms=0.0, is_write=False, logical_unit=0, num_units=0)
+        with pytest.raises(ValueError):
+            TraceRecord.from_line("1.0 r -5")
 
 
 class TestTraceIo:
