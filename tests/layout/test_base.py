@@ -129,7 +129,7 @@ class TestMappings:
         with pytest.raises(LayoutError):
             layout.stripe_unit(0, 2)  # G=2: unit indices 0 and 1 only
         with pytest.raises(LayoutError):
-            layout.stripe_unit(0, PARITY_ROLE)  # a role is not a unit index
+            layout.stripe_unit(0, -1)  # refused, not wrapped to the last unit
 
     def test_negative_addresses_rejected(self):
         layout = tiny_layout()
