@@ -16,10 +16,12 @@ stripes the period holds.
 
 An arithmetic layout's period can hold millions of stripes, so
 ``sampled=True`` audits a seeded sample of each kind of item instead
-of all of them (:data:`SAMPLE_SEED`, ``SAMPLE_*`` sizes). Every sampled
-item is still verified exactly: a sampled failure's survivor loads are
-counted over the whole period, never estimated. :func:`evaluate_layout`
-samples from :data:`SAMPLING_THRESHOLD_DISKS` disks up.
+of all of them (:data:`SAMPLE_SEED`, ``SAMPLE_*`` sizes). A sample that
+would cover its population is the full audit, and the report says so.
+Every sampled item is still verified exactly: a sampled failure's
+survivor loads are counted over the whole period, never estimated.
+:func:`evaluate_layout` samples from :data:`SAMPLING_THRESHOLD_DISKS`
+disks up.
 """
 
 from __future__ import annotations
@@ -62,16 +64,22 @@ class CriterionReport:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-def _audited(population: int, sample_size: int, sampled: bool) -> typing.Sequence[int]:
-    """The indices below ``population`` a check audits: all of them, or
-    ``sample_size`` distinct ones drawn with :data:`SAMPLE_SEED`, sorted
-    (all of them when the sample would cover the population)."""
+def _audited(
+    population: int, sample_size: int, sampled: bool
+) -> typing.Tuple[typing.Sequence[int], bool]:
+    """The indices below ``population`` a check audits, and whether they
+    are a sample: ``sample_size`` distinct ones drawn with
+    :data:`SAMPLE_SEED`, sorted, or all of them. A sample that would
+    cover the population is the full audit, and reports as one."""
     if not sampled or sample_size >= population:
-        return range(population)
-    return sorted(random.Random(SAMPLE_SEED).sample(range(population), sample_size))
+        return range(population), False
+    indices = random.Random(SAMPLE_SEED).sample(range(population), sample_size)
+    return sorted(indices), True
 
 
-def _audited_stripes(layout: ParityLayout, sampled: bool) -> typing.Sequence[int]:
+def _audited_stripes(
+    layout: ParityLayout, sampled: bool
+) -> typing.Tuple[typing.Sequence[int], bool]:
     """Every table stripe, or the seeded sample (criteria 1 and 5)."""
     return _audited(layout.stripes_per_table, SAMPLE_STRIPES, sampled)
 
@@ -84,7 +92,7 @@ def check_single_failure_correcting(
     layout: ParityLayout, sampled: bool = False
 ) -> CriterionReport:
     """Criterion 1: no two units of a stripe share a disk."""
-    stripes = _audited_stripes(layout, sampled)
+    stripes, sampled = _audited_stripes(layout, sampled)
     if sampled:
         scope = f"{len(stripes)} sampled stripes (seed {SAMPLE_SEED})"
     else:
@@ -129,7 +137,7 @@ def check_distributed_reconstruction(
     the same number of units per table. For a BIBD layout this constant
     is ``lam * G`` per full table.
     """
-    failures = _audited(layout.num_disks, SAMPLE_FAILED_DISKS, sampled)
+    failures, sampled = _audited(layout.num_disks, SAMPLE_FAILED_DISKS, sampled)
     loads: typing.Set[int] = set()
     for failed in failures:
         row = survivor_loads_for_failure(layout, failed)
@@ -174,7 +182,7 @@ def _check_distributed_role(
     label: str,
     metric: str,
 ) -> CriterionReport:
-    disks = _audited(layout.num_disks, SAMPLE_COUNTED_DISKS, sampled)
+    disks, sampled = _audited(layout.num_disks, SAMPLE_COUNTED_DISKS, sampled)
     counts = [_role_units_on_disk(layout, disk, role) for disk in disks]
     scope = _sampled_scope(len(disks), "disks") if sampled else "every disk"
     if len(set(counts)) == 1:
@@ -246,7 +254,8 @@ def check_large_write_optimization(
     are needed.
     """
     g_data = layout.data_units_per_stripe
-    for s in _audited_stripes(layout, sampled):
+    stripes, sampled = _audited_stripes(layout, sampled)
+    for s in stripes:
         spanned = {
             layout.stripe_of_logical(s * g_data + j) for j in range(g_data)
         }
@@ -308,16 +317,15 @@ def check_maximal_parallelism(
     c = layout.num_disks
     # Window starts, the last windows wrapping into the next table.
     total = layout.stripes_per_table * layout.data_units_per_stripe
+    starts, sampled = _audited(total, SAMPLE_WINDOWS, sampled)
+    audited = len(starts)
     if sampled:
-        starts = _audited(total, SAMPLE_WINDOWS, True)
         windows: typing.Iterable[typing.Tuple[int, int]] = (
             (start, _window_distinct_disks(layout, start, c)) for start in starts
         )
-        audited = len(starts)
         scope = f"all {audited} sampled windows (seed {SAMPLE_SEED})"
     else:
         windows = _sliding_distinct_disks(layout, total, c)
-        audited = total
         scope = f"all {total} aligned windows"
     failures = 0
     first_failure = None
@@ -424,13 +432,13 @@ def check_pair_balanced_reconstruction(
     """
     num_disks = layout.num_disks
     population = num_disks * (num_disks - 1) // 2
-    indices = _audited(population, SAMPLE_PAIRS, sampled)
-    if len(indices) == population:
-        pairs: typing.Iterable[typing.Tuple[int, int]] = itertools.combinations(
-            range(num_disks), 2
+    indices, sampled = _audited(population, SAMPLE_PAIRS, sampled)
+    if sampled:
+        pairs: typing.Iterable[typing.Tuple[int, int]] = (
+            _pair_at(num_disks, index) for index in indices
         )
     else:
-        pairs = (_pair_at(num_disks, index) for index in indices)
+        pairs = itertools.combinations(range(num_disks), 2)
     observed: typing.Set[int] = set()
     for pair in pairs:
         row = survivor_loads_for_pair(layout, pair)
