@@ -11,7 +11,6 @@ from repro.array.datastore import initial_data_pattern
 from repro.array.sparing import SparePool
 from repro.layout.base import PARITY_ROLE, Q_ROLE
 from repro.recon import Reconstructor
-from tests.conftest import build_dual_array
 
 
 def disk_is_bit_exact(array, disk):
