@@ -4,8 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import ScenarioConfig, run_scenario
+from repro.experiments import ScenarioConfig, campaign, run_scenario
 from repro.experiments.scales import ScalePreset
+from repro.faults.profile import MS_PER_HOUR, FaultProfile
 from repro.recon import REDIRECT, USER_WRITES
 
 #: A sub-tiny preset so each runner test stays under a second.
@@ -197,6 +198,34 @@ class TestReconMode:
         result = run_scenario(micro_config(mode="fault-free"))
         with pytest.raises(RuntimeError):
             _ = result.reconstruction_time_s
+
+
+class TestCampaignMode:
+    def test_campaign_serves_user_traffic_through_repairs(self):
+        # A P+Q campaign with a workload: user requests keep flowing,
+        # checked against the data store, while failed disks are
+        # spared and rebuilt.
+        result = run_scenario(
+            ScenarioConfig(
+                stripe_size=5,
+                syndromes=2,
+                user_rate_per_s=20.0,
+                read_fraction=0.5,
+                mode="campaign",
+                scale=campaign.MICRO,
+                with_datastore=True,
+                spares=4,
+                replacement_delay_ms=1_000.0,
+                fault_profile=FaultProfile(
+                    disk_mttf_hours=1.0, latent_errors_per_hour=0.1, seed=1992
+                ),
+                mission_ms=0.25 * MS_PER_HOUR,
+            )
+        )
+        assert result.fault_summary["repairs_completed"] >= 1
+        assert result.requests_completed > 0
+        assert result.integrity_errors == []
+        assert result.metrics["latency_ms"]["user-read"]["count"] > 0
 
 
 class TestDeterminism:
