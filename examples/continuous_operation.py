@@ -35,7 +35,9 @@ def main():
     env = Environment()
     layout = DeclusteredLayout(paper_design(4))
     addressing = ArrayAddressing(layout, scaled_spec(13))
-    controller = ArrayController(env, addressing, with_datastore=True)
+    controller = ArrayController(
+        env, addressing, algorithm=USER_WRITES, with_datastore=True
+    )
     workload = SyntheticWorkload(
         controller, WorkloadConfig(access_rate_per_s=105.0, read_fraction=0.5)
     )
@@ -54,8 +56,7 @@ def main():
 
     # --- 2 & 3. failures handled by the spare pool ------------------------
     pool = SparePool(
-        controller, spares=2, replacement_delay_ms=1_000.0,
-        recon_workers=8, algorithm=USER_WRITES,
+        controller, spares=2, replacement_delay_ms=1_000.0, recon_workers=8
     )
     for failed_disk in (5, 11):
         workload.pause_verification()

@@ -74,7 +74,6 @@ from repro.faults.log import (
     FaultLog,
 )
 from repro.faults.profile import FaultProfile
-from repro.faults.retry import RetryPolicy
 from repro.faults.state import ERROR_TIMEOUT, DiskFaultState
 from repro.layout.base import UnitAddress
 from repro.metrics.registry import MetricsRegistry
@@ -118,6 +117,10 @@ _WRITE_PATHS = {
     ),
 }
 
+#: Simulated wait, in ms, before each retry of a timed-out access: an
+#: access is attempted at most ``1 + len(RETRY_DELAYS_MS)`` times.
+RETRY_DELAYS_MS = (0.5, 1.0, 2.0)
+
 
 class ArrayController:
     """Owns the disks, layout, fault state, and request translation."""
@@ -131,7 +134,6 @@ class ArrayController:
         with_datastore: bool = False,
         disk_factory: typing.Optional[typing.Callable[..., Disk]] = None,
         fault_profile: typing.Optional[FaultProfile] = None,
-        retry_policy: typing.Optional[RetryPolicy] = None,
         metrics: typing.Optional[MetricsRegistry] = None,
         measure_since_ms: float = 0.0,
         lock_monitor=None,
@@ -199,9 +201,6 @@ class ArrayController:
         # access takes the exact legacy path (no extra RNG draws, no
         # retry wrapper, no timing or event-ordering changes).
         self.fault_profile = fault_profile
-        self.retry_policy = retry_policy if retry_policy is not None else (
-            RetryPolicy() if fault_profile is not None else None
-        )
         self.fault_log = FaultLog() if fault_profile is not None else None
         #: Callback ``(disk_id) -> None`` for escalated failures; a
         #: FaultInjector installs itself here so threshold-crossing
@@ -275,7 +274,6 @@ class ArrayController:
             self.fault_log.record(DISK_FAILURE, self.env.now, disk=disk)
         if self.datastore is not None:
             self.datastore.poison_disk(disk)
-        self.recon_statuses.pop(disk, None)
 
     def install_replacement(self, disk: typing.Optional[int] = None) -> ReconStatus:
         """Install a blank replacement in a failed slot.
@@ -520,10 +518,11 @@ class ArrayController:
         failure.
 
         Without a fault profile the event is the
-        :class:`~repro.disk.drive.DiskRequest` itself. Under one the
-        access runs under the retry policy (:class:`_RetryingAccess`),
-        whose event carries the final attempt's ``error``. Either way a
-        waiter reads ``error`` on the event it holds: neither event has
+        :class:`~repro.disk.drive.DiskRequest` itself, whose ``error``
+        stays None. Under one the access retries its timeouts
+        (:class:`_RetryingAccess`), and its event carries the final
+        attempt's ``error``. Either way a waiter reads ``error`` on the
+        event it holds, without testing for a profile: neither event has
         a value.
         """
         disk = address.disk
@@ -544,8 +543,6 @@ class ArrayController:
     def _count_hard_error(self, disk_id: int) -> None:
         """Accumulate a hard error; escalate a sick disk to failed."""
         state = self.disks[disk_id].fault_state
-        if state is None:
-            return
         state.hard_errors += 1
         if state.hard_errors < self.fault_profile.escalation_threshold:
             return
@@ -616,11 +613,10 @@ class ArrayController:
         if events:
             yield self.env.all_of(events)
         errored: typing.List[UnitAddress] = []
-        if self.fault_profile is not None:
-            for index, event in zip(readable, events):
-                if event.error is not None:
-                    values[index] = None
-                    errored.append(units[index])
+        for index, event in zip(readable, events):
+            if event.error is not None:
+                values[index] = None
+                errored.append(units[index])
         erasures = values.count(None)
         decoded = gf.decode(values, layout.num_syndromes)
         if decoded is None:
@@ -680,7 +676,7 @@ class ArrayController:
                     target = mirror
             access = self._disk_access(target, is_write=False)
             yield access
-            if self.fault_profile is not None and access.error is not None:
+            if access.error is not None:
                 # Media error (or exhausted retries) on a live disk:
                 # rebuild the unit from its stripe in-line.
                 yield from self._repair_read(request, unit_index, logical, target)
@@ -953,22 +949,24 @@ class ArrayController:
 
 
 class _RetryingAccess(Event):
-    """One disk access under the retry policy, driven by callbacks.
+    """One disk access that retries its timeouts, driven by callbacks.
 
     The event succeeds with no value and carries the final (possibly
     still failed) attempt's ``error``, as a
-    :class:`~repro.disk.drive.DiskRequest` does. Transient timeouts are
-    retried with exponential backoff in simulated time up to the
-    policy's bound; media errors are deterministic and not retried by
-    default. An access that ends in a hard error counts toward the
-    disk's escalation threshold, past which the whole disk is declared
-    failed.
+    :class:`~repro.disk.drive.DiskRequest` does. A transient timeout is
+    retried after each delay of :data:`RETRY_DELAYS_MS` in turn, in
+    simulated time; a media error is deterministic (the sector stays
+    unreadable until rewritten), so it is not retried. An access that
+    ends in a hard error counts toward the disk's escalation threshold,
+    past which the whole disk is declared failed.
 
-    No process runs the access, yet it dispatches the events a process
-    would, in the same slots: the request is submitted from an
-    immediate event scheduled at construction (where a process's
-    kick-off would sit), so same-instant queue entries keep their
-    order, and the event succeeds in the dispatch of the disk
+    The first attempt is submitted at construction. Same-instant order
+    holds because every access is issued by a process that the
+    immediate lane resumed (a kick-off, a lock grant, or a finished
+    access or join), after every heap entry due at this instant has
+    run: the submission, and any drive wake-up it schedules, go behind
+    everything already due. A retry is submitted from its backoff
+    timeout, and the event succeeds in the dispatch of the disk
     completion that ends it. Each of those events is fresh, so the
     callback goes straight into its ``_callbacks`` slot, as the kernel
     attaches its own.
@@ -980,8 +978,7 @@ class _RetryingAccess(Event):
 
     def __init__(self, controller: ArrayController, address: UnitAddress,
                  sector: int, is_write: bool, kind: str):
-        env = controller.env
-        super().__init__(env)
+        super().__init__(controller.env)
         self._controller = controller
         self._address = address
         self._sector = sector
@@ -991,11 +988,9 @@ class _RetryingAccess(Event):
         #: The final attempt's error: None on success, else
         #: ``"media"`` / ``"timeout"``.
         self.error: typing.Optional[str] = None
-        start = Event(env)
-        start._callbacks = [self._submit]
-        start.succeed()
+        self._submit(None)
 
-    def _submit(self, _event: Event) -> None:
+    def _submit(self, _event: typing.Optional[Event]) -> None:
         controller = self._controller
         # Re-fetch the disk each attempt: a replacement may have been
         # installed in this slot while the access was backing off.
@@ -1016,15 +1011,15 @@ class _RetryingAccess(Event):
         attempt = self._attempt
         log = controller.fault_log
         now = controller.env.now
+        timed_out = error == ERROR_TIMEOUT
         log.record(
-            TRANSIENT_FAULT if error == ERROR_TIMEOUT else MEDIA_ERROR,
+            TRANSIENT_FAULT if timed_out else MEDIA_ERROR,
             now,
             disk=address.disk,
             offset=address.offset,
         )
-        policy = controller.retry_policy
-        if policy.should_retry(error, attempt):
-            delay = policy.delay_ms(attempt)
+        if timed_out and attempt < len(RETRY_DELAYS_MS):
+            delay = RETRY_DELAYS_MS[attempt]
             log.record(
                 RETRY,
                 now,
@@ -1035,7 +1030,7 @@ class _RetryingAccess(Event):
             self._attempt = attempt + 1
             controller.env.timeout(delay)._callbacks = [self._submit]
             return
-        if error == ERROR_TIMEOUT:
+        if timed_out:
             log.record(
                 RETRY_EXHAUSTED,
                 now,

@@ -8,8 +8,7 @@ budget. For failures past the tolerance, callers choose:
 
 - ``fail(disk)`` (the historical contract) raises
   :class:`DataLossError`, a ``RuntimeError`` subclass that carries the
-  concurrent failures and, when the caller knows them, the
-  over-exposed stripes;
+  concurrent failures;
 - ``fail(disk, allow_data_loss=True)`` records a
   :class:`DataLossEvent` instead and moves the array into a *degraded
   terminal* state: the extra disk joins :attr:`lost_disks`, requests
@@ -34,20 +33,14 @@ class DataLossError(RuntimeError):
     Raised by :meth:`ArrayFaults.fail` when a failure beyond the
     tolerance arrives and the caller did not opt into graceful data
     loss. ``failed_disks`` lists every concurrently-failed disk
-    including the new one; ``exposed_stripes`` carries the over-exposed
-    stripes when the raising layer knows the layout (the bare state
-    machine does not).
+    including the new one. The state machine knows no layout; the
+    graceful path keeps the over-exposed stripes on
+    :class:`DataLossEvent`.
     """
 
-    def __init__(
-        self,
-        message: str,
-        failed_disks: typing.Sequence[int] = (),
-        exposed_stripes: typing.Sequence[int] = (),
-    ):
+    def __init__(self, message: str, failed_disks: typing.Sequence[int] = ()):
         super().__init__(message)
         self.failed_disks = tuple(failed_disks)
-        self.exposed_stripes = tuple(exposed_stripes)
 
 
 @dataclass

@@ -47,6 +47,10 @@ class ScrubReport:
 class ParityScrubber:
     """Sweeps all parity stripes, verifying and repairing parity.
 
+    The scrub always repairs: it rewrites every stale check unit it
+    finds, and every errored unit of a stripe that has a syndrome per
+    errored unit. Its :class:`ScrubReport` counts both.
+
     Parameters
     ----------
     controller:
@@ -54,22 +58,13 @@ class ParityScrubber:
         fight the reconstruction for the same stripes).
     cycle_delay_ms:
         Idle time between stripes, throttling the scrub's disk load.
-    repair:
-        When True (default), stale parity units are rewritten; when
-        False the scrub only reports.
     """
 
-    def __init__(
-        self,
-        controller: "ArrayController",
-        cycle_delay_ms: float = 0.0,
-        repair: bool = True,
-    ):
+    def __init__(self, controller: "ArrayController", cycle_delay_ms: float = 0.0):
         if cycle_delay_ms < 0:
             raise ValueError(f"negative scrub delay {cycle_delay_ms}")
         self.controller = controller
         self.cycle_delay_ms = cycle_delay_ms
-        self.repair = repair
         self.report = ScrubReport()
         self._started = False
 
@@ -104,20 +99,17 @@ class ParityScrubber:
                 yield env.all_of(unit_events)
                 self.report.stripes_checked += 1
                 num_syndromes = layout.num_syndromes
-                if controller.fault_profile is not None:
-                    errored = [
-                        index
-                        for index, event in enumerate(unit_events)
-                        if event.error is not None
-                    ]
-                    self.report.media_errors_found += len(errored)
-                    if self.repair and 1 <= len(errored) <= num_syndromes:
-                        # Unreadable unit(s) within the syndrome budget:
-                        # rebuild each from the rest and rewrite it in
-                        # place (the write remaps the latent extent).
-                        yield from self._repair_errored(
-                            units, [units[index] for index in errored]
-                        )
+                errored = [
+                    unit
+                    for unit, event in zip(units, unit_events)
+                    if event.error is not None
+                ]
+                self.report.media_errors_found += len(errored)
+                if 1 <= len(errored) <= num_syndromes:
+                    # Unreadable unit(s) within the syndrome budget:
+                    # rebuild each from the rest and rewrite it in
+                    # place (the write remaps the latent extent).
+                    yield from self._repair_errored(units, errored)
                 if controller.datastore is None:
                     continue
                 data = [controller._ds_read(unit) for unit in units[:-num_syndromes]]
@@ -127,12 +119,11 @@ class ParityScrubber:
                     if controller._ds_read(check_unit) == expected:
                         continue
                     stripe_stale = True
-                    if self.repair:
-                        yield controller._disk_access(
-                            check_unit, is_write=True, kind=KIND_RECON
-                        )
-                        controller._ds_write(check_unit, expected)
-                        self.report.repairs_written += 1
+                    yield controller._disk_access(
+                        check_unit, is_write=True, kind=KIND_RECON
+                    )
+                    controller._ds_write(check_unit, expected)
+                    self.report.repairs_written += 1
                 if stripe_stale:
                     self.report.mismatches_found += 1
                     self.report.mismatched_stripes.append(stripe)

@@ -15,7 +15,6 @@ import typing
 from dataclasses import dataclass
 
 from repro.faults.log import REPAIR_COMPLETE, SPARES_EXHAUSTED
-from repro.recon.algorithms import ReconAlgorithm
 from repro.recon.sweeper import Reconstructor
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -56,8 +55,10 @@ class SparePool:
     replacement_delay_ms:
         Time from failure detection to a spare being switched in
         (0 for hot spares wired into the array).
-    recon_workers, algorithm, cycle_delay_ms:
+    recon_workers, cycle_delay_ms:
         Passed to the :class:`Reconstructor` launched for each repair.
+        The rebuild runs under the controller's own reconstruction
+        algorithm.
     """
 
     def __init__(
@@ -66,7 +67,6 @@ class SparePool:
         spares: int = 1,
         replacement_delay_ms: float = 0.0,
         recon_workers: int = 8,
-        algorithm: typing.Optional[ReconAlgorithm] = None,
         cycle_delay_ms: float = 0.0,
     ):
         if spares < 0:
@@ -77,7 +77,6 @@ class SparePool:
         self.spares_remaining = spares
         self.replacement_delay_ms = replacement_delay_ms
         self.recon_workers = recon_workers
-        self.algorithm = algorithm
         self.cycle_delay_ms = cycle_delay_ms
         self.repairs: typing.List[RepairRecord] = []
         #: Disks that failed while the shelf was empty. No repair was
@@ -138,8 +137,6 @@ class SparePool:
             yield env.timeout(self.replacement_delay_ms)
         controller.install_replacement(disk)
         installed_at_ms = env.now
-        if self.algorithm is not None:
-            controller.algorithm = self.algorithm
         reconstructor = Reconstructor(
             controller,
             workers=self.recon_workers,

@@ -1,4 +1,4 @@
-"""Fault injection: stochastic failures, latent errors, retry policy.
+"""Fault injection: stochastic failures, latent errors, the fault log.
 
 The paper's subject is *continuous operation* under disk failures, but
 a reproduction that only ever sees one clean, externally-scripted
@@ -12,13 +12,16 @@ declustering. This package supplies a real fault model:
   per-spindle fault state a :class:`~repro.disk.drive.Disk` consults to
   decide whether an access completes with a media error or a transient
   timeout;
-- :mod:`repro.faults.retry` — :class:`RetryPolicy`, bounded retries
-  with exponential backoff in simulated time;
 - :mod:`repro.faults.log` — :class:`FaultLog`, the flight recorder
   every injected fault, retry, repair, and lost stripe is written to;
 - :mod:`repro.faults.injector` — :class:`FaultInjector`, the
   simulation process that drives per-disk lifetime clocks and latent
   error arrivals against an array controller and its spare pool.
+
+The retry schedule is not a setting: the array controller retries a
+timed-out access after each delay of
+:data:`~repro.array.controller.RETRY_DELAYS_MS`, and never retries a
+media error.
 
 Everything is seeded through the deterministic
 :class:`~repro.sim.rng.RandomStreams`, so fault campaigns replay
@@ -45,7 +48,6 @@ from repro.faults.log import (
     FaultLog,
 )
 from repro.faults.profile import FaultProfile
-from repro.faults.retry import RetryPolicy
 from repro.faults.state import DiskFaultState
 
 __all__ = [
@@ -66,5 +68,4 @@ __all__ = [
     "FaultInjector",
     "FaultLog",
     "FaultProfile",
-    "RetryPolicy",
 ]

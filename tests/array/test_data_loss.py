@@ -22,7 +22,6 @@ from repro.faults.log import (
     RETRY_EXHAUSTED,
 )
 from repro.faults.profile import FaultProfile
-from repro.faults.retry import RetryPolicy
 from tests.conftest import build_array
 
 QUIESCENT = FaultProfile(seed=3)  # fault paths armed, no stochastic sources
@@ -146,6 +145,8 @@ class TestForegroundRepair:
         assert state.latent_extents == 0
         assert controller.fault_log.count(MEDIA_ERROR) == 1
         assert controller.fault_log.count(FOREGROUND_REPAIR) == 1
+        # A media error is deterministic: it is repaired, never retried.
+        assert controller.fault_log.count(RETRY) == 0
         again = array.run_op(controller.read(logical))
         assert again.paths == ["read"]
 
@@ -154,15 +155,17 @@ class TestRetryAndEscalation:
     def test_retries_back_off_then_give_up(self):
         profile = FaultProfile(transient_error_prob=1.0, escalation_threshold=100,
                                seed=3)
-        policy = RetryPolicy(max_retries=3, base_delay_ms=0.5, backoff_factor=2.0)
-        array = build_array(fault_profile=profile, retry_policy=policy)
+        array = build_array(fault_profile=profile)
         logical = 0
         target = array.addressing.logical_unit_address(logical)
         array.run_op(array.controller.read(logical))
         log = array.controller.fault_log
         target_retries = [e for e in log.of_kind(RETRY) if e.disk == target.disk]
-        assert len(target_retries) == policy.max_retries
-        assert "backoff 2.00 ms" in target_retries[-1].detail
+        assert [e.detail for e in target_retries] == [
+            "attempt 1, backoff 0.50 ms",
+            "attempt 2, backoff 1.00 ms",
+            "attempt 3, backoff 2.00 ms",
+        ]
         exhausted = [
             e for e in log.of_kind(RETRY_EXHAUSTED) if e.disk == target.disk
         ]
@@ -173,8 +176,7 @@ class TestRetryAndEscalation:
         # crosses the hard-error threshold and is declared failed.
         profile = FaultProfile(transient_error_prob=1.0, escalation_threshold=1,
                                seed=3)
-        policy = RetryPolicy(max_retries=0)
-        array = build_array(fault_profile=profile, retry_policy=policy)
+        array = build_array(fault_profile=profile)
         logical = 0
         target = array.addressing.logical_unit_address(logical)
         array.run_op(array.controller.read(logical))  # must not raise
@@ -187,8 +189,7 @@ class TestRetryAndEscalation:
         profile = FaultProfile(transient_error_prob=1.0, escalation_threshold=1,
                                seed=3)
         escalated = []
-        array = build_array(fault_profile=profile,
-                            retry_policy=RetryPolicy(max_retries=0))
+        array = build_array(fault_profile=profile)
         array.controller.on_disk_failure = escalated.append
         logical = 0
         target = array.addressing.logical_unit_address(logical)
@@ -197,3 +198,19 @@ class TestRetryAndEscalation:
         # The callback owns the failure decision: the controller did
         # not fail the disk itself.
         assert array.controller.faults.fault_free
+
+    def test_a_failed_disk_is_not_escalated_again(self):
+        # Logical units 0 and 3 are both on disk 0. The first read to
+        # exhaust its retries escalates the disk; the second one's hard
+        # error finds it failed already.
+        profile = FaultProfile(transient_error_prob=1.0, escalation_threshold=1,
+                               seed=3)
+        array = build_array(fault_profile=profile)
+        controller = array.controller
+        assert {array.addressing.logical_unit_address(n).disk for n in (0, 3)} == {0}
+        reads = [controller.read(0), controller.read(3)]
+        array.env.run(until=array.env.all_of(reads))
+        escalated = [e.disk for e in controller.fault_log.of_kind(ESCALATION)]
+        assert escalated[0] == 0
+        assert len(escalated) == len(set(escalated))
+        assert controller.disks[0].fault_state.hard_errors == 2

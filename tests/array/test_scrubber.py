@@ -46,14 +46,6 @@ class TestRepair:
         for stripe in range(small_array.addressing.num_stripes):
             assert store.stripe_is_consistent(stripe)
 
-    def test_report_only_mode_leaves_corruption(self, small_array):
-        corrupt_parity(small_array, 5)
-        scrubber = ParityScrubber(small_array.controller, repair=False)
-        report = small_array.env.run(until=scrubber.start())
-        assert report.mismatches_found == 1
-        assert report.repairs_written == 0
-        assert not small_array.controller.datastore.stripe_is_consistent(5)
-
     def test_scrub_under_user_load_stays_consistent(self):
         array = build_array()
         workload = SyntheticWorkload(
@@ -135,17 +127,6 @@ class TestLatentErrorScrub:
         report = array.env.run(until=ParityScrubber(array.controller).start())
         assert report.media_repairs == 1
         assert report.mismatches_found == 0
-
-    def test_report_only_scrub_leaves_the_latent_extent(self):
-        array = self.build_faulty_array()
-        unit = array.layout.stripe_units(2)[0]
-        state = plant_latent(array, unit)
-        report = array.env.run(
-            until=ParityScrubber(array.controller, repair=False).start()
-        )
-        assert report.media_errors_found == 1
-        assert report.media_repairs == 0
-        assert state.latent_extents == 1
 
     def test_two_latent_units_in_one_stripe_cannot_be_rebuilt(self):
         array = self.build_faulty_array()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.array.sparing import SparePool
 from repro.faults.log import SPARES_EXHAUSTED, FaultLog
-from repro.recon import USER_WRITES
 
 
 class TestAutomaticRepair:
@@ -42,14 +41,6 @@ class TestAutomaticRepair:
         small_array.env.run(until=pool.handle_failure(3))
         assert pool.spares_remaining == 0
         assert [r.failed_disk for r in pool.repairs] == [0, 3]
-
-    def test_algorithm_override_applies(self, small_array):
-        pool = SparePool(
-            small_array.controller, spares=1, recon_workers=4,
-            algorithm=USER_WRITES,
-        )
-        small_array.env.run(until=pool.handle_failure(2))
-        assert small_array.controller.algorithm is USER_WRITES
 
 
 class TestExhaustion:

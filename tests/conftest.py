@@ -45,7 +45,6 @@ def build_array(
     with_datastore: bool = True,
     policy: str = "cvscan",
     fault_profile=None,
-    retry_policy=None,
 ) -> ArrayUnderTest:
     """Assemble a small array for tests."""
     env = Environment()
@@ -59,7 +58,7 @@ def build_array(
     controller = ArrayController(
         env, addressing, policy=policy, algorithm=algorithm,
         with_datastore=with_datastore,
-        fault_profile=fault_profile, retry_policy=retry_policy,
+        fault_profile=fault_profile,
     )
     return ArrayUnderTest(env=env, controller=controller, addressing=addressing)
 
@@ -80,7 +79,6 @@ def build_dual_array(
     with_datastore: bool = True,
     policy: str = "cvscan",
     fault_profile=None,
-    retry_policy=None,
 ) -> ArrayUnderTest:
     """Assemble a small dual-syndrome (P+Q) array for tests, over
     :func:`dual_test_layout`."""
@@ -89,7 +87,7 @@ def build_dual_array(
     controller = ArrayController(
         env, addressing, policy=policy, algorithm=algorithm,
         with_datastore=with_datastore,
-        fault_profile=fault_profile, retry_policy=retry_policy,
+        fault_profile=fault_profile,
     )
     return ArrayUnderTest(env=env, controller=controller, addressing=addressing)
 
