@@ -1,68 +1,75 @@
-"""Unit tests for the retry/backoff policy."""
+"""Unit tests for the controller's retry rules.
 
-import math
+The schedule is fixed: a timed-out disk access is retried after each
+delay of :data:`~repro.array.controller.RETRY_DELAYS_MS` in turn, and
+a media error is never retried. These tests drive one access through
+the controller's retry wrapper; the controller-level consequences
+(foreground repair, escalation) are in ``tests/array/test_data_loss.py``.
+"""
 
-import pytest
-
-from repro.faults.retry import RetryPolicy
+from repro.array.controller import RETRY_DELAYS_MS
+from repro.faults.log import MEDIA_ERROR, RETRY, RETRY_EXHAUSTED, TRANSIENT_FAULT
+from repro.faults.profile import FaultProfile
 from repro.faults.state import ERROR_MEDIA, ERROR_TIMEOUT
+from tests.conftest import build_array
 
 
-class TestValidation:
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-
-    def test_negative_base_delay_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_ms=-0.1)
-
-    def test_shrinking_backoff_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-
-    def test_cap_below_base_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_ms=10.0, max_delay_ms=5.0)
-
-    def test_negative_attempt_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy().delay_ms(-1)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["base_delay_ms", "backoff_factor", "max_delay_ms"])
-    def test_non_finite_float_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            RetryPolicy(**{name: value})
+def one_access(profile, prepare=None):
+    """Run one read of logical unit 0's disk unit through the retry
+    wrapper; returns the array, the unit's address and the event."""
+    array = build_array(fault_profile=profile)
+    controller = array.controller
+    address = array.addressing.logical_unit_address(0)
+    if prepare is not None:
+        prepare(array, address)
+    access = controller._disk_access(address, is_write=False)
+    array.run_op(access)
+    return array, address, access
 
 
 class TestBackoff:
     def test_delays_grow_exponentially(self):
-        policy = RetryPolicy(base_delay_ms=0.5, backoff_factor=2.0, max_delay_ms=50.0)
-        assert [policy.delay_ms(n) for n in range(4)] == [0.5, 1.0, 2.0, 4.0]
-
-    def test_delay_is_capped(self):
-        policy = RetryPolicy(base_delay_ms=1.0, backoff_factor=10.0, max_delay_ms=25.0)
-        assert policy.delay_ms(0) == 1.0
-        assert policy.delay_ms(1) == 10.0
-        assert policy.delay_ms(2) == 25.0
-        assert policy.delay_ms(9) == 25.0
+        assert RETRY_DELAYS_MS == (0.5, 1.0, 2.0)
+        ratios = [b / a for a, b in zip(RETRY_DELAYS_MS, RETRY_DELAYS_MS[1:])]
+        assert ratios == [2.0, 2.0]
+        # The controller waits exactly these delays, in order.
+        profile = FaultProfile(transient_error_prob=1.0, escalation_threshold=100,
+                               seed=3)
+        array, _, _ = one_access(profile)
+        details = [e.detail for e in array.controller.fault_log.of_kind(RETRY)]
+        assert details == [
+            f"attempt {n + 1}, backoff {delay:.2f} ms"
+            for n, delay in enumerate(RETRY_DELAYS_MS)
+        ]
 
 
 class TestShouldRetry:
     def test_timeouts_retry_up_to_the_bound(self):
-        policy = RetryPolicy(max_retries=2)
-        assert policy.should_retry(ERROR_TIMEOUT, 0)
-        assert policy.should_retry(ERROR_TIMEOUT, 1)
-        assert not policy.should_retry(ERROR_TIMEOUT, 2)
+        profile = FaultProfile(transient_error_prob=1.0, escalation_threshold=100,
+                               seed=3)
+        array, address, access = one_access(profile)
+        log = array.controller.fault_log
+        assert access.error == ERROR_TIMEOUT
+        # One first attempt plus one retry per delay, then it gives up.
+        assert array.controller.disks[address.disk].stats.completed == (
+            1 + len(RETRY_DELAYS_MS)
+        )
+        assert log.count(TRANSIENT_FAULT) == 1 + len(RETRY_DELAYS_MS)
+        assert log.count(RETRY) == len(RETRY_DELAYS_MS)
+        assert [e.detail for e in log.of_kind(RETRY_EXHAUSTED)] == [
+            f"gave up after {len(RETRY_DELAYS_MS)} retries"
+        ]
 
     def test_media_errors_not_retried_by_default(self):
-        assert not RetryPolicy().should_retry(ERROR_MEDIA, 0)
+        def make_latent(array, address):
+            state = array.controller.disks[address.disk].fault_state
+            state.add_latent(array.addressing.unit_to_sector(address),
+                             array.addressing.sectors_per_unit)
 
-    def test_media_retry_opt_in_is_still_bounded(self):
-        policy = RetryPolicy(max_retries=1, retry_media=True)
-        assert policy.should_retry(ERROR_MEDIA, 0)
-        assert not policy.should_retry(ERROR_MEDIA, 1)
-
-    def test_zero_retries_means_one_attempt(self):
-        assert not RetryPolicy(max_retries=0).should_retry(ERROR_TIMEOUT, 0)
+        array, address, access = one_access(FaultProfile(seed=3), make_latent)
+        log = array.controller.fault_log
+        assert access.error == ERROR_MEDIA
+        assert array.controller.disks[address.disk].stats.completed == 1
+        assert log.count(MEDIA_ERROR) == 1
+        assert log.count(RETRY) == 0
+        assert log.count(RETRY_EXHAUSTED) == 0
