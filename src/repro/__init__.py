@@ -51,7 +51,6 @@ from repro.designs import (
 from repro.disk import IBM_0661, Disk, DiskSpec, scaled_spec
 from repro.experiments import ScenarioConfig, ScenarioResult, get_scale, run_scenario
 from repro.layout import (
-    CyclicArithmeticLayout,
     DeclusteredLayout,
     LeftSymmetricRaid5Layout,
     ParityLayout,
@@ -76,7 +75,6 @@ __all__ = [
     "ArrayController",
     "BASELINE",
     "BlockDesign",
-    "CyclicArithmeticLayout",
     "DataStore",
     "DeclusteredLayout",
     "Disk",

@@ -21,14 +21,7 @@ This package provides:
 
 from repro.designs.design import BlockDesign, DesignError
 from repro.designs.complete import complete_design
-from repro.designs.difference import (
-    BaseBlock,
-    cyclic_design,
-    develop_base_blocks,
-    difference_family_lambda,
-    iter_developed_tuples,
-)
-from repro.designs.known_families import full_orbit_family
+from repro.designs.difference import BaseBlock, cyclic_design, develop_base_blocks
 from repro.designs.derived import complement_design, derived_design
 from repro.designs.families import (
     affine_plane,
@@ -59,10 +52,7 @@ __all__ = [
     "default_catalog",
     "derived_design",
     "develop_base_blocks",
-    "difference_family_lambda",
-    "full_orbit_family",
     "is_t_balanced",
-    "iter_developed_tuples",
     "paper_design",
     "projective_plane",
     "quadratic_residue_design",

@@ -2,12 +2,12 @@
 
 These play the role of Hall's published tables for shapes the
 algebraic constructors don't cover — chiefly cyclic Steiner triple
-systems (k=3, lam=1) for small-G layouts on odd array sizes, plus a
-few planar difference sets. Every family here is validated into a full
-BIBD at construction (and by the test suite), so a transcription error
-cannot reach a layout.
+systems (k=3, lam=1) for small-G layouts on odd array sizes, plus the
+(15, 7, 3) Singer difference set. Every family here is validated into
+a full BIBD at construction (and by the test suite), so a
+transcription error cannot reach a layout.
 
-Format: ``(v, k) -> (base blocks, periods, lam)``. ``None`` period
+Format: ``(v, k) -> (base blocks, periods)``. ``None`` period
 entries develop a full orbit of ``v`` shifts.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.designs.design import BlockDesign, DesignError
+from repro.designs.design import BlockDesign
 from repro.designs.difference import cyclic_design
 
 FamilySpec = typing.Tuple[
@@ -35,45 +35,9 @@ KNOWN_FAMILIES: typing.Dict[typing.Tuple[int, int], FamilySpec] = {
         ((0, 1, 3), (0, 4, 26), (0, 5, 14), (0, 6, 25), (0, 7, 17), (0, 8, 21)),
         None,
     ),
-    # Planar and biplane-style difference sets.
-    (13, 4): (((0, 1, 3, 9),), None),          # PG(2,3) as a cyclic design
-    (11, 5): (((1, 3, 4, 5, 9),), None),       # QR(11) biplane
+    # A Singer difference set, lam = 3.
     (15, 7): (((0, 1, 2, 4, 5, 8, 10),), None),
-    (23, 11): (((1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18),), None),  # QR(23)
 }
-
-
-def full_orbit_family(
-    v: int, k: int
-) -> typing.Tuple[typing.Tuple[int, ...], ...]:
-    """Base blocks of a *full-orbit* cyclic difference family for ``(v, k)``.
-
-    Full orbits (every block developed through all ``v`` shifts) are
-    what the arithmetic cyclic layout needs: its O(1) offset formulas
-    assume each block contributes exactly ``v`` tuples. Sources, in
-    order: the registered families above (skipping any with short
-    orbits, such as (15, 3)), the planar (Singer) difference sets, and
-    quadratic-residue difference sets for primes ``v ≡ 3 (mod 4)``.
-
-    Raises
-    ------
-    DesignError
-        If no full-orbit family is known for the parameters.
-    """
-    from repro.designs.families import is_prime, quadratic_residues
-    from repro.designs.tdesigns import PLANAR_DIFFERENCE_SETS
-
-    spec = KNOWN_FAMILIES.get((v, k))
-    if spec is not None and spec[1] is None:
-        return spec[0]
-    planar = PLANAR_DIFFERENCE_SETS.get(k)
-    if planar is not None and planar[0] == v:
-        return (planar[1],)
-    if v == 2 * k + 1 and v % 4 == 3 and is_prime(v):
-        return (tuple(quadratic_residues(v)),)
-    raise DesignError(
-        f"no full-orbit cyclic difference family known for (v={v}, k={k})"
-    )
 
 
 def known_family_design(v: int, k: int) -> BlockDesign:

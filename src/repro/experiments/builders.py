@@ -14,15 +14,14 @@ from __future__ import annotations
 import typing
 
 from repro.designs.catalog import default_catalog
-from repro.designs.design import BlockDesign, DesignError
+from repro.designs.design import BlockDesign
 from repro.designs.families import is_prime
-from repro.designs.known_families import full_orbit_family
 from repro.designs.tdesigns import (
     PLANAR_DIFFERENCE_SETS,
     boolean_quadruple_system,
     cyclic_pq_design,
 )
-from repro.layout.arithmetic import CyclicArithmeticLayout, PermutationStripingLayout
+from repro.layout.arithmetic import PermutationStripingLayout
 from repro.layout.base import LayoutError, ParityLayout
 from repro.layout.criteria import SAMPLING_THRESHOLD_DISKS
 from repro.layout.declustered import DeclusteredLayout
@@ -37,7 +36,7 @@ PAPER_STRIPE_SIZES = (3, 4, 5, 6, 10, 18, 21)
 #: Layout selection strategies a scenario may name: "auto" (the
 #: default) follows every rule of :func:`check_layout`; the others
 #: force one family and fail loudly if it does not fit.
-LAYOUT_CHOICES = ("auto", "table", "prime", "cyclic")
+LAYOUT_CHOICES = ("auto", "table", "prime")
 
 #: The widest array a scenario may name, ten times the widest any test,
 #: benchmark or CI job builds. It bounds what :func:`check_layout` costs
@@ -115,38 +114,20 @@ def _substitute_design(num_disks: int, stripe_size: int, syndromes: int) -> _Des
     return k, catalog.blocks(num_disks, k), lambda: catalog.build(num_disks, k)
 
 
-def _arithmetic_plan(
-    num_disks: int, stripe_size: int, syndromes: int, kind: str
-) -> LayoutPlan:
-    """A table-free layout: permutation striping on a prime width (G <
-    C), else the development of a known full-orbit cyclic difference
-    family. ``kind`` may force ``"prime"`` or ``"cyclic"``.
-
-    Raises :class:`LayoutError` when neither construction fits.
-    """
-    if kind in ("auto", "prime") and is_prime(num_disks) and stripe_size < num_disks:
-        return LayoutPlan(
-            lambda: PermutationStripingLayout(
-                num_disks, stripe_size, num_syndromes=syndromes
-            ),
-            stripe_size,
-            stripe_size * (num_disks - 1),
-        )
-    if kind == "prime":
+def _prime_plan(num_disks: int, stripe_size: int, syndromes: int) -> LayoutPlan:
+    """The table-free layout: permutation striping, which needs a prime
+    C and G < C; :class:`LayoutError` elsewhere."""
+    if not (is_prime(num_disks) and stripe_size < num_disks):
         raise LayoutError(
             f"layout 'prime' needs a prime C with G < C, got C={num_disks} "
             f"G={stripe_size}"
         )
-    try:
-        blocks = full_orbit_family(num_disks, stripe_size)
-    except DesignError as error:
-        raise LayoutError(
-            f"no arithmetic layout for C={num_disks} G={stripe_size}: {error}"
-        ) from error
     return LayoutPlan(
-        lambda: CyclicArithmeticLayout(blocks, num_disks, num_syndromes=syndromes),
+        lambda: PermutationStripingLayout(
+            num_disks, stripe_size, num_syndromes=syndromes
+        ),
         stripe_size,
-        stripe_size * len(blocks) * stripe_size,
+        stripe_size * (num_disks - 1),
     )
 
 
@@ -156,12 +137,12 @@ def check_layout(
     """The plan :func:`build_layout` follows for ``(C, G)``; raises
     :class:`LayoutError` where it cannot serve the shape.
 
-    The rules, in order (``"prime"``/``"cyclic"`` force rule 3's
-    construction, ``"table"`` skips it):
+    The rules, in order (``"prime"`` forces rule 3's construction,
+    ``"table"`` skips it):
 
     1. G == C: the RAID 5 rotation (RAID 6 with two syndromes).
     2. An exact table (:func:`_exact_design`).
-    3. Under ``"auto"``, an arithmetic layout with the requested G.
+    3. Under ``"auto"``, permutation striping with the requested G.
     4. Below :data:`SAMPLING_THRESHOLD_DISKS`, the closest feasible
        alpha, unless it leaves no data units. At larger widths that
        substitute is a near-complete design: intractable to validate
@@ -181,8 +162,8 @@ def check_layout(
             f"no layout for C={num_disks} G={stripe_size} with {syndromes} "
             f"syndrome unit(s): need 1 or 2 of them and {syndromes} < G <= C"
         )
-    if layout == "prime" or layout == "cyclic":
-        return _arithmetic_plan(num_disks, stripe_size, syndromes, layout)
+    if layout == "prime":
+        return _prime_plan(num_disks, stripe_size, syndromes)
     if stripe_size == num_disks:
         return LayoutPlan(
             lambda: LeftSymmetricRaid5Layout(num_disks, num_syndromes=syndromes),
@@ -192,7 +173,7 @@ def check_layout(
     design = _exact_design(num_disks, stripe_size, syndromes)
     if design is None and layout == "auto":
         try:
-            return _arithmetic_plan(num_disks, stripe_size, syndromes, layout)
+            return _prime_plan(num_disks, stripe_size, syndromes)
         except LayoutError as error:
             if num_disks >= SAMPLING_THRESHOLD_DISKS:
                 raise LayoutError(

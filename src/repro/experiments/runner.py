@@ -88,7 +88,7 @@ class ScenarioConfig:
     #: Layout implementation family (see
     #: :data:`repro.experiments.builders.LAYOUT_CHOICES`): "auto" follows
     #: every rule of :func:`~repro.experiments.builders.check_layout`;
-    #: "table"/"prime"/"cyclic" force one family.
+    #: "table"/"prime" force one family.
     layout: str = "auto"
 
     def __post_init__(self):

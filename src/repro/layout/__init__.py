@@ -19,11 +19,12 @@ table tiled down the disks: the left-symmetric RAID 5 layout (Figure
 syndromes) and the block-design declustered layout (Section 4, Figures
 2-3 and 4-2), whose check positions rotate across the duplications of
 the design by one rule (:func:`~repro.layout.base.rotated_elements`).
-The arithmetic family (:mod:`repro.layout.arithmetic`) computes every
-mapping in O(1) integer arithmetic with no table at all, which is what
-makes C=1000+ arrays practical. All layouts are scored by the
-executable layout criteria in :mod:`repro.layout.criteria` —
-exhaustively for small arrays, by seeded sampling for large ones.
+The table-free family is one layout, permutation striping on a prime
+width (:mod:`repro.layout.arithmetic`), which computes every mapping in
+O(1) integer arithmetic with no table at all; that is what makes
+C=1000+ arrays practical. All layouts are scored by the executable
+layout criteria in :mod:`repro.layout.criteria` — exhaustively for
+small arrays, by seeded sampling for large ones.
 """
 
 from repro.layout.base import (
@@ -37,11 +38,7 @@ from repro.layout.base import (
 from repro.layout.declustered import DeclusteredLayout, build_full_table
 from repro.layout.raid5 import LeftSymmetricRaid5Layout
 from repro.layout.reddy import ReddyTwoGroupLayout
-from repro.layout.arithmetic import (
-    ArithmeticLayout,
-    CyclicArithmeticLayout,
-    PermutationStripingLayout,
-)
+from repro.layout.arithmetic import PermutationStripingLayout
 from repro.layout.criteria import (
     SAMPLING_THRESHOLD_DISKS,
     CriterionReport,
@@ -49,9 +46,7 @@ from repro.layout.criteria import (
 )
 
 __all__ = [
-    "ArithmeticLayout",
     "CriterionReport",
-    "CyclicArithmeticLayout",
     "DeclusteredLayout",
     "LayoutError",
     "LeftSymmetricRaid5Layout",

@@ -21,7 +21,7 @@ design's tuple.
 materialized as an explicit table (``G * b`` stripes occupying ``G * r``
 units per disk for the declustered layout; ``C`` stripes of depth ``C``
 for RAID 5). :mod:`repro.layout.arithmetic` provides the table-free
-implementations where both primitives are pure integer arithmetic, which
+implementation, where both primitives are pure integer arithmetic, which
 is what makes C=1000+ arrays practical.
 """
 
@@ -187,8 +187,8 @@ class ParityLayout:
     def mapping_table_units(self) -> int:
         """Slots the implementation materializes to translate addresses.
 
-        The full table for table-based layouts; zero for arithmetic
-        layouts, whose period exists only as formulas. This is the
+        The full table for table-based layouts; zero for permutation
+        striping, whose period exists only as formulas. This is the
         quantity layout criterion 4 (efficient mapping) bounds.
         """
         return self.stripes_per_table * self.stripe_size

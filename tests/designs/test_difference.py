@@ -42,7 +42,8 @@ class TestDevelopment:
             cyclic_design([[0, 1, 2]], modulus=7)
 
     def test_invalid_family_allowed_without_validation(self):
-        design = cyclic_design([[0, 1, 2]], modulus=7, validate=False)
+        # Developing alone checks no balance; cyclic_design always does.
+        design = develop_base_blocks([BaseBlock(elements=(0, 1, 2))], modulus=7)
         assert design.b == 7
         assert not design.is_balanced()
 
@@ -61,5 +62,6 @@ class TestDevelopment:
             )
 
     def test_elements_reduced_modulo(self):
-        design = cyclic_design([[8, 9, 11]], modulus=7, validate=False)
+        # [1, 2, 4] mod 7 is the Fano difference set, so this validates.
+        design = cyclic_design([[8, 9, 11]], modulus=7)
         assert design.tuples[0] == (1, 2, 4)

@@ -34,11 +34,12 @@ class TestKnownFamilies:
         assert design.b == 57  # the family, not C(19,3) = 969
 
     def test_catalog_prefers_smaller_designs(self):
-        # (13, 4): PG(2,3) cyclic family (b=13) must beat the projective
-        # plane construction registered by the algebraic families
-        # (b=13 as well) and the complete design (b=715).
-        design = default_catalog().exact(13, 4)
-        assert design.b == 13
+        # (13, 4): the registered projective plane PG(2,3), b=13, not
+        # the complete design's C(13, 4) = 715 tuples.
+        catalog = default_catalog()
+        (entry,) = [e for e in catalog.entries() if (e.v, e.k) == (13, 4)]
+        assert entry.source == "projective-plane"
+        assert catalog.exact(13, 4).b == 13
 
     def test_families_build_working_layouts(self):
         from repro.layout import DeclusteredLayout, evaluate_layout

@@ -103,7 +103,6 @@ class TestCheckLayout:
     @pytest.mark.parametrize("num_disks, stripe_size, layout", [
         (8, 5, "prime"),
         (21, 5, "prime"),
-        (21, 4, "cyclic"),
         (1009, 10, "table"),
         (1024, 10, "auto"),
         (10_007, 5, "prime"),
@@ -116,7 +115,6 @@ class TestCheckLayout:
 
     @pytest.mark.parametrize("num_disks, stripe_size, layout", [
         (23, 7, "prime"),
-        (13, 4, "cyclic"),
         (1009, 10, "auto"),
         (1009, 10, "prime"),
     ])
@@ -222,9 +220,8 @@ AGREEMENT_GRID = {
     (21, 21, 1): "left-symmetric-raid5-21",
     (21, 21, 2): "cyclic-dual-raid6-21",
     (21, 21, 1, "table"): "left-symmetric-raid5-21",
-    (21, 4, 1, "cyclic"): None,
-    (25, 3, 1, "cyclic"): "cyclic-arith-25-3",
-    (13, 4, 2, "cyclic"): "cyclic-arith-13-4",
+    (25, 3, 1): "declustered-family-25-3",
+    (13, 4, 2): "dual-declustered-cyclic-pq-13-4",
     (23, 7, 2, "prime"): "perm-prime-23-7",
     (8, 5, 1, "prime"): None,
     (33, 4, 1): "declustered-complete-33-4",

@@ -99,6 +99,7 @@ BAD_USAGE_CASES = [
         id="scenario-prime-layout-on-composite-width",
     ),
     pytest.param(
+        # Not a layout choice: argparse refuses it.
         ["scenario", "--num-disks", "21", "--stripe-size", "4", "--layout", "cyclic",
          "--no-cache"],
         id="scenario-cyclic-layout-without-a-family",

@@ -71,7 +71,7 @@ class TestConfigValidation:
         ({"failed_disk": -1}, "failed_disk"),
         # Shapes build_layout cannot serve fail here, not in a worker.
         ({"num_disks": 8, "stripe_size": 5, "layout": "prime"}, "prime"),
-        ({"num_disks": 21, "stripe_size": 4, "layout": "cyclic"}, "arithmetic"),
+        ({"num_disks": 21, "stripe_size": 4, "layout": "cyclic"}, "unknown layout"),
         ({"num_disks": 1009, "stripe_size": 10, "layout": "table"}, "table"),
         ({"num_disks": 1024, "stripe_size": 10}, "no layout"),
         ({"num_disks": 10_007, "stripe_size": 5, "layout": "prime"}, "limit"),

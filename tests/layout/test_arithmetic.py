@@ -1,14 +1,11 @@
-"""Property tests: arithmetic layouts against their table-based twins.
+"""Property tests: permutation striping against its table twin.
 
-The arithmetic layouts claim to compute, in O(1) integer work, exactly
+Permutation striping claims to compute, in O(1) integer work, exactly
 the mapping a materialized table would hold. These tests pin that
 claim three ways:
 
-- slot-for-slot agreement with an equivalent table layout on the
-  paper-grid geometries (the cyclic family against the existing
-  ``DeclusteredLayout`` construction at both syndrome counts, the
-  permutation family against a table materialized independently from
-  the striping formula);
+- slot-for-slot agreement, at both syndrome counts, with a table
+  materialized independently from the striping formula;
 - criteria verdicts that agree between the table and arithmetic twins
   and between exact and sampled checking;
 - the incremental sliding-window parallelism check against a
@@ -20,10 +17,8 @@ import random
 import pytest
 
 from repro.designs import cyclic_design
-from repro.designs.tdesigns import cyclic_pq_design
 from repro.layout import (
     Q_ROLE,
-    CyclicArithmeticLayout,
     DeclusteredLayout,
     LayoutError,
     PermutationStripingLayout,
@@ -41,14 +36,6 @@ from tests.conftest import sampled_criteria_reports
 #: (C, G) permutation-striping geometries: prime widths spanning the
 #: paper's alpha range, both syndrome counts where G allows.
 PERM_GRID = [(5, 3), (7, 3), (11, 4), (13, 5), (17, 4), (21 + 2, 6)]
-
-#: Cyclic difference-family geometries with known full orbits,
-#: including the paper width C=21 via the planar k=5 difference set.
-CYCLIC_GRID = [
-    ((7, (0, 1, 3)),),
-    ((13, (0, 1, 3, 9)),),
-    ((21, (3, 6, 7, 12, 14)),),
-]
 
 
 def materialize(layout) -> TableParityLayout:
@@ -120,28 +107,6 @@ class TestPermutationStriping:
             PermutationStripingLayout(7, 7)
 
 
-class TestCyclicArithmetic:
-    @pytest.mark.parametrize("spec", CYCLIC_GRID)
-    def test_matches_declustered_layout(self, spec):
-        ((modulus, block),) = spec
-        arith = CyclicArithmeticLayout((block,), modulus)
-        table = DeclusteredLayout(cyclic_design((block,), modulus))
-        assert_twins(arith, table)
-
-    def test_dual_matches_dual_declustered(self):
-        arith = CyclicArithmeticLayout(((0, 1, 3),), 7, num_syndromes=2)
-        table = DeclusteredLayout(cyclic_pq_design(3), num_syndromes=2)
-        assert_twins(arith, table)
-
-    def test_bad_family_rejected(self):
-        with pytest.raises(LayoutError, match="difference family"):
-            CyclicArithmeticLayout(((0, 1, 2),), 7)
-
-    def test_no_table_state(self):
-        arith = CyclicArithmeticLayout(((0, 1, 3),), 7)
-        assert arith.mapping_table_units == 0
-
-
 class TestCriteriaAgreement:
     @pytest.mark.parametrize("num_disks,stripe_size", [(7, 3), (13, 5)])
     def test_verdicts_agree_across_twins_and_modes(self, num_disks, stripe_size):
@@ -159,9 +124,12 @@ class TestCriteriaAgreement:
         assert "no table" in by_name["efficient-mapping"].detail
 
     def test_dual_criteria_agree(self):
-        arith = CyclicArithmeticLayout(((0, 1, 3),), 7, num_syndromes=2)
-        table = DeclusteredLayout(cyclic_pq_design(3), num_syndromes=2)
-        for a, t in zip(evaluate_layout(arith), evaluate_layout(table)):
+        arith = PermutationStripingLayout(7, 3, num_syndromes=2)
+        table = materialize(arith)
+        arith_reports = evaluate_layout(arith)
+        table_reports = evaluate_layout(table)
+        assert len(arith_reports) == len(table_reports)
+        for a, t in zip(arith_reports, table_reports):
             assert (a.name, a.passed) == (t.name, t.passed)
 
     def test_sampling_is_deterministic(self):

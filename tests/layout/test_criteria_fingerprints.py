@@ -15,11 +15,7 @@ from repro.designs import complete_design
 from repro.designs.tdesigns import cyclic_pq_design
 from repro.experiments.builders import PAPER_STRIPE_SIZES, build_layout
 from repro.experiments.campaign import CAMPAIGN_PQ_STRIPE_SIZES
-from repro.layout import (
-    CyclicArithmeticLayout,
-    DeclusteredLayout,
-    PermutationStripingLayout,
-)
+from repro.layout import DeclusteredLayout, PermutationStripingLayout
 from repro.layout.criteria import evaluate_layout
 
 from tests.conftest import dual_test_layout, sampled_criteria_reports
@@ -53,9 +49,9 @@ TEST_ARRAY_DIGESTS = {
 }
 
 #: Single layouts, each built by its own constructor: the parity-rotation
-#: ablation's unrotated table, the row-major data mapping, a cyclic
-#: arithmetic layout, prime-width layouts on either side of the sampling
-#: threshold, and a P+Q design that fails pair balance.
+#: ablation's unrotated table, the row-major data mapping, prime-width
+#: layouts on either side of the sampling threshold, and a P+Q design
+#: that fails pair balance.
 OTHER_LAYOUTS = {
     "unrotated-5-4": (
         lambda: DeclusteredLayout(complete_design(5, 4), rotate_parity=False),
@@ -64,10 +60,6 @@ OTHER_LAYOUTS = {
     "row-major-5-4": (
         lambda: DeclusteredLayout(complete_design(5, 4), data_mapping="row-major"),
         "9d90a60f5ef315fa0b338c2de9d12ce2a78b9533cbb6b34d44236eac1fc17d2d",
-    ),
-    "cyclic-7-3": (
-        lambda: CyclicArithmeticLayout(((0, 1, 3),), 7),
-        "90288de6baa1145dc3212253ef3369298e09b42b9a65b1641c3e4f7a0e49959c",
     ),
     "prime-13-5": (
         lambda: PermutationStripingLayout(13, 5),

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from repro.designs import boolean_quadruple_system, complete_design, default_catalog
 from repro.experiments.builders import build_layout
 from repro.layout import (
-    CyclicArithmeticLayout,
     DeclusteredLayout,
     LeftSymmetricRaid5Layout,
     PermutationStripingLayout,
@@ -24,8 +23,8 @@ CATALOG_KEYS = [
 
 #: One layout or two of every other family, so the stripe order is
 #: pinned wherever a layout is built: P+Q declustered, the
-#: left-symmetric rotation, Reddy's two groups, both arithmetic
-#: families at both syndrome counts, and a row-major table.
+#: left-symmetric rotation, Reddy's two groups, permutation striping
+#: at both syndrome counts, and a row-major table.
 FAMILY_LAYOUTS = [
     lambda: DeclusteredLayout(boolean_quadruple_system(3), num_syndromes=2),
     lambda: build_layout(21, 5, syndromes=2),
@@ -34,8 +33,6 @@ FAMILY_LAYOUTS = [
     lambda: ReddyTwoGroupLayout(complete_design(6, 3)),
     lambda: PermutationStripingLayout(7, 3),
     lambda: PermutationStripingLayout(13, 5, num_syndromes=2),
-    lambda: CyclicArithmeticLayout(((0, 1, 3),), 7),
-    lambda: CyclicArithmeticLayout(((0, 1, 3, 9),), 13, num_syndromes=2),
     lambda: DeclusteredLayout(complete_design(5, 4), data_mapping="row-major"),
 ]
 

@@ -57,13 +57,6 @@ class TestTimeWeightedGauge:
         assert gauge.mean(30.0) == pytest.approx((2 * 10 + 1 * 20) / 30)
         assert gauge.maximum == 2
 
-    def test_set_is_absolute(self):
-        gauge = TimeWeightedGauge()
-        gauge.set(4.0, 0.0)
-        gauge.set(0.0, 5.0)
-        assert gauge.mean(10.0) == pytest.approx(2.0)
-        assert gauge.maximum == 4.0
-
     def test_time_before_boundary_is_excluded(self):
         gauge = TimeWeightedGauge(since_ms=100.0)
         gauge.add(8, 0.0)    # held through warmup — must not count

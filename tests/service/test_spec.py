@@ -58,7 +58,7 @@ class TestScenario:
         ({"num_disks": 21, "failed_disk": 30}, "failed_disk"),
         ({"num_disks": 21, "failed_disk": -1}, "failed_disk"),
         ({"num_disks": 8, "stripe_size": 5, "layout": "prime"}, "prime"),
-        ({"num_disks": 21, "stripe_size": 4, "layout": "cyclic"}, "arithmetic"),
+        ({"num_disks": 21, "stripe_size": 4, "layout": "cyclic"}, "unknown layout"),
         ({"num_disks": 1009, "stripe_size": 10, "layout": "table"}, "table"),
         # Checked before any primality test, which is trial division.
         ({"num_disks": 10**18 + 3, "stripe_size": 5, "layout": "prime"}, "limit"),
